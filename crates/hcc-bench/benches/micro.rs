@@ -145,17 +145,21 @@ fn bench_noise(c: &mut Criterion) {
     g.finish();
 }
 
-/// The PR-5 batched-noise win: filling a bound-length slice through
-/// `DoubleGeometric::fill` (all transcendental setup hoisted to
-/// construction) versus the per-cell `sample` loop, versus the seed
-/// sampler that recomputed `ln α` on every one-sided draw. All three
-/// produce the identical noise stream.
+/// Filling a bound-length slice with double-geometric noise: the
+/// threshold-table sampler through `DoubleGeometric::fill` and through
+/// the per-cell `sample` loop, against the seed sampler that inverted
+/// `ln U / ln α` (recomputing `ln α`) on every one-sided draw. All
+/// three produce the identical noise stream. `construct` is the
+/// table's one-off build cost.
 fn bench_noise_fill(c: &mut Criterion) {
     use hcc_bench::hotpath::seed_sample_one_sided;
 
     let mut g = c.benchmark_group("noise_fill");
     g.sample_size(20);
     const N: usize = 50_000;
+    g.bench_function("construct", |b| {
+        b.iter(|| DoubleGeometric::new(black_box(0.25), 1.0))
+    });
     let dist = DoubleGeometric::new(0.25, 1.0);
     let mut out = vec![0i64; N];
     let mut rng = StdRng::seed_from_u64(8);
@@ -183,8 +187,8 @@ fn bench_noise_fill(c: &mut Criterion) {
     g.finish();
 }
 
-/// The PR-5 L1-PAV rewrite: the adaptive workspace solver against the
-/// seed per-element-`BinaryHeap` implementation it replaced, on the
+/// The L1 isotonic kernel: the slope-trick workspace solver against
+/// the seed PAV with per-element `BinaryHeap` median blocks, on the
 /// hot-path shape (noisy cumulative histogram: a rising prefix and a
 /// long flat tail). Identical fits, very different constants.
 fn bench_isotonic_l1_old_vs_new(c: &mut Criterion) {
@@ -203,7 +207,7 @@ fn bench_isotonic_l1_old_vs_new(c: &mut Criterion) {
             b.iter(|| isotonic_l1_heap(black_box(y)))
         });
         let mut ws = PavL1Workspace::new();
-        g.bench_with_input(BenchmarkId::new("flat_workspace", n), &y, |b, y| {
+        g.bench_with_input(BenchmarkId::new("slope_trick", n), &y, |b, y| {
             b.iter(|| isotonic_l1_with(black_box(y), &mut ws))
         });
     }

@@ -28,6 +28,7 @@ use rand::Rng;
 use crate::hc::CumulativeEstimator;
 use crate::hg::UnattributedEstimator;
 use crate::k_bound::estimate_size_bound;
+use crate::workspace::cached_mechanism;
 use crate::{Estimator, EstimatorWorkspace, NodeEstimate};
 
 /// Chooses between [`CumulativeEstimator`] and
@@ -73,15 +74,17 @@ impl AdaptiveEstimator {
 
     /// The private selection probe: returns `true` when `Hg` should
     /// be used (gappy support), consuming `eps_probe` of budget.
+    /// `mech` caches the probe's mechanism across nodes.
     fn probe_prefers_hg<R: Rng + ?Sized>(
         &self,
         hist: &CountOfCounts,
         eps_probe: f64,
         rng: &mut R,
+        mech: &mut Option<GeometricMechanism>,
     ) -> bool {
         let half = eps_probe / 2.0;
         // Distinct-size count, sensitivity 2.
-        let mech = GeometricMechanism::new(half, 2.0);
+        let mech = cached_mechanism(mech, half, 2.0);
         let distinct = mech.privatize(hist.distinct_sizes() as u64, rng).max(1) as f64;
         // Maximum size, sensitivity 1 (with the footnote-6 cushion the
         // bound overshoots; that only makes the occupancy conservative).
@@ -108,7 +111,7 @@ impl Estimator for AdaptiveEstimator {
         }
         let eps_probe = epsilon * self.selector_fraction;
         let eps_rest = epsilon - eps_probe;
-        if self.probe_prefers_hg(hist, eps_probe, rng) {
+        if self.probe_prefers_hg(hist, eps_probe, rng, &mut ws.probe_mech) {
             UnattributedEstimator::new().estimate_in(hist, g, eps_rest, rng, ws)
         } else {
             CumulativeEstimator::with_loss(self.bound, CumulativeLoss::L1)
@@ -142,10 +145,10 @@ mod tests {
         let mut dense_hg = 0;
         let mut gappy_hg = 0;
         for _ in 0..20 {
-            if est.probe_prefers_hg(&dense(), 0.5, &mut rng) {
+            if est.probe_prefers_hg(&dense(), 0.5, &mut rng, &mut None) {
                 dense_hg += 1;
             }
-            if est.probe_prefers_hg(&gappy(), 0.5, &mut rng) {
+            if est.probe_prefers_hg(&gappy(), 0.5, &mut rng, &mut None) {
                 gappy_hg += 1;
             }
         }

@@ -2,10 +2,10 @@
 
 use hcc_core::CountOfCounts;
 use hcc_isotonic::{anchored_cumulative_into, CumulativeLoss};
-use hcc_noise::GeometricMechanism;
 use rand::Rng;
 
 use crate::estimate::VarianceRun;
+use crate::workspace::cached_mechanism;
 use crate::{Estimator, EstimatorWorkspace, NodeEstimate};
 
 /// Privatizes via the cumulative representation: add double-geometric
@@ -69,7 +69,7 @@ impl Estimator for CumulativeEstimator {
         // the run-length outputs below allocate, and those are
         // O(distinct sizes), not O(bound).
         hist.to_cumulative_into(self.bound, &mut ws.cum);
-        let mech = GeometricMechanism::new(epsilon, Self::SENSITIVITY);
+        let mech = cached_mechanism(&mut ws.mech, epsilon, Self::SENSITIVITY);
         mech.privatize_into(&ws.cum, &mut ws.noisy, rng);
         anchored_cumulative_into(
             &ws.noisy,

@@ -2,10 +2,10 @@
 
 use hcc_core::CountOfCounts;
 use hcc_isotonic::isotonic_l2;
-use hcc_noise::GeometricMechanism;
 use rand::Rng;
 
 use crate::estimate::VarianceRun;
+use crate::workspace::cached_mechanism;
 use crate::{Estimator, EstimatorWorkspace, NodeEstimate};
 
 /// Privatizes via the unattributed representation: add
@@ -52,7 +52,7 @@ impl Estimator for UnattributedEstimator {
         if g == 0 {
             return NodeEstimate::new(CountOfCounts::new(), Vec::new());
         }
-        let mech = GeometricMechanism::new(epsilon, Self::SENSITIVITY);
+        let mech = cached_mechanism(&mut ws.mech, epsilon, Self::SENSITIVITY);
         // Expand to the dense Hg in the reusable f64 buffer,
         // privatizing every coordinate. Iterating the non-zero cells
         // directly draws noise in exactly the run order the seed

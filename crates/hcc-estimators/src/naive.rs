@@ -2,9 +2,9 @@
 
 use hcc_core::CountOfCounts;
 use hcc_isotonic::{project_simplex, round_preserving_sum};
-use hcc_noise::GeometricMechanism;
 use rand::Rng;
 
+use crate::workspace::cached_mechanism;
 use crate::{Estimator, EstimatorWorkspace, NodeEstimate};
 
 /// Adds double-geometric noise with scale `2/ε` to every cell of the
@@ -54,7 +54,7 @@ impl Estimator for NaiveEstimator {
         // out), but the noise and f64 staging reuse workspace buffers
         // anyway; the simplex projection keeps its own output vector.
         let dense = hist.truncated(self.bound).padded(self.bound);
-        let mech = GeometricMechanism::new(epsilon, Self::SENSITIVITY);
+        let mech = cached_mechanism(&mut ws.mech, epsilon, Self::SENSITIVITY);
         mech.privatize_into(&dense, &mut ws.noisy, rng);
         ws.values.clear();
         ws.values.extend(ws.noisy.iter().map(|&v| v as f64));

@@ -22,6 +22,7 @@
 use std::sync::Mutex;
 
 use hcc_isotonic::PavL1Workspace;
+use hcc_noise::GeometricMechanism;
 
 /// Scratch buffers for one estimation worker. Create once per thread
 /// (or check out of a [`WorkspacePool`]) and pass to
@@ -38,8 +39,34 @@ pub struct EstimatorWorkspace {
     pub(crate) values: Vec<f64>,
     /// Fitted cumulative cells (`Hc`).
     pub(crate) fitted: Vec<u64>,
-    /// L1 PAV solver state (block stack + recycled heap storage).
+    /// L1 isotonic solver state.
     pub(crate) pav: PavL1Workspace,
+    /// The last noise mechanism built, reused while `(ε, Δ)` repeats
+    /// (see [`cached_mechanism`]).
+    pub(crate) mech: Option<GeometricMechanism>,
+    /// The same for the adaptive method's selection probe, whose
+    /// `(ε, Δ)` differs from the estimator's it then runs.
+    pub(crate) probe_mech: Option<GeometricMechanism>,
+}
+
+/// The geometric mechanism for `(epsilon, sensitivity)` from `slot`,
+/// rebuilt only when either differs bit for bit from the cached one.
+/// Building one precomputes the sampler's inversion table; every node
+/// of a release shares one ε, so a worker builds it about once per
+/// release (once per ε of a sweep) instead of once per node.
+pub(crate) fn cached_mechanism(
+    slot: &mut Option<GeometricMechanism>,
+    epsilon: f64,
+    sensitivity: f64,
+) -> &GeometricMechanism {
+    let stale = |m: &GeometricMechanism| {
+        m.epsilon().to_bits() != epsilon.to_bits()
+            || m.sensitivity().to_bits() != sensitivity.to_bits()
+    };
+    if slot.as_ref().is_some_and(stale) {
+        *slot = None;
+    }
+    slot.get_or_insert_with(|| GeometricMechanism::new(epsilon, sensitivity))
 }
 
 impl EstimatorWorkspace {
@@ -118,6 +145,19 @@ mod tests {
             "restored workspace must keep its warm buffers"
         );
         assert_eq!(pool.idle_len(), 0);
+    }
+
+    #[test]
+    fn mechanism_is_rebuilt_only_when_its_key_changes() {
+        let mut slot = None;
+        let first: *const GeometricMechanism = cached_mechanism(&mut slot, 0.5, 1.0);
+        let again: *const GeometricMechanism = cached_mechanism(&mut slot, 0.5, 1.0);
+        assert_eq!(first, again);
+        assert_eq!(cached_mechanism(&mut slot, 0.25, 1.0).epsilon(), 0.25);
+        assert_eq!(cached_mechanism(&mut slot, 0.25, 2.0).sensitivity(), 2.0);
+        // A one-ULP change of ε is a different key.
+        let m = cached_mechanism(&mut slot, 0.25 + f64::EPSILON, 2.0);
+        assert_eq!(m.epsilon().to_bits(), (0.25 + f64::EPSILON).to_bits());
     }
 
     #[test]

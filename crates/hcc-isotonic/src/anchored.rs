@@ -50,8 +50,11 @@ pub fn anchored_cumulative(noisy: &[i64], g: u64, loss: CumulativeLoss) -> Vec<u
 /// holds the L1 solver state, `scratch` the dense f64 expansion the
 /// L2 loss needs, and `out` receives the fitted cells (cleared
 /// first). A warm workspace makes the `Hc` hot path allocation-free;
-/// the produced cells are bit-identical to the allocating wrapper —
-/// the clamp/round arithmetic is the same f64 operation sequence.
+/// the produced cells are bit-identical to the allocating wrapper.
+///
+/// The final clamp to `[0, G]` is done on integers: `G as f64` rounds
+/// *up* for some `G > 2⁵³` (`2⁵⁴ − 1` becomes `2⁵⁴`), so an f64
+/// clamp could emit a cell above `G`. Below `2⁵³` both clamps agree.
 pub fn anchored_cumulative_into(
     noisy: &[i64],
     g: u64,
@@ -65,30 +68,22 @@ pub fn anchored_cumulative_into(
         "a cumulative histogram has at least one cell"
     );
     let prefix = &noisy[..noisy.len() - 1];
-    let gf = g as f64;
     out.clear();
     out.reserve(noisy.len());
     match loss {
         CumulativeLoss::L1 => {
+            // Clamping the isotonic fit cell-wise keeps it monotone
+            // and is exact for the box constraint.
             pav.solve(prefix);
-            for b in pav.fitted_blocks() {
-                // Same operation order as the seed path (clamp to
-                // [0, G], then round cell-wise — which preserves
-                // monotonicity), in f64 so results stay bit-identical
-                // even for bounds beyond 2^53.
-                let v = (b.median as f64).clamp(0.0, gf);
-                let v = v.round().max(0.0).min(gf) as u64;
-                out.resize(out.len() + b.len, v);
-            }
+            out.extend(pav.fit().iter().map(|&v| v.max(0).unsigned_abs().min(g)));
         }
         CumulativeLoss::L2 => {
             scratch.clear();
             scratch.extend(prefix.iter().map(|&v| v as f64));
-            let fit = isotonic_l2(scratch).clamped(0.0, gf);
+            let fit = isotonic_l2(scratch).clamped(0.0, g as f64);
             fit.values_into(scratch);
-            for &v in scratch.iter() {
-                out.push(v.round().max(0.0).min(gf) as u64);
-            }
+            // `as u64` saturates; the integer `min` is the exact clamp.
+            out.extend(scratch.iter().map(|&v| (v.round().max(0.0) as u64).min(g)));
         }
     }
     out.push(g);
@@ -141,6 +136,24 @@ mod tests {
         // K = 0: only the anchor cell exists... the prefix is empty.
         let out = anchored_cumulative(&[123], 9, CumulativeLoss::L2);
         assert_eq!(out, vec![9]);
+    }
+
+    #[test]
+    fn bounds_beyond_2_pow_53_stay_at_or_below_g() {
+        // `G = 2⁵⁴ − 1` is not an f64; an f64 clamp rounded it up to
+        // 2⁵⁴ and emitted a cell above the anchor, which broke
+        // monotonicity.
+        let g = (1u64 << 54) - 1;
+        let noisy = [(1i64 << 54) + 100, 0];
+        for loss in [CumulativeLoss::L1, CumulativeLoss::L2] {
+            assert_eq!(anchored_cumulative(&noisy, g, loss), vec![g, g], "{loss:?}");
+        }
+        // Cells between 2⁵³ and G pass through exactly under L1.
+        let noisy = [(1i64 << 53) + 1, (1i64 << 53) + 3, 0];
+        assert_eq!(
+            anchored_cumulative(&noisy, g, CumulativeLoss::L1),
+            vec![(1 << 53) + 1, (1 << 53) + 3, g]
+        );
     }
 
     #[test]

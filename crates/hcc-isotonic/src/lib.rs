@@ -7,14 +7,18 @@
 //! * [`isotonic_l2`] / [`isotonic_l2_weighted`] — pool-adjacent-
 //!   violators (PAV) for `min ‖x − y‖₂² s.t. x non-decreasing`, `O(n)`.
 //!   Used by the `Hg` method and the L2 variant of the `Hc` method.
-//! * [`isotonic_l1`] — PAV with mergeable median blocks for
-//!   `min ‖x − y‖₁ s.t. x non-decreasing`, `O(n log² n)`. Returns the
-//!   lower median so integer inputs produce integer fits, matching the
-//!   paper's observation that "the L1 version mostly returns
-//!   integers". Preferred variant for the `Hc` method. The hot-path
-//!   entry point is [`PavL1Workspace`], whose recycled block storage
-//!   makes repeated solves allocation-free; [`isotonic_l1_heap`] is
-//!   the seed implementation, kept as oracle and perf baseline.
+//! * [`isotonic_l1`] — L1 isotonic regression for
+//!   `min ‖x − y‖₁ s.t. x non-decreasing` by the slope trick: a
+//!   forward pass over a max-heap of cost breakpoints and a backward
+//!   running minimum, `O(n + span)` with a counting heap for inputs of
+//!   narrow value span, `O(n log n)` with a `BinaryHeap` otherwise.
+//!   Returns the lower-median PAV fit, so integer inputs produce
+//!   integer fits, matching the paper's observation that "the L1
+//!   version mostly returns integers". Preferred variant for the `Hc`
+//!   method. The hot-path entry point is [`PavL1Workspace`], whose
+//!   retained buffers make repeated solves allocation-free;
+//!   [`isotonic_l1_heap`] is the seed PAV with mergeable median
+//!   blocks, kept as oracle and perf baseline.
 //! * [`project_simplex`] — exact Euclidean projection onto
 //!   `{x ≥ 0, Σx = s}` (the quadratic program of the naive method).
 //!
@@ -37,7 +41,7 @@ pub mod simplex;
 
 pub use anchored::{anchored_cumulative, anchored_cumulative_into, CumulativeLoss};
 pub use fit::{Block, IsotonicFit};
-pub use pav_l1::{isotonic_l1, isotonic_l1_heap, isotonic_l1_with, FittedBlock, PavL1Workspace};
+pub use pav_l1::{isotonic_l1, isotonic_l1_heap, isotonic_l1_with, PavL1Workspace};
 pub use pav_l1_weighted::isotonic_l1_weighted;
 pub use pav_l2::{isotonic_l2, isotonic_l2_weighted};
 pub use rounding::{apportion, round_preserving_sum};

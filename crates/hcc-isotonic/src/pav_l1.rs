@@ -1,562 +1,61 @@
-//! Pool-adjacent-violators for L1 (least-absolute-deviations)
-//! isotonic regression.
+//! L1 (least-absolute-deviations) isotonic regression.
 //!
 //! The paper found that the L1 variant of the `Hc` method outperforms
 //! L2 (consistent with Lin & Kifer's observations on unattributed
 //! histograms) and that its solutions are almost always integral. We
-//! realise the "almost always" as *always* by selecting the **lower
+//! realise the "almost always" as *always* by taking the **lower
 //! median** of every pooled block: any value between the lower and
 //! upper median minimises the block's absolute deviation, and the
 //! lower median of integers is an integer.
 //!
-//! Two implementations share those semantics:
+//! Two implementations return that same fit:
 //!
-//! * [`PavL1Workspace::solve`] — the hot-path solver. Blocks live in
-//!   one flat stack with **recycled**, adaptive median structures:
-//!   small blocks are tiny two-heap pairs (cheap to churn
-//!   and merge), and a block that grows past a threshold promotes to
-//!   a value-indexed counting window with a rank cursor — O(1)
-//!   bucket-increment pushes in a few cache lines, exactly what the
-//!   `Hc` method's giant flat-tail blocks need, where binary heaps
-//!   pay an O(log n) sift across hundreds of kilobytes per inserted
-//!   cell. Blocks whose value span outgrows the window cap demote
-//!   back to heaps, so arbitrary inputs keep the seed
-//!   implementation's `O(n log² n)` bound while a warm workspace
-//!   solves without touching the allocator at all. (A
-//!   select-per-merge "sort buffer" design was rejected: re-selecting
-//!   a giant block's median on every absorption is `O(n²)` exactly
-//!   where the engine spends its time.)
-//! * [`isotonic_l1_heap`] — the seed implementation (two fresh
-//!   `BinaryHeap`s per input element), kept as the property-test
+//! * [`PavL1Workspace::solve`] — the hot-path solver, the *slope
+//!   trick*. A forward pass keeps a max-heap of the breakpoints of the
+//!   prefix problem's cost function: push `y_i`; if the heap's max
+//!   exceeds `y_i`, pop the max and push `y_i` once more; record the
+//!   max as `top_i`, the smallest optimal last value of the prefix
+//!   ending at `i`. A backward pass then reads the fit off as
+//!   `x_{n−1} = top_{n−1}`, `x_i = min(x_{i+1}, top_i)`. Taking the
+//!   *smallest* minimiser everywhere is what lower-median pooling
+//!   does, so the reconstruction equals the lower-median PAV solution
+//!   exactly; the property tests check it against the oracle below.
+//!   The heap is a value-indexed count array (an `O(1)` bucket
+//!   update per push, plus an occupancy bitmap so a pop finds the
+//!   next maximum by word scans) when the input's values span at most
+//!   2¹⁶, and a `BinaryHeap` otherwise: the input alone picks the
+//!   form. `O(n + span)` or `O(n log n)`, and a warm workspace solves
+//!   without allocating.
+//! * [`isotonic_l1_heap`] — the seed implementation (PAV with two
+//!   fresh `BinaryHeap`s per input element), kept as the property-test
 //!   oracle and as the perf baseline for the `release_hot_path`
 //!   benchmarks.
-//!
-//! Both return identical fits: the block boundaries and lower medians
-//! are determined by the PAV merge rule alone, not by the median
-//! structure's internals.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::fit::{Block, IsotonicFit};
 
-// ---------------------------------------------------------------------------
-// Flat, allocation-recycling solver (hot path).
-// ---------------------------------------------------------------------------
+/// Widest value span (`max − min + 1`) the counting heap takes: 256
+/// KB of `u32` counts to zero per solve, and a pop's scan for the
+/// next maximum reads at most `COUNT_SPAN_MAX / 64` bitmap words.
+/// The `Hc` method's inputs span `G` plus the noise, far below it on
+/// the benchmark hierarchies; wider inputs take the `BinaryHeap`.
+const COUNT_SPAN_MAX: u64 = 1 << 16;
 
-/// Hard cap on a compact block's value-window span. 4 KB of counts
-/// stays cache-resident; anything wider stays in (or falls back to)
-/// the heap form.
-const COMPACT_SPAN_MAX: i128 = 4096;
-
-/// A single rank-cursor re-seek longer than this demotes the block
-/// back to heaps: it means the block's values are spread thinly
-/// across the window (long zero gaps), which is exactly where
-/// counting loses to heaps.
-const COMPACT_WALK_MAX: usize = 256;
-
-/// Blocks smaller than this stay in the two-heap form: short-lived
-/// blocks churn through creation and merging, and a counting window
-/// per 1–2-element block costs more to scan than tiny heaps cost to
-/// sift. Promotion is attempted when `n` first reaches this size.
-const COMPACT_PROMOTE_AT: usize = 64;
-
-/// One pooled PAV block: covers `start..` up to the next block's
-/// start, holding `n` elements in one of two median structures (see
-/// [`Repr`]).
-struct PooledBlock {
-    start: usize,
-    n: usize,
-    /// Next size at which a heap block attempts compact promotion
-    /// (`usize::MAX` once demoted — spans only grow, so retrying
-    /// would rescan for nothing).
-    next_promote: usize,
-    repr: Repr,
-}
-
-/// The adaptive element-multiset representation behind a block's
-/// lower median.
-///
-/// * [`Repr::Heaps`] — the classic two-heap median (max-heap lower
-///   half `lo`, min-heap upper half `hi`, `lo.len() == hi.len()` or
-///   `hi.len() + 1`). Every block starts here: for the short-lived
-///   small blocks PAV churns through, tiny recycled vectors beat any
-///   fancier structure.
-/// * [`Repr::Compact`] — a value-indexed counting window with a rank
-///   cursor, promoted to at [`COMPACT_PROMOTE_AT`] elements when the
-///   block's value span fits [`COMPACT_SPAN_MAX`]. On the `Hc` hot
-///   path a big block's values are integers concentrated in a narrow
-///   band (the plateau level plus double-geometric noise), so pushes
-///   are O(1) bucket increments in a few cache lines — where the
-///   two-heap form pays an O(log n) sift over hundreds of kilobytes.
-///   Blocks whose span outgrows the cap, or whose cursor walks
-///   exceed [`COMPACT_WALK_MAX`], demote back to heaps, so
-///   adversarially spread inputs degrade to the seed algorithm's
-///   `O(n log² n)`, never to quadratic window scans.
-enum Repr {
-    Compact(CompactCounts),
-    Heaps { lo: Vec<i64>, hi: Vec<i64> },
-}
-
-/// Value-indexed counts over the window `base ..= base + counts.len() - 1`
-/// plus a lower-median rank cursor: `med` indexes the current lower
-/// median's bucket (always non-zero while the block is non-empty) and
-/// `below` counts the elements in buckets before it. `min_idx` /
-/// `max_idx` track the occupied extent so merges scan values, never
-/// slack.
-struct CompactCounts {
-    base: i64,
-    counts: Vec<u64>,
-    med: usize,
-    below: u64,
-    min_idx: usize,
-    max_idx: usize,
-}
-
-impl CompactCounts {
-    fn median(&self) -> i64 {
-        self.base + self.med as i64
-    }
-
-    /// Whether `x` falls inside the current window. Single unsigned
-    /// compare: the wrapping difference is exact for in-window values
-    /// and lands far above `len` for everything else.
-    fn contains(&self, x: i64) -> bool {
-        (x.wrapping_sub(self.base) as u64) < self.counts.len() as u64
-    }
-
-    /// Grows the window (with geometric slack) until it contains
-    /// `lo_val..=hi_val`; `false` when that would exceed the span cap
-    /// and the caller must demote to heaps instead.
-    fn ensure(&mut self, lo_val: i64, hi_val: i64) -> bool {
-        let cur_lo = self.base as i128;
-        let cur_hi = cur_lo + self.counts.len() as i128; // exclusive
-        let need_lo = cur_lo.min(lo_val as i128);
-        let need_hi = cur_hi.max(hi_val as i128 + 1);
-        if need_lo == cur_lo && need_hi == cur_hi {
-            return true;
-        }
-        if need_hi - need_lo > COMPACT_SPAN_MAX {
-            return false;
-        }
-        // Slack on the growing side(s) amortizes repeated growth.
-        let slack = (need_hi - need_lo) / 4 + 8;
-        let mut new_lo = need_lo;
-        let mut new_hi = need_hi;
-        if need_lo < cur_lo {
-            new_lo = (need_lo - slack)
-                .max(need_hi - COMPACT_SPAN_MAX)
-                .max(i64::MIN as i128);
-        }
-        if need_hi > cur_hi {
-            new_hi = (need_hi + slack)
-                .min(new_lo + COMPACT_SPAN_MAX)
-                .min(i64::MAX as i128 + 1);
-        }
-        let off = (cur_lo - new_lo) as usize;
-        let old_len = self.counts.len();
-        self.counts.resize((new_hi - new_lo) as usize, 0);
-        if off > 0 {
-            self.counts.copy_within(0..old_len, off);
-            self.counts[..off].fill(0);
-            self.med += off;
-            self.min_idx += off;
-            self.max_idx += off;
-        }
-        self.base = new_lo as i64;
-        true
-    }
-
-    /// Adds `c` occurrences of the in-window value at `idx` without
-    /// moving the cursor (callers re-seek when done).
-    fn bucket_add(&mut self, idx: usize, c: u64) {
-        self.counts[idx] += c;
-        if idx < self.med {
-            self.below += c;
-        }
-        if idx < self.min_idx {
-            self.min_idx = idx;
-        }
-        if idx > self.max_idx {
-            self.max_idx = idx;
-        }
-    }
-
-    /// Moves the cursor to the bucket containing rank `r` (0-based),
-    /// returning the walk length so single-element callers can detect
-    /// gap-heavy windows.
-    fn reseek(&mut self, r: u64) -> usize {
-        let mut walk = 0;
-        while self.below > r {
-            let mut m = self.med;
-            loop {
-                m -= 1;
-                walk += 1;
-                if self.counts[m] != 0 {
-                    break;
-                }
-            }
-            self.med = m;
-            self.below -= self.counts[m];
-        }
-        while self.below + self.counts[self.med] <= r {
-            self.below += self.counts[self.med];
-            let mut m = self.med;
-            loop {
-                m += 1;
-                walk += 1;
-                if self.counts[m] != 0 {
-                    break;
-                }
-            }
-            self.med = m;
-        }
-        walk
-    }
-
-    /// The occupied value range (O(1) — tracked on every insert).
-    fn occupied_range(&self) -> (i64, i64) {
-        (
-            self.base + self.min_idx as i64,
-            self.base + self.max_idx as i64,
-        )
-    }
-
-    /// Adds all of `other`'s counts; the caller has already grown the
-    /// window over `other`'s occupied range. `r` is the merged rank
-    /// target. The post-merge re-seek may legitimately walk far (the
-    /// median can shift by `other`'s whole size), so no walk cap here
-    /// — it is bounded by the window span.
-    fn absorb(&mut self, other: &CompactCounts, r: u64) {
-        for i in other.min_idx..=other.max_idx {
-            let c = other.counts[i];
-            if c == 0 {
-                continue;
-            }
-            let idx = (other.base + i as i64 - self.base) as usize;
-            self.bucket_add(idx, c);
-        }
-        self.reseek(r);
-    }
-
-    /// Splits the counted multiset into the two-heap halves. Values
-    /// stream out in ascending order, so the lower half reversed is
-    /// already a valid max-heap and the upper half is already a valid
-    /// min-heap — demotion is O(n) with no sifting.
-    fn drain_to_heaps(&self, lo: &mut Vec<i64>, hi: &mut Vec<i64>) {
-        lo.clear();
-        hi.clear();
-        let stored: u64 = self.counts[self.min_idx..=self.max_idx].iter().sum();
-        let lo_target = (stored as usize).div_ceil(2);
-        for i in self.min_idx..=self.max_idx {
-            let v = self.base + i as i64;
-            for _ in 0..self.counts[i] {
-                if lo.len() < lo_target {
-                    lo.push(v);
-                } else {
-                    hi.push(v);
-                }
-            }
-        }
-        lo.reverse();
-    }
-}
-
-/// Hole-based sift-up insertion (one store per level instead of a
-/// swap). `above(a, b)` is true when `a` must sit closer to the root
-/// than `b` — `>` for a max-heap, `<` for a min-heap; both heap
-/// orientations share these routines so the sift logic exists once.
-#[inline]
-fn heap_push(h: &mut Vec<i64>, x: i64, above: impl Fn(i64, i64) -> bool) {
-    h.push(x);
-    let mut i = h.len() - 1;
-    while i > 0 {
-        let p = (i - 1) / 2;
-        if !above(x, h[p]) {
-            break;
-        }
-        h[i] = h[p];
-        i = p;
-    }
-    h[i] = x;
-}
-
-/// Sift-down from the root, placing `x`.
-#[inline]
-fn heap_sift_down(h: &mut [i64], x: i64, above: impl Fn(i64, i64) -> bool) {
-    let n = h.len();
-    let mut i = 0;
-    loop {
-        let l = 2 * i + 1;
-        if l >= n {
-            break;
-        }
-        let r = l + 1;
-        let c = if r < n && above(h[r], h[l]) { r } else { l };
-        if !above(h[c], x) {
-            break;
-        }
-        h[i] = h[c];
-        i = c;
-    }
-    h[i] = x;
-}
-
-/// Root removal + sift-down.
-#[inline]
-fn heap_pop(h: &mut Vec<i64>, above: impl Fn(i64, i64) -> bool) -> i64 {
-    let top = h.swap_remove(0);
-    if !h.is_empty() {
-        let x = h[0];
-        heap_sift_down(h, x, above);
-    }
-    top
-}
-
-/// Replaces the root with `x` in one sift-down, returning the old
-/// root (the fused insert+transfer of [`heaps_push`]).
-#[inline]
-fn heap_replace(h: &mut [i64], x: i64, above: impl Fn(i64, i64) -> bool) -> i64 {
-    let old = h[0];
-    heap_sift_down(h, x, above);
-    old
-}
-
-fn push_max(h: &mut Vec<i64>, x: i64) {
-    heap_push(h, x, |a, b| a > b);
-}
-
-fn pop_max(h: &mut Vec<i64>) -> i64 {
-    heap_pop(h, |a, b| a > b)
-}
-
-fn replace_max(h: &mut [i64], x: i64) -> i64 {
-    heap_replace(h, x, |a, b| a > b)
-}
-
-fn push_min(h: &mut Vec<i64>, x: i64) {
-    heap_push(h, x, |a, b| a < b);
-}
-
-fn pop_min(h: &mut Vec<i64>) -> i64 {
-    heap_pop(h, |a, b| a < b)
-}
-
-fn replace_min(h: &mut [i64], x: i64) -> i64 {
-    heap_replace(h, x, |a, b| a < b)
-}
-
-impl PooledBlock {
-    /// The lower median. Live blocks are never empty.
-    fn median(&self) -> i64 {
-        match &self.repr {
-            Repr::Compact(c) => c.median(),
-            Repr::Heaps { lo, .. } => lo[0],
-        }
-    }
-}
-
-/// Fused two-heap median push. Routes `x` to the correct half; when
-/// that half is at its size cap the insert and the rebalance transfer
-/// fuse into one replace-root sift.
-fn heaps_push(lo: &mut Vec<i64>, hi: &mut Vec<i64>, x: i64) {
-    if lo.first().is_none_or(|&m| x <= m) {
-        if lo.len() > hi.len() {
-            // lo full: x takes the root's place, the old lower
-            // median moves up to hi.
-            let m = replace_max(lo, x);
-            push_min(hi, m);
-        } else {
-            push_max(lo, x);
-        }
-    } else if hi.len() == lo.len() {
-        // hi full: the smallest of hi ∪ {x} belongs in lo.
-        if hi.first().is_none_or(|&m| x <= m) {
-            push_max(lo, x);
-        } else {
-            let m = replace_min(hi, x);
-            push_max(lo, m);
-        }
-    } else {
-        push_min(hi, x);
-    }
-}
-
-/// Bulk two-heap insertion with one deferred rebalance: every element
-/// lands on its correct side of the *current* partition boundary
-/// (which any intermediate insertion order preserves), then the
-/// halves are re-centred with the minimum number of transfers — the
-/// net imbalance rather than one transfer per element.
-fn heaps_extend(lo: &mut Vec<i64>, hi: &mut Vec<i64>, xs: impl Iterator<Item = i64>) {
-    for x in xs {
-        if lo.first().is_none_or(|&m| x <= m) {
-            push_max(lo, x);
-        } else {
-            push_min(hi, x);
-        }
-    }
-    while lo.len() > hi.len() + 1 {
-        let m = pop_max(lo);
-        push_min(hi, m);
-    }
-    while hi.len() > lo.len() {
-        let m = pop_min(hi);
-        push_max(lo, m);
-    }
-}
-
-/// The occupied values of a counting window, expanded in ascending
-/// order with multiplicity.
-fn counted_values(c: &CompactCounts) -> impl Iterator<Item = i64> + '_ {
-    c.counts[c.min_idx..=c.max_idx]
-        .iter()
-        .enumerate()
-        .flat_map(move |(i, &count)| {
-            std::iter::repeat_n(c.base + (c.min_idx + i) as i64, count as usize)
-        })
-}
-
-/// Adds one element to a block: O(1) bucket increment for compact
-/// blocks, fused two-heap push otherwise. Compact blocks demote on a
-/// span or walk violation; heap blocks attempt promotion when they
-/// reach their next size threshold.
-fn push_into(
-    block: &mut PooledBlock,
-    x: i64,
-    spare_heaps: &mut Vec<Vec<i64>>,
-    spare_counts: &mut Vec<Vec<u64>>,
-) {
-    block.n += 1;
-    match &mut block.repr {
-        Repr::Compact(c) => {
-            if c.contains(x) {
-                c.bucket_add((x - c.base) as usize, 1);
-                let walk = c.reseek(((block.n - 1) / 2) as u64);
-                if walk > COMPACT_WALK_MAX {
-                    demote_to_heaps(block, spare_heaps, spare_counts);
-                }
-            } else if c.ensure(x, x) {
-                c.bucket_add((x - c.base) as usize, 1);
-                c.reseek(((block.n - 1) / 2) as u64);
-            } else {
-                demote_to_heaps(block, spare_heaps, spare_counts);
-                if let Repr::Heaps { lo, hi } = &mut block.repr {
-                    heaps_push(lo, hi, x);
-                }
-            }
-        }
-        Repr::Heaps { lo, hi } => {
-            heaps_push(lo, hi, x);
-            if block.n >= block.next_promote {
-                try_promote(block, spare_heaps, spare_counts);
-            }
-        }
-    }
-}
-
-/// Rebuilds a compact block as a two-heap block (O(stored elements),
-/// no sifting — see [`CompactCounts::drain_to_heaps`]) and marks it
-/// never-promote: a demotion means the block's values outgrew the
-/// window, and spans only grow. No-op for blocks already in heap
-/// form.
-fn demote_to_heaps(
-    block: &mut PooledBlock,
-    spare_heaps: &mut Vec<Vec<i64>>,
-    spare_counts: &mut Vec<Vec<u64>>,
-) {
-    if let Repr::Compact(c) = &block.repr {
-        let mut lo = spare_heaps.pop().unwrap_or_default();
-        let mut hi = spare_heaps.pop().unwrap_or_default();
-        c.drain_to_heaps(&mut lo, &mut hi);
-        block.next_promote = usize::MAX;
-        if let Repr::Compact(c) = std::mem::replace(&mut block.repr, Repr::Heaps { lo, hi }) {
-            let mut counts = c.counts;
-            counts.clear();
-            spare_counts.push(counts);
-        }
-    }
-}
-
-/// Attempts to promote a heap block to the counting form. On a span
-/// overflow the next attempt is deferred to double the current size,
-/// keeping the O(n) range scan amortized O(1) per element.
-fn try_promote(
-    block: &mut PooledBlock,
-    spare_heaps: &mut Vec<Vec<i64>>,
-    spare_counts: &mut Vec<Vec<u64>>,
-) {
-    let Repr::Heaps { lo, hi } = &block.repr else {
-        return;
-    };
-    let mut min = i64::MAX;
-    let mut max = i64::MIN;
-    for &v in lo.iter().chain(hi) {
-        min = min.min(v);
-        max = max.max(v);
-    }
-    let span = max as i128 - min as i128 + 1;
-    // Leave slack for the window to breathe before the next growth.
-    let pad = (span / 2 + 32).min((COMPACT_SPAN_MAX - span).max(0) / 2);
-    if span > COMPACT_SPAN_MAX {
-        block.next_promote = block.n.saturating_mul(2);
-        return;
-    }
-    let base = (min as i128 - pad).max(i64::MIN as i128) as i64;
-    let end = (max as i128 + pad + 1).min(i64::MAX as i128 + 1);
-    let mut counts = spare_counts.pop().unwrap_or_default();
-    counts.clear();
-    counts.resize((end - base as i128) as usize, 0);
-    let mut c = CompactCounts {
-        base,
-        counts,
-        med: (min - base) as usize,
-        below: 0,
-        min_idx: (min - base) as usize,
-        max_idx: (min - base) as usize,
-    };
-    for &v in lo.iter().chain(hi.iter()) {
-        c.bucket_add((v - base) as usize, 1);
-    }
-    // `med` starts at the lowest bucket with `below = 0`; one re-seek
-    // walks it to the true rank (bounded by the window span).
-    c.below = 0;
-    c.med = c.min_idx;
-    c.reseek(((block.n - 1) / 2) as u64);
-    if let Repr::Heaps { mut lo, mut hi } = std::mem::replace(&mut block.repr, Repr::Compact(c)) {
-        lo.clear();
-        hi.clear();
-        spare_heaps.push(lo);
-        spare_heaps.push(hi);
-    }
-}
-
-/// One fitted PAV block: `len` cells starting at `start`, all taking
-/// the block's lower median.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FittedBlock {
-    /// Index of the first element of the block.
-    pub start: usize,
-    /// Number of elements in the block (≥ 1).
-    pub len: usize,
-    /// The lower median of the pooled inputs (always an integer for
-    /// integer inputs — the reason the `Hc` method needs no rounding).
-    pub median: i64,
-}
-
-/// Reusable state for the L1 PAV solver: the live block stack plus
-/// pools of recycled backing stores (heap vectors and counting
-/// windows). One warm workspace per worker thread makes
-/// [`PavL1Workspace::solve`] allocation-free across the thousands of
-/// `bound`-length fits a hierarchical release sweep performs.
+/// Reusable state for the L1 solver. One warm workspace per worker
+/// thread makes [`PavL1Workspace::solve`] allocation-free across the
+/// thousands of `bound`-length fits a hierarchical release performs.
 #[derive(Default)]
 pub struct PavL1Workspace {
-    blocks: Vec<PooledBlock>,
-    /// Cleared two-heap vectors waiting for reuse.
-    spare_heaps: Vec<Vec<i64>>,
-    /// Cleared counting windows waiting for reuse.
-    spare_counts: Vec<Vec<u64>>,
-    /// Input length of the last [`PavL1Workspace::solve`].
-    n: usize,
+    /// The forward pass's `top_i`, turned into the fit in place.
+    fit: Vec<i64>,
+    /// Counting heap: multiplicity of value `min + i` at index `i`.
+    counts: Vec<u32>,
+    /// Counting heap: bit `i` set iff `counts[i] > 0`.
+    occupied: Vec<u64>,
+    /// The heap for inputs too wide to count.
+    heap: BinaryHeap<i64>,
 }
 
 impl PavL1Workspace {
@@ -566,158 +65,106 @@ impl PavL1Workspace {
         Self::default()
     }
 
-    /// Runs PAV over `y`, leaving the solution readable through
-    /// [`PavL1Workspace::fitted_blocks`] until the next solve.
+    /// Solves `min Σ |x_i − y_i|` over non-decreasing `x`, leaving the
+    /// fit readable through [`PavL1Workspace::fit`] until the next
+    /// solve.
     pub fn solve(&mut self, y: &[i64]) {
-        self.n = y.len();
-        while let Some(b) = self.blocks.pop() {
-            self.recycle_repr(b.repr);
+        self.fit.clear();
+        let (Some(&lo), Some(&hi)) = (y.iter().min(), y.iter().max()) else {
+            return;
+        };
+        // Each element adds at most two counts.
+        if hi.abs_diff(lo) < COUNT_SPAN_MAX && y.len() < (u32::MAX / 2) as usize {
+            self.forward_counting(y, lo, hi.abs_diff(lo) as usize + 1);
+        } else {
+            self.forward_heap(y);
         }
-        for (i, &yi) in y.iter().enumerate() {
-            match self.blocks.last_mut() {
-                // Fast path for the dominant pattern on a noisy
-                // cumulative histogram's flat stretches: the new
-                // element violates the running block, so the
-                // singleton {yi} merges straight into it — one median
-                // push, no block bookkeeping at all.
-                Some(top) if yi < top.median() => {
-                    push_into(top, yi, &mut self.spare_heaps, &mut self.spare_counts);
-                    while self.blocks.len() >= 2 {
-                        let k = self.blocks.len();
-                        if self.blocks[k - 2].median() > self.blocks[k - 1].median() {
-                            self.merge_top();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                _ => {
-                    // New blocks start as tiny heaps (cheap to churn
-                    // and merge); they promote to a counting window
-                    // only once they grow to COMPACT_PROMOTE_AT.
-                    let mut lo = self.spare_heaps.pop().unwrap_or_default();
-                    let hi = self.spare_heaps.pop().unwrap_or_default();
-                    lo.push(yi);
-                    self.blocks.push(PooledBlock {
-                        start: i,
-                        n: 1,
-                        next_promote: COMPACT_PROMOTE_AT,
-                        repr: Repr::Heaps { lo, hi },
-                    });
-                    // A non-violating element never triggers a merge.
-                }
-            }
+        let mut run = i64::MAX;
+        for x in self.fit.iter_mut().rev() {
+            run = run.min(*x);
+            *x = run;
         }
     }
 
-    /// Merges the top two blocks, draining the smaller element set
-    /// into the larger and recycling the drained storage.
-    fn merge_top(&mut self) {
-        let mut last = self.blocks.pop().expect("merge needs two blocks");
-        let prev = self.blocks.last_mut().expect("merge needs two blocks");
-        if last.n > prev.n {
-            // Smaller-into-larger: keep the bigger median structure,
-            // whatever side it came from. Only `start` is positional.
-            std::mem::swap(&mut prev.repr, &mut last.repr);
-            std::mem::swap(&mut prev.next_promote, &mut last.next_promote);
-        }
-        prev.n += last.n;
-        let spare_heaps = &mut self.spare_heaps;
-        let spare_counts = &mut self.spare_counts;
-        let r = ((prev.n - 1) / 2) as u64;
-        match (&mut prev.repr, &last.repr) {
-            (Repr::Compact(a), Repr::Compact(b)) => {
-                let (lo_val, hi_val) = b.occupied_range();
-                if a.ensure(lo_val, hi_val) {
-                    a.absorb(b, r);
-                } else {
-                    // Union span too wide for counting: fall back to
-                    // the two-heap form for the merged block.
-                    demote_to_heaps(prev, spare_heaps, spare_counts);
-                    if let Repr::Heaps { lo, hi } = &mut prev.repr {
-                        heaps_extend(lo, hi, counted_values(b));
-                    }
-                }
-            }
-            (Repr::Compact(a), Repr::Heaps { lo: xs, hi: ys }) => {
-                // Bulk bucket adds with one final re-seek — unless an
-                // element falls outside a window that cannot grow.
-                let mut min = i64::MAX;
-                let mut max = i64::MIN;
-                for &v in xs.iter().chain(ys) {
-                    min = min.min(v);
-                    max = max.max(v);
-                }
-                if a.ensure(min, max) {
-                    for &v in xs.iter().chain(ys) {
-                        a.bucket_add((v - a.base) as usize, 1);
-                    }
-                    a.reseek(r);
-                } else {
-                    demote_to_heaps(prev, spare_heaps, spare_counts);
-                    if let Repr::Heaps { lo, hi } = &mut prev.repr {
-                        heaps_extend(lo, hi, xs.iter().chain(ys).copied());
-                    }
-                }
-            }
-            (Repr::Heaps { lo, hi }, Repr::Compact(b)) => {
-                heaps_extend(lo, hi, counted_values(b));
-            }
-            (Repr::Heaps { lo, hi }, Repr::Heaps { lo: xs, hi: ys }) => {
-                heaps_extend(lo, hi, xs.iter().chain(ys).copied());
-            }
-        }
-        if matches!(prev.repr, Repr::Heaps { .. }) && prev.n >= prev.next_promote {
-            try_promote(prev, spare_heaps, spare_counts);
-        }
-        self.recycle_repr(last.repr);
+    /// The fit of the last solve: one non-decreasing value per input
+    /// element.
+    pub fn fit(&self) -> &[i64] {
+        &self.fit
     }
 
-    fn recycle_repr(&mut self, repr: Repr) {
-        match repr {
-            Repr::Compact(c) => {
-                let mut counts = c.counts;
-                counts.clear();
-                self.spare_counts.push(counts);
+    /// Forward pass over a count array indexed by `v − lo`.
+    fn forward_counting(&mut self, y: &[i64], lo: i64, span: usize) {
+        let counts = &mut self.counts;
+        let occupied = &mut self.occupied;
+        counts.clear();
+        counts.resize(span, 0);
+        occupied.clear();
+        occupied.resize(span.div_ceil(64), 0);
+        // The heap's max; the first element always lands at or above
+        // index 0, so the empty heap needs no special case.
+        let mut top = 0usize;
+        for &v in y {
+            let b = v.abs_diff(lo) as usize;
+            // Branch-free on the coin flip of a noisy tail: when v is
+            // below the max, push it twice and pop the max; otherwise
+            // push it once and it becomes the max.
+            let pop = b < top;
+            occupied[b / 64] |= 1 << (b % 64);
+            counts[b] += 1 + u32::from(pop);
+            counts[top] -= u32::from(pop);
+            top = top.max(b);
+            if counts[top] == 0 {
+                occupied[top / 64] &= !(1 << (top % 64));
+                top = highest_set_below(occupied, top);
             }
-            Repr::Heaps { mut lo, mut hi } => {
-                lo.clear();
-                hi.clear();
-                self.spare_heaps.push(lo);
-                self.spare_heaps.push(hi);
-            }
+            self.fit.push(lo + top as i64);
         }
     }
 
-    /// Diagnostics: (compact blocks, heap blocks) after the last
-    /// solve. Lets tests and benches assert that the adaptive
-    /// promotion machinery actually engages on hot-path-shaped
-    /// inputs.
-    #[doc(hidden)]
-    pub fn repr_stats(&self) -> (usize, usize) {
-        let compact = self
-            .blocks
-            .iter()
-            .filter(|b| matches!(b.repr, Repr::Compact(_)))
-            .count();
-        (compact, self.blocks.len() - compact)
-    }
-
-    /// The fitted blocks of the last solve, left to right. Adjacent
-    /// blocks may share a value (PAV merges only strict violations);
-    /// [`IsotonicFit::coalesced`] merges them when the maximal-run
-    /// partition is needed.
-    pub fn fitted_blocks(&self) -> impl Iterator<Item = FittedBlock> + '_ {
-        let n = self.n;
-        self.blocks.iter().enumerate().map(move |(k, b)| {
-            let end = self.blocks.get(k + 1).map_or(n, |next| next.start);
-            FittedBlock {
-                start: b.start,
-                len: end - b.start,
-                median: b.median(),
+    /// Forward pass over a `BinaryHeap`.
+    fn forward_heap(&mut self, y: &[i64]) {
+        let heap = &mut self.heap;
+        heap.clear();
+        for &v in y {
+            // Replacing a max above v by v, then pushing v, is the
+            // push-pop-push of the slope trick with one sift fewer.
+            if let Some(mut max) = heap.peek_mut() {
+                if *max > v {
+                    *max = v;
+                }
             }
+            heap.push(v);
+            self.fit.push(heap.peek().copied().unwrap_or(v));
+        }
+    }
+}
+
+/// Index of the highest set bit strictly below `idx`. The caller
+/// guarantees one exists.
+fn highest_set_below(occupied: &[u64], idx: usize) -> usize {
+    let mut w = idx / 64;
+    let mut word = occupied[w] & ((1u64 << (idx % 64)) - 1);
+    while word == 0 {
+        w -= 1;
+        word = occupied[w];
+    }
+    w * 64 + 63 - word.leading_zeros() as usize
+}
+
+/// The maximal constant runs of a non-decreasing fit, as blocks.
+fn runs(fit: &[i64]) -> Vec<Block> {
+    let mut start = 0;
+    fit.chunk_by(|a, b| a == b)
+        .map(|run| {
+            let block = Block {
+                start,
+                len: run.len(),
+                value: run[0] as f64,
+            };
+            start += run.len();
+            block
         })
-    }
+        .collect()
 }
 
 /// Solves `min Σ |x_i − y_i| s.t. x non-decreasing`, returning integer
@@ -738,19 +185,11 @@ pub fn isotonic_l1(y: &[i64]) -> IsotonicFit {
 
 /// [`isotonic_l1`] reusing a caller-owned workspace — same fit, no
 /// per-call solver allocations (the returned [`IsotonicFit`] still
-/// owns its block list; use [`PavL1Workspace::fitted_blocks`] directly
-/// when even that must be avoided).
+/// owns its block list, one block per maximal constant run; use
+/// [`PavL1Workspace::fit`] directly when even that must be avoided).
 pub fn isotonic_l1_with(y: &[i64], ws: &mut PavL1Workspace) -> IsotonicFit {
     ws.solve(y);
-    IsotonicFit::from_blocks(
-        ws.fitted_blocks()
-            .map(|b| Block {
-                start: b.start,
-                len: b.len,
-                value: b.median as f64,
-            })
-            .collect(),
-    )
+    IsotonicFit::from_blocks(runs(ws.fit()))
 }
 
 // ---------------------------------------------------------------------------
@@ -873,7 +312,7 @@ mod tests {
         // Block {3, 1}: lower median 1.
         assert_eq!(isotonic_l1(&[3, 1]).values(), vec![1.0, 1.0]);
         // [5, 1, 2] has two optimal fits of cost 4 ([1,1,2] and
-        // [2,2,2]); PAV's incremental pooling picks [1,1,2].
+        // [2,2,2]); lower-median pooling picks [1,1,2].
         let fit = isotonic_l1(&[5, 1, 2]);
         assert_eq!(fit.values(), vec![1.0, 1.0, 2.0]);
         let cost: i64 = fit
@@ -900,32 +339,71 @@ mod tests {
 
     #[test]
     fn extreme_values_do_not_overflow() {
-        // The pooled heaps store raw i64s (no negation tricks), so
+        // Both heap forms store raw i64s (no negation tricks), so
         // i64::MIN is a legal input.
         let y = [i64::MAX, i64::MIN, 0, i64::MIN];
-        let fit = isotonic_l1(&y);
-        assert_eq!(fit.values(), isotonic_l1_heap(&y).values());
+        let mut ws = PavL1Workspace::new();
+        ws.solve(&y);
+        assert_eq!(ws.fit(), [i64::MIN; 4]);
+        assert_eq!(isotonic_l1(&y).values(), isotonic_l1_heap(&y).values());
+        // A narrow span at either end of the range takes the
+        // counting form, whose `lo + index` must not overflow.
+        for y in [
+            [i64::MAX, i64::MAX - 3, i64::MAX - 1],
+            [i64::MIN + 2, i64::MIN, i64::MIN + 1],
+        ] {
+            assert_eq!(isotonic_l1(&y).values(), isotonic_l1_heap(&y).values());
+        }
     }
 
-    #[test]
-    fn flat_tail_blocks_promote_to_counting_windows() {
-        // A noisy plateau — the Hc hot-path shape — must actually
-        // engage the compact representation: if promotion bit-rots,
-        // the solver silently degrades to all-heap performance.
-        let y: Vec<i64> = (0..20_000u64)
+    /// A noisy plateau (the `Hc` hot-path shape) with a value span
+    /// far below the cap.
+    fn plateau(n: u64, width: u64) -> Vec<i64> {
+        (0..n)
             .map(|i| {
                 let mut z = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                500 + ((z >> 33) % 41) as i64 - 20
+                500 + ((z >> 33) % width) as i64 - (width / 2) as i64
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn heap_form_follows_the_input_span() {
+        // A plateau must take the counting heap — if that choice
+        // bit-rots, the solver silently runs at BinaryHeap speed — and
+        // an input one value wider than the cap must not.
+        let narrow = plateau(20_000, 41);
         let mut ws = PavL1Workspace::new();
-        ws.solve(&y);
-        let (compact, _heap) = ws.repr_stats();
-        assert!(compact >= 1, "no block promoted on a plateau input");
-        // And the fit still matches the oracle on this shape.
-        let flat = isotonic_l1_with(&y, &mut ws);
-        assert_eq!(flat.blocks(), isotonic_l1_heap(&y).blocks());
+        ws.solve(&narrow);
+        assert_eq!(ws.counts.len(), 41);
+        assert!(ws.heap.is_empty());
+        assert_eq!(
+            isotonic_l1_with(&narrow, &mut ws).values(),
+            isotonic_l1_heap(&narrow).values()
+        );
+        let mut wide = narrow.clone();
+        wide[7] = wide.iter().min().unwrap() + COUNT_SPAN_MAX as i64;
+        let mut ws = PavL1Workspace::new();
+        ws.solve(&wide);
+        assert!(ws.counts.is_empty());
+        assert!(!ws.heap.is_empty());
+        assert_eq!(
+            isotonic_l1_with(&wide, &mut ws).values(),
+            isotonic_l1_heap(&wide).values()
+        );
+    }
+
+    #[test]
+    fn blocks_are_maximal_runs() {
+        // PAV may leave two adjacent blocks at one value; the
+        // workspace fit reports maximal runs, so its blocks are the
+        // oracle's coalesced blocks.
+        let y = [3, 1, 2, 0, 5, 5, 9, 4];
+        assert_eq!(
+            isotonic_l1(&y).blocks(),
+            isotonic_l1_heap(&y).coalesced().blocks()
+        );
     }
 
     #[test]
@@ -971,9 +449,18 @@ mod tests {
         x.iter().zip(y).map(|(a, &b)| (a - b as f64).abs()).sum()
     }
 
+    /// SplitMix64, for input shapes the strategies cannot express.
+    fn mix(z: &mut u64) -> u64 {
+        *z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut x = *z;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
     proptest! {
-        /// The PAV-with-medians solution achieves the exact optimal L1
-        /// cost computed by dynamic programming.
+        /// The slope-trick solution achieves the exact optimal L1 cost
+        /// computed by dynamic programming.
         #[test]
         fn pav_l1_is_optimal(y in prop::collection::vec(-20i64..20, 1..14)) {
             let fit = isotonic_l1(&y);
@@ -985,23 +472,19 @@ mod tests {
             let opt = brute_force_l1_cost(&y) as f64;
             prop_assert!(
                 (pav - opt).abs() < 1e-9,
-                "PAV cost {} but optimum is {}", pav, opt
+                "fit cost {} but optimum is {}", pav, opt
             );
         }
 
-        /// The workspace solver reproduces the seed heap
-        /// implementation block for block — the bit-identity
-        /// obligation of the PR-5 refactor, checked on one reused
-        /// workspace so stale state would be caught too. Narrow,
-        /// wide, and mixed value ranges exercise the counting
-        /// windows, the heap fallback, and mid-block conversions.
+        /// The workspace solver reproduces the seed heap PAV value for
+        /// value on one reused workspace, so stale state would be
+        /// caught too. Narrow inputs take the counting heap, wide ones
+        /// the `BinaryHeap`, and the interleaving of both is wide.
         #[test]
         fn flat_solver_matches_heap_oracle(
             narrow in prop::collection::vec(-50i64..50, 0..200),
             wide in prop::collection::vec(-1_000_000i64..1_000_000, 0..200),
         ) {
-            // Interleaving narrow and wide values forces mid-block
-            // compact→heap conversions on top of the pure regimes.
             let mixed: Vec<i64> = narrow
                 .iter()
                 .zip(&wide)
@@ -1009,40 +492,58 @@ mod tests {
                 .collect();
             let mut ws = PavL1Workspace::new();
             for y in [&narrow, &wide, &mixed] {
-                let flat = isotonic_l1_with(y, &mut ws);
+                let fast = isotonic_l1_with(y, &mut ws);
                 let heap = isotonic_l1_heap(y);
-                prop_assert_eq!(flat.blocks(), heap.blocks());
+                prop_assert_eq!(fast.values(), heap.values());
             }
         }
 
-        /// Pooled blocks return the lower median of any sequence, in
-        /// both representations: narrow-range values stay in the
-        /// counting window, wide-range values force the heap
-        /// conversion mid-stream.
+        /// Slope-trick values equal the oracle's on the shapes that
+        /// stress each heap form: tie-heavy small inputs, the `Hc`
+        /// hot-path ramp with a flat noisy tail, spans just above the
+        /// counting cap, and values at the ends of the i64 range.
         #[test]
-        fn pooled_block_matches_sort(
-            xs in prop::collection::vec(-50i64..50, 1..200),
-            wide in prop::collection::vec(-1_000_000i64..1_000_000, 1..200),
+        fn slope_trick_matches_heap_oracle(
+            seed in any::<u64>(),
+            ties in prop::collection::vec(0i64..3, 0..40),
+            n in 1usize..3000,
+            ramp_frac in 0u64..100,
+            noise in 1u64..40,
         ) {
-            for seq in [&xs, &wide] {
-                let mut spare_heaps = Vec::new();
-                let mut spare_counts = Vec::new();
-                let mut b = PooledBlock {
-                    start: 0,
-                    n: 1,
-                    next_promote: COMPACT_PROMOTE_AT,
-                    repr: Repr::Heaps {
-                        lo: vec![seq[0]],
-                        hi: Vec::new(),
-                    },
-                };
-                for &x in &seq[1..] {
-                    push_into(&mut b, x, &mut spare_heaps, &mut spare_counts);
-                }
-                let mut sorted = seq.clone();
-                sorted.sort_unstable();
-                let lower_median = sorted[(sorted.len() - 1) / 2];
-                prop_assert_eq!(b.median(), lower_median);
+            let mut z = seed;
+            let ramp_len = (n as u64 * ramp_frac / 100).max(1);
+            let plateau = 1_000 + (mix(&mut z) % 4_000) as i64;
+            let hot: Vec<i64> = (0..n as u64)
+                .map(|i| {
+                    let level = plateau * i.min(ramp_len) as i64 / ramp_len as i64;
+                    level + (mix(&mut z) % (2 * noise + 1)) as i64 - noise as i64
+                })
+                .collect();
+            let over_cap: Vec<i64> = (0..n)
+                .map(|i| match i % 5 {
+                    0 => COUNT_SPAN_MAX as i64 + (mix(&mut z) % 7) as i64,
+                    _ => (mix(&mut z) % 50) as i64,
+                })
+                .collect();
+            let extremes: Vec<i64> = (0..n.min(64))
+                .map(|_| {
+                    let off = (mix(&mut z) % 5) as i64;
+                    if mix(&mut z) & 1 == 0 {
+                        i64::MIN + off
+                    } else {
+                        i64::MAX - off
+                    }
+                })
+                .collect();
+            // Narrow, so counted, at one end of the range.
+            let end = if seed & 1 == 0 { i64::MIN } else { i64::MAX - 8 };
+            let one_end: Vec<i64> = (0..n.min(64))
+                .map(|_| end + (mix(&mut z) % 9) as i64)
+                .collect();
+            let mut ws = PavL1Workspace::new();
+            for y in [&ties, &hot, &over_cap, &extremes, &one_end] {
+                let fast = isotonic_l1_with(y, &mut ws);
+                prop_assert_eq!(fast.values(), isotonic_l1_heap(y).values());
             }
         }
 

@@ -19,7 +19,7 @@ use crate::geometric::DoubleGeometric;
 
 /// The discrete Gaussian distribution `N_ℤ(0, σ²)`:
 /// `P(X = k) ∝ exp(−k²/(2σ²))` over the integers.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct DiscreteGaussian {
     sigma: f64,
     proposal: DoubleGeometric,
@@ -65,7 +65,7 @@ impl DiscreteGaussian {
 /// The discrete Gaussian mechanism: adds `N_ℤ(0, σ²)` noise to every
 /// coordinate of an integer query with L2 sensitivity `Δ₂`, satisfying
 /// `Δ₂²/(2σ²)`-zCDP.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct GaussianMechanism {
     dist: DiscreteGaussian,
     l2_sensitivity: f64,
@@ -93,8 +93,8 @@ impl GaussianMechanism {
     }
 
     /// The per-coordinate noise distribution.
-    pub fn distribution(&self) -> DiscreteGaussian {
-        self.dist
+    pub fn distribution(&self) -> &DiscreteGaussian {
+        &self.dist
     }
 
     /// Adds noise to one true count.

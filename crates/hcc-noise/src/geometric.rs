@@ -1,7 +1,28 @@
 //! The geometric mechanism and its double-geometric noise
 //! distribution.
 
+use std::fmt;
+
 use rand::Rng;
+
+/// Number of points on the uniform grid a one-sided draw inverts:
+/// `rng.gen::<f64>()` is `m · 2⁻⁵³` for the 53-bit integer
+/// `m = next_u64() >> 11`.
+const GRID: u64 = 1 << 53;
+
+/// Most outcomes the threshold table covers. Larger draws (likely
+/// only at tiny `ε/Δ`) take the `ln` fallback.
+const TABLE_MAX: usize = 1024;
+
+/// The table stops at the first outcome `T` whose tail mass `α^T` is
+/// at most `2^-TAIL_BITS`; past it the `ln` fallback is too rare to
+/// cost anything.
+const TAIL_BITS: u32 = 20;
+
+/// The guide table has `2^GUIDE_BITS` entries, indexed by the top
+/// bits of `m`.
+const GUIDE_BITS: u32 = 10;
+const GUIDE_SHIFT: u32 = 53 - GUIDE_BITS;
 
 /// The two-sided (double) geometric distribution with parameter
 /// `alpha = e^(−ε/Δ)`:
@@ -13,14 +34,53 @@ use rand::Rng;
 /// `{0, 1, 2, …}` with success probability `1 − α`, which yields the
 /// PMF above without any floating-point arithmetic on the *output*
 /// value.
-#[derive(Clone, Copy, Debug)]
+///
+/// # One-sided draws by threshold table
+///
+/// A one-sided draw is the inversion `g(m) = floor(ln U / ln α)` with
+/// `U = 1 − m·2⁻⁵³` and `m = next_u64() >> 11`. Both steps that make
+/// `U` are exact, so `g` is a function of the integer `m` alone, and
+/// it is a non-decreasing step function of `m`:
+///
+/// * `ln` is faithfully rounded (error below 1 ULP), so it keeps the
+///   order of two arguments whose true logarithms are at least one
+///   ULP apart. Adjacent grid points always are: for `x = j·2⁻⁵³`,
+///   `ln((j+1)/j) ≈ 1/j` while one ULP of `ln x` is at most
+///   `|ln x|·2⁻⁵²`, a ratio of at least `1/(2·x·|ln x|) ≥ e/2`.
+/// * Division by the negative constant `ln α` and `floor` are
+///   monotone.
+///
+/// Construction therefore precomputes the integer thresholds
+/// `t_k = min { m : g(m) ≥ k }` for `k = 1..=T` (an `expm1` estimate
+/// of `2⁵³·(1 − α^k)`, then a galloping search that evaluates `g`
+/// itself), plus a guide table mapping the top bits of `m` to the
+/// draw at the start of that slice of the grid. A draw is the guide
+/// entry followed by a short walk over the thresholds; `m ≥ t_T`
+/// falls back to evaluating `g(m)`. Every draw is bit-identical to
+/// the `ln` inversion and consumes the same single `u64`, so releases
+/// do not change.
+#[derive(Clone)]
 pub struct DoubleGeometric {
     alpha: f64,
-    /// `ln α`, precomputed at construction: the inversion sampler
-    /// divides by it on **every** one-sided draw, and recomputing the
-    /// transcendental per draw dominated slice-sized sampling (the
-    /// `Hc` method draws `bound + 1` values per hierarchy node).
+    /// `ln α`: the inversion divides by it. Kept a *division* (not a
+    /// multiply by a reciprocal), which is bit-exact with the
+    /// historical per-draw `x / alpha.ln()`; `x * (1.0 / ln_alpha)`
+    /// rounds differently and would change every release.
     ln_alpha: f64,
+    /// `thresholds[k] = t_k` (`t_0 = 0`); the last entry is `t_T`, or
+    /// `2⁵³` when outcome `T` is unreachable on the grid.
+    thresholds: Box<[u64]>,
+    /// `guide[b]`: the largest `k ≤ T` with `t_k ≤ b·2^GUIDE_SHIFT`.
+    guide: Box<[u16]>,
+}
+
+impl fmt::Debug for DoubleGeometric {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DoubleGeometric")
+            .field("alpha", &self.alpha)
+            .field("table_outcomes", &(self.thresholds.len() - 1))
+            .finish()
+    }
 }
 
 impl DoubleGeometric {
@@ -37,6 +97,9 @@ impl DoubleGeometric {
     /// cast to a *negative* one-sided geometric draw — the two sides
     /// cancelled and the mechanism silently added **zero** noise at
     /// the tiniest (most privacy-demanding) budgets.
+    ///
+    /// Builds the threshold table: up to 1024 entries, a
+    /// few `ln` evaluations each.
     pub fn new(epsilon: f64, sensitivity: f64) -> Self {
         assert!(
             epsilon.is_finite() && epsilon > 0.0,
@@ -53,15 +116,47 @@ impl DoubleGeometric {
              double-geometric becomes improper (draws would overflow i64)",
             epsilon / sensitivity
         );
+        let ln_alpha = alpha.ln();
+        let mut thresholds = vec![0u64];
+        // α = 0 (ε/Δ above ~745) never draws: the table stays empty.
+        if alpha > 0.0 {
+            for k in 1..=TABLE_MAX {
+                let t = threshold(ln_alpha, k as i64);
+                thresholds.push(t);
+                if GRID - t <= GRID >> TAIL_BITS {
+                    break;
+                }
+            }
+        }
+        let last = thresholds.len() - 1;
+        let mut k = 0;
+        let guide = (0..1u64 << GUIDE_BITS)
+            .map(|b| {
+                while k < last && thresholds[k + 1] <= b << GUIDE_SHIFT {
+                    k += 1;
+                }
+                k as u16
+            })
+            .collect();
         Self {
             alpha,
-            ln_alpha: alpha.ln(),
+            ln_alpha,
+            thresholds: thresholds.into(),
+            guide,
         }
     }
 
     /// The distribution parameter `α = e^(−ε/Δ)`.
     pub fn alpha(&self) -> f64 {
         self.alpha
+    }
+
+    /// The inversion thresholds: entry `k` is the smallest 53-bit `m`
+    /// whose one-sided draw is at least `k` (entry 0 is 0). The last
+    /// entry is `2⁵³` when that outcome cannot be drawn at all; draws
+    /// at or above a reachable last entry are computed by `ln`.
+    pub fn inversion_thresholds(&self) -> &[u64] {
+        &self.thresholds
     }
 
     /// Variance of the distribution: `2α / (1 − α)²`.
@@ -78,47 +173,108 @@ impl DoubleGeometric {
     /// repeated [`DoubleGeometric::sample`] calls would draw them —
     /// slice-filling is a hot-loop convenience, never a different
     /// noise stream, so releases stay bit-identical whichever entry
-    /// point the caller uses. All per-draw setup (the `ln α`
-    /// transcendental) is hoisted to construction.
+    /// point the caller uses.
     pub fn fill<R: Rng + ?Sized>(&self, out: &mut [i64], rng: &mut R) {
         for slot in out {
             *slot = self.sample(rng);
         }
     }
 
-    /// Geometric on {0, 1, 2, …} with `P(g) = (1 − α) α^g`, via
-    /// inversion: `g = floor(ln U / ln α)`.
-    ///
-    /// The division by the precomputed `ln α` is kept a *division*
-    /// (not a multiply by a reciprocal): `x / ln_alpha` is bit-exact
-    /// with the historical per-draw `x / alpha.ln()`, while
-    /// `x * (1.0 / ln_alpha)` rounds differently and would silently
-    /// change every release.
+    /// Geometric on {0, 1, 2, …} with `P(g) = (1 − α) α^g`, by table
+    /// lookup of the inversion `floor(ln U / ln α)` (see the type
+    /// docs). α = 0 draws nothing and returns 0.
     fn sample_one_sided<R: Rng + ?Sized>(&self, rng: &mut R) -> i64 {
         if self.alpha == 0.0 {
             return 0;
         }
-        // U ∈ (0, 1]; `1 - gen::<f64>()` avoids ln(0).
-        let u: f64 = 1.0 - rng.gen::<f64>();
-        let g = (u.ln() / self.ln_alpha).floor();
-        // Clamp the extreme tail to i64::MAX instead of casting raw: a
-        // raw `as i64` of an out-of-range or non-finite quotient would
-        // saturate to i64::MIN for the -inf/NaN artifacts of α ≈ 1,
-        // turning an (always non-negative) geometric draw negative.
-        // Both sides of [`Self::sample`] stay in [0, i64::MAX], so
-        // their difference can never overflow.
-        if g.is_finite() && g < i64::MAX as f64 {
-            debug_assert!(g >= 0.0, "one-sided geometric draw must be non-negative");
-            g.max(0.0) as i64
+        let m = rng.next_u64() >> 11;
+        let t = &*self.thresholds;
+        let last = t.len() - 1;
+        let mut k = usize::from(self.guide[(m >> GUIDE_SHIFT) as usize]);
+        while k < last && t[k + 1] <= m {
+            k += 1;
+        }
+        if k < last {
+            k as i64
         } else {
-            i64::MAX
+            ln_inversion(self.ln_alpha, m)
         }
     }
 }
 
+/// The one-sided draw for grid point `m`, by `ln` inversion — the
+/// sampler's defining formula, used for the table's tail and to
+/// build it.
+fn ln_inversion(ln_alpha: f64, m: u64) -> i64 {
+    // U ∈ (0, 1]: `1 − gen::<f64>()` avoids ln(0).
+    let u = 1.0 - m as f64 * (1.0 / GRID as f64);
+    let g = (u.ln() / ln_alpha).floor();
+    // Clamp the extreme tail to i64::MAX instead of casting raw: a
+    // raw `as i64` of an out-of-range or non-finite quotient would
+    // saturate to i64::MIN for the -inf/NaN artifacts of α ≈ 1,
+    // turning an (always non-negative) geometric draw negative.
+    // Both sides of [`DoubleGeometric::sample`] stay in
+    // [0, i64::MAX], so their difference can never overflow.
+    if g.is_finite() && g < i64::MAX as f64 {
+        debug_assert!(g >= 0.0, "one-sided geometric draw must be non-negative");
+        g.max(0.0) as i64
+    } else {
+        i64::MAX
+    }
+}
+
+/// `t_k`: the smallest grid point whose draw is at least `k ≥ 1`, or
+/// `2⁵³` when no grid point reaches `k`. Starts from the real-valued
+/// boundary `2⁵³·(1 − α^k)` and gallops outward until the search
+/// brackets the threshold, so a good estimate costs a handful of `ln`
+/// evaluations and a bad one still converges.
+fn threshold(ln_alpha: f64, k: i64) -> u64 {
+    // `m = 2⁵³` stands for "unreachable"; `m = 0` never reaches k ≥ 1.
+    let reaches = |m: u64| m >= GRID || ln_inversion(ln_alpha, m) >= k;
+    let est = (-(k as f64 * ln_alpha).exp_m1() * GRID as f64).ceil();
+    let est = if est >= GRID as f64 {
+        GRID
+    } else {
+        (est as u64).max(1)
+    };
+    // Invariant once bracketed: !reaches(lo) && reaches(hi).
+    let (mut lo, mut hi);
+    let mut step = 1;
+    if reaches(est) {
+        hi = est;
+        loop {
+            lo = hi.saturating_sub(step);
+            if !reaches(lo) {
+                break;
+            }
+            hi = lo;
+            step *= 2;
+        }
+    } else {
+        lo = est;
+        loop {
+            hi = (lo + step).min(GRID);
+            if reaches(hi) {
+                break;
+            }
+            lo = hi;
+            step *= 2;
+        }
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if reaches(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
 /// The geometric mechanism: privatizes an integer-valued query by
 /// adding i.i.d. [`DoubleGeometric`] noise to every coordinate.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct GeometricMechanism {
     dist: DoubleGeometric,
     epsilon: f64,
@@ -148,8 +304,8 @@ impl GeometricMechanism {
     }
 
     /// The per-coordinate noise distribution.
-    pub fn distribution(&self) -> DoubleGeometric {
-        self.dist
+    pub fn distribution(&self) -> &DoubleGeometric {
+        &self.dist
     }
 
     /// Per-coordinate noise variance (used by the paper's Section 5.1
@@ -176,10 +332,7 @@ impl GeometricMechanism {
     /// allocating a `bound`-length vector per hierarchy node.
     pub fn privatize_into<R: Rng + ?Sized>(&self, values: &[u64], out: &mut Vec<i64>, rng: &mut R) {
         out.clear();
-        out.reserve(values.len());
-        for &v in values {
-            out.push(self.privatize(v, rng));
-        }
+        out.extend(values.iter().map(|&v| self.privatize(v, rng)));
     }
 }
 
@@ -222,6 +375,7 @@ mod tests {
         // arithmetic cannot overflow, while still being huge.
         let d = DoubleGeometric::new(1e-12, 1.0);
         assert!(d.alpha() < 1.0);
+        let m = GeometricMechanism::new(1e-12, 1.0);
         let mut rng = StdRng::seed_from_u64(99);
         let mut saw_large = false;
         for _ in 0..1000 {
@@ -230,7 +384,6 @@ mod tests {
             saw_large |= s.unsigned_abs() > 1_000_000_000;
             // privatize() must saturate rather than wrap on top of
             // such draws.
-            let m = GeometricMechanism::new(1e-12, 1.0);
             let _ = m.privatize(u64::try_from(i64::MAX).unwrap(), &mut rng);
         }
         assert!(saw_large, "tiny-epsilon tails should be enormous");

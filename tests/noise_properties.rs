@@ -1,12 +1,13 @@
 //! Cross-crate statistical properties of the noise machinery that the
 //! privacy guarantees lean on.
 
+use hcc_bench::hotpath::seed_sample_one_sided;
 use hccount::noise::{
     DiscreteGaussian, DoubleGeometric, GaussianMechanism, GeometricMechanism, LaplaceMechanism,
     ZCdpBudget,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// The DP-defining property of the double-geometric, checked across
 /// several adjacent output pairs: `P(X = k)/P(X = k+1) = e^(ε/Δ)` for
@@ -91,5 +92,131 @@ fn outputs_are_integers_by_construction() {
         // values round-trip.
         let _a: i64 = g.privatize(v, &mut rng);
         let _b: i64 = gauss.privatize(v, &mut rng);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Exactness of the threshold-table sampler against the `ln` inversion.
+// ---------------------------------------------------------------------------
+
+/// The grid the one-sided draw inverts: `m = next_u64() >> 11`.
+const GRID: u64 = 1 << 53;
+
+/// ε/Δ values covering every table shape: capped at its longest
+/// (1e-12, where most draws take the `ln` fallback), long (0.05), the
+/// benchmark release's per-level ε (1/3), short (1, 10), ending at an
+/// outcome no grid point reaches (40), and α = 0 (800), which never
+/// draws.
+const EXACTNESS_EPS: [f64; 7] = [1e-12, 0.05, 1.0 / 3.0, 1.0, 10.0, 40.0, 800.0];
+
+/// An RNG that replays up to two given words, then panics.
+struct Replay([u64; 2], usize);
+
+impl RngCore for Replay {
+    fn next_u64(&mut self) -> u64 {
+        self.1 += 1;
+        self.0[self.1 - 1]
+    }
+}
+
+/// The seed sampler's one-sided draw at grid point `m`.
+fn ln_draw(alpha: f64, m: u64) -> i64 {
+    seed_sample_one_sided(alpha, &mut Replay([m << 11, 0], 0))
+}
+
+/// The table sampler's one-sided draw at grid point `m`: the second
+/// side draws `m = 0`, which is outcome 0.
+fn table_draw(d: &DoubleGeometric, m: u64) -> i64 {
+    d.sample(&mut Replay([m << 11, 0], 0))
+}
+
+/// Every threshold is what a 53-step binary search over the `ln`
+/// inversion finds: the smallest grid point whose draw reaches `k`,
+/// or 2⁵³ when none does.
+#[test]
+fn sampler_thresholds_equal_binary_search_over_ln_inversion() {
+    for eps in EXACTNESS_EPS {
+        let d = DoubleGeometric::new(eps, 1.0);
+        let t = d.inversion_thresholds();
+        assert_eq!(t[0], 0);
+        if d.alpha() == 0.0 {
+            assert_eq!(t.len(), 1, "α = 0 needs no table");
+            continue;
+        }
+        assert!(t.len() > 1, "ε {eps}: empty table");
+        for (k, &tk) in t.iter().enumerate().skip(1) {
+            let (mut lo, mut hi) = (0u64, GRID);
+            for _ in 0..53 {
+                let mid = lo + (hi - lo) / 2;
+                if ln_draw(d.alpha(), mid) >= k as i64 {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            assert_eq!(hi - lo, 1);
+            assert_eq!(tk, hi, "ε {eps}: threshold {k}");
+        }
+    }
+}
+
+/// Around every threshold, where a table off by one would show, the
+/// table draw equals the `ln` draw grid point by grid point.
+#[test]
+fn sampler_agrees_with_ln_inversion_near_every_threshold() {
+    for eps in EXACTNESS_EPS {
+        let d = DoubleGeometric::new(eps, 1.0);
+        for &tk in d.inversion_thresholds() {
+            for m in tk.saturating_sub(2000)..(tk + 2000).min(GRID) {
+                assert_eq!(
+                    table_draw(&d, m),
+                    ln_draw(d.alpha(), m),
+                    "ε {eps}: grid point {m}"
+                );
+            }
+        }
+    }
+}
+
+/// Whole noise streams are the seed sampler's, draw for draw, and
+/// consume the same RNG words.
+#[test]
+fn sampler_stream_equals_seed_sampler() {
+    for eps in EXACTNESS_EPS {
+        let d = DoubleGeometric::new(eps, 1.0);
+        let alpha = d.alpha();
+        // 10⁷ draws at the benchmark's ε, 10⁶ at the others.
+        let n = if eps == 1.0 / 3.0 {
+            10_000_000
+        } else {
+            1_000_000
+        };
+        let mut a = StdRng::seed_from_u64(304);
+        let mut b = StdRng::seed_from_u64(304);
+        for i in 0..n {
+            let want = seed_sample_one_sided(alpha, &mut b) - seed_sample_one_sided(alpha, &mut b);
+            assert_eq!(d.sample(&mut a), want, "ε {eps}: draw {i}");
+        }
+        assert_eq!(a.next_u64(), b.next_u64(), "ε {eps}: RNG streams diverged");
+    }
+}
+
+/// The exact pmf: the table gives outcome `k` to `t_{k+1} − t_k` of
+/// the 2⁵³ grid points, which must be `(1 − α)·α^k` of them up to the
+/// grid point or two that `ln`'s rounding moves a boundary by.
+#[test]
+fn sampler_table_mass_is_the_geometric_pmf() {
+    for eps in EXACTNESS_EPS {
+        let d = DoubleGeometric::new(eps, 1.0);
+        let alpha = d.alpha();
+        let t = d.inversion_thresholds();
+        for (k, w) in t.windows(2).enumerate() {
+            let mass = (w[1] - w[0]) as f64;
+            let want = (1.0 - alpha) * alpha.powi(k as i32) * GRID as f64;
+            assert!(
+                (mass - want).abs() <= 2.0,
+                "ε {eps}: outcome {k} has {mass} grid points, pmf says {want}"
+            );
+        }
     }
 }
