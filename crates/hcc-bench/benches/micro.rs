@@ -243,9 +243,9 @@ fn bench_end_to_end(c: &mut Criterion) {
     g.finish();
 }
 
-/// Engine throughput: released jobs/sec through the full job API
-/// (bounded queue → work-stealing pool → subtree tasks) at 1, 2, 4,
-/// and 8 workers, plus the cache-hit fast path.
+/// The engine's cache-hit fast path through the full job API. (The
+/// multi-worker batch curve is `engine_scaling/jobs_batch8/*`, from
+/// the `scaling` binary.)
 fn bench_engine(c: &mut Criterion) {
     use std::sync::Arc;
 
@@ -264,33 +264,6 @@ fn bench_engine(c: &mut Criterion) {
     let request = |seed: u64| {
         ReleaseRequest::new(Arc::clone(&hierarchy), Arc::clone(&data), cfg.clone(), seed)
     };
-
-    const BATCH: u64 = 8;
-    for &workers in &[1usize, 2, 4, 8] {
-        // Distinct seeds defeat the cache, so every job computes; one
-        // iteration = one BATCH-job release burst, drained to empty.
-        let engine = Engine::start(
-            EngineConfig::default()
-                .with_workers(workers)
-                .with_cache_capacity(0),
-        );
-        let mut round = 0u64;
-        g.bench_with_input(
-            BenchmarkId::new("jobs_batch8", workers),
-            &workers,
-            |b, _| {
-                b.iter(|| {
-                    round += 1;
-                    let ids: Vec<_> = (0..BATCH)
-                        .map(|i| engine.submit(request(round * BATCH + i)).unwrap())
-                        .collect();
-                    for id in ids {
-                        black_box(engine.wait(id).unwrap());
-                    }
-                })
-            },
-        );
-    }
 
     // Repeat request: after the first computation every submission is
     // a fingerprint lookup.
@@ -318,8 +291,13 @@ fn bench_engine(c: &mut Criterion) {
 fn bench_engine_sweep(c: &mut Criterion) {
     use std::sync::Arc;
 
+    use std::net::TcpStream;
+
     use hcc_data::{Dataset, DatasetKind};
-    use hcc_engine::{protocol::SubmitParams, serve, Client, Engine, EngineConfig};
+    use hcc_engine::protocol::frame::{
+        read_frame, submit_frame, write_frame, Frame, T_HELLO, T_RESULT,
+    };
+    use hcc_engine::{protocol::SubmitParams, serve, Engine, EngineConfig, MuxClient};
 
     let mut g = c.benchmark_group("engine_sweep");
     g.sample_size(10);
@@ -343,7 +321,7 @@ fn bench_engine_sweep(c: &mut Criterion) {
             .with_cache_capacity(0),
     );
     let server = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
+    let mut client = MuxClient::connect(server.addr()).unwrap();
     let handle = client
         .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
         .unwrap()
@@ -359,35 +337,41 @@ fn bench_engine_sweep(c: &mut Criterion) {
                 seed: round,
                 ..base.clone()
             };
-            client
-                .sweep(&params, handle, &EPS, |_, result| {
-                    black_box(result.unwrap());
-                })
-                .unwrap();
+            for point in client.sweep(&params, handle, &EPS).unwrap() {
+                black_box(point.outcome.unwrap());
+            }
         })
     });
-    // The cold variant gets the same submit-all-then-wait pipelining
-    // as the sweep, so the measured gap isolates the amortized table
-    // load rather than conflating it with batch parallelism.
+    // The cold variant gets the same write-all-then-read pipelining
+    // as the sweep (raw frames on one connection, since the client's
+    // inline submit blocks per request), so the measured gap isolates
+    // the amortized table load rather than conflating it with batch
+    // parallelism.
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    write_frame(&mut raw, &Frame::empty(T_HELLO, 1)).unwrap();
+    read_frame(&mut raw, u32::MAX).unwrap();
+    let tables = Some([
+        hierarchy_csv.as_str(),
+        groups_csv.as_str(),
+        entities_csv.as_str(),
+    ]);
+    let mut rid = 1u64;
     g.bench_function("cold_inline_submits8", |b| {
         b.iter(|| {
             round += 1;
-            let ids: Vec<_> = EPS
-                .iter()
-                .map(|&epsilon| {
-                    let params = SubmitParams {
-                        epsilon,
-                        seed: round,
-                        ..base.clone()
-                    };
-                    client
-                        .submit(&params, &hierarchy_csv, &groups_csv, &entities_csv)
-                        .unwrap()
-                        .unwrap()
-                })
-                .collect();
-            for id in ids {
-                black_box(client.wait(id).unwrap().unwrap());
+            for &epsilon in &EPS {
+                let params = SubmitParams {
+                    epsilon,
+                    seed: round,
+                    ..base.clone()
+                };
+                rid += 1;
+                write_frame(&mut raw, &submit_frame(rid, &params, tables, false)).unwrap();
+            }
+            for _ in EPS {
+                let reply = read_frame(&mut raw, u32::MAX).unwrap();
+                assert_eq!(reply.ftype, T_RESULT);
+                black_box(reply);
             }
         })
     });
@@ -406,7 +390,7 @@ fn bench_engine_derive(c: &mut Criterion) {
     use std::sync::Arc;
 
     use hcc_data::{Dataset, DatasetDelta, DatasetKind};
-    use hcc_engine::{serve, Client, Engine, EngineConfig};
+    use hcc_engine::{serve, Engine, EngineConfig, MuxClient};
 
     let mut g = c.benchmark_group("engine_derive");
     g.sample_size(10);
@@ -422,7 +406,7 @@ fn bench_engine_derive(c: &mut Criterion) {
 
     let engine = Engine::start(EngineConfig::default().with_workers(2));
     let server = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
+    let mut client = MuxClient::connect(server.addr()).unwrap();
     let parent = client
         .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
         .unwrap()

@@ -1,22 +1,19 @@
-//! TCP clients for the engine server: [`Client`] speaks the legacy
-//! line protocol (one blocking request/response at a time);
-//! [`MuxClient`] speaks the versioned framed protocol and pipelines —
-//! many requests may be in flight on one connection, with responses
-//! matched back by request id in whatever order the server finishes
-//! them.
+//! TCP client for the engine server: [`MuxClient`] speaks the
+//! versioned framed protocol and pipelines — many requests may be in
+//! flight on one connection, with responses matched back by request
+//! id in whatever order the server finishes them.
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::job::JobId;
 use crate::protocol::frame::{
     self, parse_busy, parse_error, parse_hello_ok, parse_result, read_frame, Frame, HelloLimits,
     T_BUSY, T_ERROR, T_GOODBYE, T_HELLO, T_HELLO_OK, T_METRICS, T_OK_TEXT, T_PING, T_PONG,
-    T_RESULT, T_STATS,
+    T_RESULT, T_STATS, T_TRACE,
 };
-use crate::protocol::{read_line, read_section_body, write_section, SubmitParams};
+use crate::protocol::SubmitParams;
 use crate::registry::DatasetHandle;
 use crate::telemetry::SpanEvent;
 
@@ -102,354 +99,6 @@ impl RetryPolicy {
     }
 }
 
-/// One connection to an engine server; every method is a blocking
-/// request/response exchange.
-pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    retry: RetryPolicy,
-}
-
-/// Splits an `OK <tail>` / `ERR <message>` reply line, delegating the
-/// OK tail to `ok` and passing errors (or unrecognisable replies)
-/// through as `Err`.
-fn parse_reply<T>(reply: &str, ok: impl FnOnce(&str) -> Result<T, String>) -> Result<T, String> {
-    match reply.split_once(' ') {
-        Some(("OK", tail)) => ok(tail),
-        Some(("ERR", msg)) => Err(msg.to_string()),
-        _ => Err(format!("unexpected reply {reply:?}")),
-    }
-}
-
-impl Client {
-    /// Connects to a server started with [`crate::serve`] or
-    /// `hcc serve`.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        Ok(Self {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
-            retry: RetryPolicy::default(),
-        })
-    }
-
-    /// Replaces the `BUSY` backoff policy (see [`RetryPolicy`]).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    fn request_line(&mut self, line: &str) -> io::Result<String> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
-        self.read_reply()
-    }
-
-    /// Reads the single reply line of the request just flushed.
-    fn read_reply(&mut self) -> io::Result<String> {
-        read_line(&mut self.reader)?.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
-        })
-    }
-
-    /// Health check.
-    pub fn ping(&mut self) -> io::Result<bool> {
-        Ok(self.request_line("PING")? == "PONG")
-    }
-
-    /// The server's `STATS` line (workers, queue depth, counters).
-    pub fn stats(&mut self) -> io::Result<String> {
-        self.request_line("STATS")
-    }
-
-    /// Downloads the server's telemetry snapshot as Prometheus-style
-    /// text exposition (the `METRICS` verb): counters, gauges,
-    /// latency histograms, and derived p50/p95/p99 quantiles.
-    pub fn metrics(&mut self) -> io::Result<String> {
-        let reply = self.request_line("METRICS")?;
-        let lines = Self::framed_len(&reply, "METRICS")?;
-        let text = read_section_body(&mut self.reader, lines, 1 << 26)?;
-        self.expect_end()?;
-        Ok(text)
-    }
-
-    /// Drains the server's span recorder (the `TRACE` verb),
-    /// returning the recorded scheduler spans. Empty unless the
-    /// server was started with tracing enabled (`hcc serve
-    /// --trace N`). Draining is destructive: each span is returned
-    /// once.
-    pub fn trace(&mut self) -> io::Result<Vec<SpanEvent>> {
-        let reply = self.request_line("TRACE")?;
-        let count = Self::framed_len(&reply, "TRACE")?;
-        let body = read_section_body(&mut self.reader, count, 1 << 28)?;
-        self.expect_end()?;
-        body.lines()
-            .map(|line| {
-                SpanEvent::from_wire_line(line).map_err(|e| {
-                    io::Error::new(io::ErrorKind::InvalidData, format!("bad span line: {e}"))
-                })
-            })
-            .collect()
-    }
-
-    /// Parses the `<verb> <n>` header of a framed reply.
-    fn framed_len(reply: &str, verb: &str) -> io::Result<usize> {
-        reply
-            .strip_prefix(verb)
-            .and_then(|tail| tail.trim().parse().ok())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("expected `{verb} <n>`, got {reply:?}"),
-                )
-            })
-    }
-
-    /// Consumes the `END` line closing a framed reply.
-    fn expect_end(&mut self) -> io::Result<()> {
-        match read_line(&mut self.reader)? {
-            Some(end) if end == "END" => Ok(()),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected END, got {other:?}"),
-            )),
-        }
-    }
-
-    /// Submits a release job from raw CSV tables, returning its id.
-    pub fn submit(
-        &mut self,
-        params: &SubmitParams,
-        hierarchy_csv: &str,
-        groups_csv: &str,
-        entities_csv: &str,
-    ) -> io::Result<Result<JobId, String>> {
-        writeln!(self.writer, "SUBMIT {}", params.encode())?;
-        write_section(&mut self.writer, "HIERARCHY", hierarchy_csv)?;
-        write_section(&mut self.writer, "GROUPS", groups_csv)?;
-        write_section(&mut self.writer, "ENTITIES", entities_csv)?;
-        writeln!(self.writer, "END")?;
-        self.writer.flush()?;
-        let reply = self.read_reply()?;
-        Ok(parse_reply(&reply, |id| id.parse()))
-    }
-
-    /// Registers the three CSV tables as a prepared dataset on the
-    /// server, returning its content-addressed handle. Subsequent
-    /// [`Client::submit_prepared`] calls reference the handle and skip
-    /// shipping + re-parsing the tables entirely.
-    pub fn prepare(
-        &mut self,
-        hierarchy_csv: &str,
-        groups_csv: &str,
-        entities_csv: &str,
-    ) -> io::Result<Result<DatasetHandle, String>> {
-        writeln!(self.writer, "PREPARE")?;
-        write_section(&mut self.writer, "HIERARCHY", hierarchy_csv)?;
-        write_section(&mut self.writer, "GROUPS", groups_csv)?;
-        write_section(&mut self.writer, "ENTITIES", entities_csv)?;
-        writeln!(self.writer, "END")?;
-        self.writer.flush()?;
-        let reply = self.read_reply()?;
-        Ok(parse_reply(&reply, |handle| handle.parse()))
-    }
-
-    /// Derives a new prepared dataset on the server by applying
-    /// `delta` to the prepared dataset `parent`, returning the derived
-    /// content-addressed handle. No table is re-shipped or re-parsed —
-    /// only the delta CSV travels, and the server re-aggregates just
-    /// the touched root-to-leaf paths (see [`crate::Engine::derive`]).
-    /// The parent stays registered with its references intact.
-    pub fn derive(
-        &mut self,
-        parent: DatasetHandle,
-        delta: &hcc_data::DatasetDelta,
-    ) -> io::Result<Result<DatasetHandle, String>> {
-        self.derive_with(parent, delta, "DERIVE")
-    }
-
-    /// Rolling-update variant of [`Client::derive`]: the server also
-    /// drops one reference on `parent`, so repeatedly appending
-    /// deltas holds one registry slot rather than a growing chain.
-    pub fn append(
-        &mut self,
-        parent: DatasetHandle,
-        delta: &hcc_data::DatasetDelta,
-    ) -> io::Result<Result<DatasetHandle, String>> {
-        self.derive_with(parent, delta, "APPEND")
-    }
-
-    fn derive_with(
-        &mut self,
-        parent: DatasetHandle,
-        delta: &hcc_data::DatasetDelta,
-        cmd: &str,
-    ) -> io::Result<Result<DatasetHandle, String>> {
-        writeln!(self.writer, "{cmd} {parent}")?;
-        write_section(&mut self.writer, "DELTA", &delta.to_csv())?;
-        writeln!(self.writer, "END")?;
-        self.writer.flush()?;
-        let reply = self.read_reply()?;
-        Ok(parse_reply(&reply, |handle| handle.parse()))
-    }
-
-    /// Drops one reference to a prepared dataset; returns how many
-    /// references the server still holds.
-    pub fn unprepare(&mut self, handle: DatasetHandle) -> io::Result<Result<u64, String>> {
-        let reply = self.request_line(&format!("UNPREPARE {handle}"))?;
-        Ok(parse_reply(&reply, |tail| {
-            tail.strip_prefix("refs=")
-                .and_then(|n| n.parse().ok())
-                .ok_or_else(|| format!("unexpected reply tail {tail:?}"))
-        }))
-    }
-
-    /// Submits a release of a prepared dataset — no CSV payload is
-    /// shipped; any `handle` already inside `params` is overridden.
-    pub fn submit_prepared(
-        &mut self,
-        params: &SubmitParams,
-        handle: DatasetHandle,
-    ) -> io::Result<Result<JobId, String>> {
-        let params = SubmitParams {
-            handle: Some(handle),
-            ..params.clone()
-        };
-        writeln!(self.writer, "SUBMIT {}", params.encode())?;
-        writeln!(self.writer, "END")?;
-        self.writer.flush()?;
-        let reply = self.read_reply()?;
-        Ok(parse_reply(&reply, |id| id.parse()))
-    }
-
-    /// Batch-submits an ε grid over one prepared handle on this
-    /// connection, then streams the finished releases back in grid
-    /// order, invoking `each` as every ε completes. Submissions are
-    /// enqueued as fast as the server accepts them, so the sweep runs
-    /// with full worker-pool parallelism; when the server's bounded
-    /// queue pushes back, the client drains its oldest in-flight
-    /// point (delivering its result) and retries, so grids larger
-    /// than the server queue still complete.
-    pub fn sweep(
-        &mut self,
-        base: &SubmitParams,
-        handle: DatasetHandle,
-        epsilons: &[f64],
-        mut each: impl FnMut(f64, Result<FetchedRelease, String>),
-    ) -> io::Result<()> {
-        // Every point's outcome is buffered (a job id or a hard
-        // rejection) and delivered strictly in grid order — callers
-        // label results positionally, so even a failed submission
-        // must not jump the queue ahead of older in-flight successes.
-        let mut in_flight: std::collections::VecDeque<(f64, Result<JobId, String>)> =
-            std::collections::VecDeque::new();
-        for &epsilon in epsilons {
-            let params = SubmitParams {
-                epsilon,
-                ..base.clone()
-            };
-            // Backoff attempts only count when we hold nothing to
-            // drain — draining an in-flight point makes progress and
-            // resets the clock.
-            let mut backoffs = 0u32;
-            loop {
-                match self.submit_prepared(&params, handle)? {
-                    Ok(id) => {
-                        in_flight.push_back((epsilon, Ok(id)));
-                        break;
-                    }
-                    // Retryable rejection (stable `busy:` wire token,
-                    // never matched on prose): drain our oldest
-                    // in-flight point and retry — or, when *other*
-                    // clients saturate the queue and we hold nothing
-                    // to drain, back off with the bounded jittered
-                    // policy and retry, failing the point once the
-                    // attempts run out.
-                    Err(e) if e.starts_with(crate::protocol::BUSY) => match in_flight.pop_front() {
-                        Some((done_eps, Ok(id))) => {
-                            backoffs = 0;
-                            each(done_eps, self.wait(id)?);
-                        }
-                        Some((done_eps, Err(failed))) => {
-                            backoffs = 0;
-                            each(done_eps, Err(failed));
-                        }
-                        None => {
-                            if backoffs >= self.retry.max_attempts {
-                                in_flight.push_back((epsilon, Err(self.retry.exhausted(&e))));
-                                break;
-                            }
-                            let delay = self.retry.delay_ms(backoffs, 50);
-                            backoffs += 1;
-                            std::thread::sleep(std::time::Duration::from_millis(u64::from(delay)));
-                        }
-                    },
-                    Err(e) => {
-                        in_flight.push_back((epsilon, Err(e)));
-                        break;
-                    }
-                }
-            }
-        }
-        for (epsilon, outcome) in in_flight {
-            match outcome {
-                Ok(id) => each(epsilon, self.wait(id)?),
-                Err(e) => each(epsilon, Err(e)),
-            }
-        }
-        Ok(())
-    }
-
-    /// One-line job status, e.g. `QUEUED` or `DONE rows=12 cached=0`.
-    pub fn status(&mut self, id: JobId) -> io::Result<String> {
-        self.request_line(&format!("STATUS {id}"))
-    }
-
-    /// Blocks until the job finishes and downloads the release.
-    pub fn wait(&mut self, id: JobId) -> io::Result<Result<FetchedRelease, String>> {
-        self.fetch_with(id, "WAIT")
-    }
-
-    /// Downloads a finished release without blocking on computation.
-    pub fn fetch(&mut self, id: JobId) -> io::Result<Result<FetchedRelease, String>> {
-        self.fetch_with(id, "FETCH")
-    }
-
-    fn fetch_with(&mut self, id: JobId, cmd: &str) -> io::Result<Result<FetchedRelease, String>> {
-        let reply = self.request_line(&format!("{cmd} {id}"))?;
-        let Some(("RELEASE", tail)) = reply.split_once(' ') else {
-            return Ok(Err(reply
-                .strip_prefix("ERR ")
-                .unwrap_or(&reply)
-                .to_string()));
-        };
-        let (lines, cached) = match tail.split_once(' ') {
-            Some((n, c)) => (n, c.strip_prefix("cached=").unwrap_or("0")),
-            None => (tail, "0"),
-        };
-        let lines: usize = lines.parse().map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad RELEASE header {reply:?}"),
-            )
-        })?;
-        // The client trusts its own server for release sizes; cap at
-        // a level no legitimate release exceeds.
-        let csv = read_section_body(&mut self.reader, lines, 1 << 32)?;
-        self.expect_end()?;
-        Ok(Ok(FetchedRelease {
-            csv,
-            from_cache: cached == "1",
-        }))
-    }
-
-    /// Says goodbye and closes the connection.
-    pub fn quit(mut self) -> io::Result<()> {
-        let _ = self.request_line("QUIT")?;
-        Ok(())
-    }
-}
-
 /// One ε-grid point's outcome from [`MuxClient::sweep`], in grid
 /// order.
 #[derive(Clone, Debug)]
@@ -463,10 +112,9 @@ pub struct SweepPoint {
 /// Multiplexed framed-protocol client: one connection, many requests
 /// in flight, responses matched by request id.
 ///
-/// Where [`Client`] pays a full round trip per request, `MuxClient`
-/// writes a whole batch of frames back-to-back and collects the
-/// responses as the server finishes them — on a sweep this collapses
-/// `n` round trips into roughly one. Structured [`frame::T_BUSY`]
+/// A sweep writes a whole batch of frames back-to-back and collects
+/// the responses as the server finishes them, collapsing `n` round
+/// trips into roughly one. Structured [`frame::T_BUSY`]
 /// backpressure is honoured transparently: shed submits are
 /// resubmitted after the server's retry hint.
 pub struct MuxClient {
@@ -541,12 +189,29 @@ impl MuxClient {
         Ok(rid)
     }
 
+    /// Reads one frame off the socket. A request-id-0 `ERROR` frame
+    /// answers no request: the server sends it just before closing
+    /// the connection (idle timeout, connection bound, a desynced
+    /// stream), so it surfaces as an error carrying the server's
+    /// message rather than as a later EOF.
+    fn read_response(&mut self) -> io::Result<Frame> {
+        let f = read_frame(&mut self.reader, CLIENT_MAX_FRAME)?;
+        if f.request_id == 0 && f.ftype == T_ERROR {
+            let (_, msg) = parse_error(&f.payload);
+            return Err(io::Error::new(
+                io::ErrorKind::ConnectionAborted,
+                format!("server closed the connection: {msg}"),
+            ));
+        }
+        Ok(f)
+    }
+
     /// Reads the next response frame (stashed frames first).
     fn recv_any(&mut self) -> io::Result<Frame> {
         if let Some(f) = self.stash.pop_front() {
             return Ok(f);
         }
-        read_frame(&mut self.reader, CLIENT_MAX_FRAME)
+        self.read_response()
     }
 
     /// Reads until the response for `rid` arrives, stashing any
@@ -558,7 +223,7 @@ impl MuxClient {
             }
         }
         loop {
-            let f = read_frame(&mut self.reader, CLIENT_MAX_FRAME)?;
+            let f = self.read_response()?;
             if f.request_id == rid {
                 return Ok(f);
             }
@@ -600,8 +265,28 @@ impl MuxClient {
             .map_err(io::Error::other)
     }
 
-    /// Registers the three CSV tables as a prepared dataset (see
-    /// [`Client::prepare`]).
+    /// Drains the server's span recorder (the `TRACE` verb),
+    /// returning the recorded scheduler spans. Empty unless the
+    /// server was started with tracing enabled (`hcc serve
+    /// --trace N`). Draining is destructive: each span is returned
+    /// once.
+    pub fn trace(&mut self) -> io::Result<Vec<SpanEvent>> {
+        let text = self
+            .rpc_text(|rid| Frame::empty(T_TRACE, rid))?
+            .map_err(io::Error::other)?;
+        text.lines()
+            .map(|line| {
+                SpanEvent::from_wire_line(line).map_err(|e| {
+                    io::Error::new(io::ErrorKind::InvalidData, format!("bad span line: {e}"))
+                })
+            })
+            .collect()
+    }
+
+    /// Registers the three CSV tables as a prepared dataset on the
+    /// server, returning its content-addressed handle. Later
+    /// [`MuxClient::submit_prepared`] calls reference the handle and
+    /// skip shipping and re-parsing the tables.
     pub fn prepare(
         &mut self,
         hierarchy_csv: &str,
@@ -613,8 +298,11 @@ impl MuxClient {
         Ok(reply.and_then(|text| text.parse()))
     }
 
-    /// Derives a prepared dataset by applying `delta` to `parent`
-    /// (see [`Client::derive`]).
+    /// Derives a new prepared dataset on the server by applying
+    /// `delta` to the prepared dataset `parent`, returning the derived
+    /// content-addressed handle. Only the delta CSV travels, and the
+    /// server re-aggregates just the touched root-to-leaf paths (see
+    /// [`crate::Engine::derive`]). The parent keeps its references.
     pub fn derive(
         &mut self,
         parent: DatasetHandle,
@@ -627,8 +315,9 @@ impl MuxClient {
         Ok(reply.and_then(|text| text.parse()))
     }
 
-    /// Rolling-update variant of [`MuxClient::derive`] (see
-    /// [`Client::append`]).
+    /// Rolling-update variant of [`MuxClient::derive`]: the server
+    /// also drops one reference on `parent`, so repeatedly appending
+    /// deltas holds one registry slot rather than a growing chain.
     pub fn append(
         &mut self,
         parent: DatasetHandle,
@@ -663,22 +352,8 @@ impl MuxClient {
         groups_csv: &str,
         entities_csv: &str,
     ) -> io::Result<Result<FetchedRelease, String>> {
-        let tables = Some([hierarchy_csv, groups_csv, entities_csv]);
-        let mut attempt = 0u32;
-        loop {
-            let rid = self.send(|rid| frame::submit_frame(rid, params, tables, false))?;
-            match self.await_submit(rid)? {
-                SubmitOutcome::Done(outcome) => return Ok(outcome),
-                SubmitOutcome::Busy(retry_ms) => {
-                    if attempt >= self.retry.max_attempts {
-                        return Ok(Err(self.retry.exhausted(&format!("retry in {retry_ms}ms"))));
-                    }
-                    let delay = self.retry.delay_ms(attempt, retry_ms);
-                    attempt += 1;
-                    std::thread::sleep(Duration::from_millis(u64::from(delay)));
-                }
-            }
-        }
+        let tables = [hierarchy_csv, groups_csv, entities_csv];
+        self.submit_with_retry(params, Some(tables))
     }
 
     /// Submits one release of a prepared dataset and blocks until its
@@ -692,9 +367,20 @@ impl MuxClient {
             handle: Some(handle),
             ..params.clone()
         };
+        self.submit_with_retry(&params, None)
+    }
+
+    /// Submits one release on the interactive lane and blocks for its
+    /// outcome, retrying `BUSY` sheds along the [`RetryPolicy`]
+    /// ladder.
+    fn submit_with_retry(
+        &mut self,
+        params: &SubmitParams,
+        tables: Option<[&str; 3]>,
+    ) -> io::Result<Result<FetchedRelease, String>> {
         let mut attempt = 0u32;
         loop {
-            let rid = self.send(|rid| frame::submit_frame(rid, &params, None, false))?;
+            let rid = self.send(|rid| frame::submit_frame(rid, params, tables, false))?;
             match self.await_submit(rid)? {
                 SubmitOutcome::Done(outcome) => return Ok(outcome),
                 SubmitOutcome::Busy(retry_ms) => {
@@ -767,8 +453,8 @@ impl MuxClient {
         while done < epsilons.len() {
             let reply = self.recv_any()?;
             let Some(pos) = pending.iter().position(|&(rid, _)| rid == reply.request_id) else {
-                // A response for nothing we sent (e.g. a server-side
-                // idle notice) — fatal for the sweep.
+                // A response for nothing we sent — fatal for the
+                // sweep.
                 return Err(unexpected_frame(reply.ftype));
             };
             let (_, idx) = pending.swap_remove(pos);

@@ -61,7 +61,7 @@ pub enum Rank {
     Lanes,
     /// The compute-admission gate's permit count.
     Gate,
-    /// Job-internal locks (`estimates`, `failure`, legacy executor slots).
+    /// Job-internal locks (`estimates`, `failure`).
     Job,
     /// Telemetry span rings.
     Telemetry,
@@ -188,13 +188,6 @@ impl<T> RankedMutex<T> {
         // hcc-lint: allow(panic-policy, reason = "single poison conversion point for all engine locks; poisoning implies a bug catch_unwind isolation failed to contain")
         let guard = self.inner.lock().expect("engine lock poisoned");
         RankedGuard { guard, token }
-    }
-
-    /// Consume the mutex, returning the protected value. No thread can
-    /// still hold the lock (we own the mutex), so no rank bookkeeping.
-    pub(crate) fn into_inner(self) -> T {
-        // hcc-lint: allow(panic-policy, reason = "same poison policy as RankedMutex::lock")
-        self.inner.into_inner().expect("engine lock poisoned")
     }
 }
 

@@ -1,63 +1,12 @@
-//! The wire protocols spoken by the server.
+//! The wire protocol spoken by the server: the binary framed protocol
+//! in [`frame`] (length-prefixed frames with request ids, pipelining,
+//! and out-of-order responses; spoken by
+//! [`MuxClient`](crate::MuxClient); full specification in
+//! `docs/protocol.md`), plus the pieces its payloads share — the
+//! [`SubmitParams`] `key=value` line, the [`format_stats`] reply, and
+//! the [`level_method`] name table.
 //!
-//! Two protocols share the listening port: the binary framed protocol
-//! ([`frame`], spoken by [`MuxClient`](crate::MuxClient) — length-
-//! prefixed frames with request ids, pipelining, and out-of-order
-//! responses; see `docs/protocol.md`), and the legacy line protocol
-//! below (spoken by [`Client`](crate::Client)). The reactor server
-//! ([`crate::serve`]) auto-detects which one a connection speaks from
-//! its first byte: framed traffic starts with the non-ASCII magic byte
-//! [`frame::MAGIC`], legacy commands with an uppercase ASCII letter.
-//!
-//! Every request starts with one ASCII command line; bulk payloads
-//! (CSV tables) follow as line-count-prefixed sections so no escaping
-//! is ever needed:
-//!
-//! ```text
-//! PING                      → PONG
-//! STATS                     → one STATS key=value line; the exact
-//!                             format is pinned by the doctest of
-//!                             [`format_stats`], the formatter the
-//!                             server itself calls — see there for a
-//!                             field-by-field example
-//! METRICS                   → METRICS <n>, then n lines of
-//!                             Prometheus text exposition, then END
-//! TRACE                     → TRACE <n>, then n span lines
-//!                             (worker,kind,job,task,start_ns,end_ns —
-//!                             the scheduler's span recorder, drained),
-//!                             then END
-//! SUBMIT epsilon=1.0 method=hc bound=100000 seed=42
-//! HIERARCHY <n>             (then n raw CSV lines)
-//! GROUPS <n>                (then n raw CSV lines)
-//! ENTITIES <n>              (then n raw CSV lines)
-//! END                       → OK job-0 | ERR <message>
-//! PREPARE                   (same three sections + END)
-//!                           → OK ds-<32 hex> | ERR <message>
-//! SUBMIT epsilon=1.0 handle=ds-<32 hex> seed=42
-//! END                       → OK job-1 | ERR <message>
-//!                             (no sections: the dataset was loaded
-//!                              and aggregated once at PREPARE time)
-//! UNPREPARE ds-<32 hex>     → OK refs=<still held> | ERR <message>
-//! DERIVE ds-<32 hex>        (then one DELTA section + END)
-//! DELTA <n>                 (n delta CSV lines:
-//!                            op,region,size,new_size,count)
-//! END                       → OK ds-<32 hex of derived> | ERR <message>
-//! APPEND ds-<32 hex>        like DERIVE, but also drops one
-//!                           reference on the parent handle — the
-//!                           rolling-update flow
-//! STATUS job-0              → QUEUED | RUNNING | DONE rows=17 cached=0
-//!                             | FAILED <message> | ERR <message>
-//! WAIT job-0                → (blocks) RELEASE <n> cached=0|1,
-//!                             then n CSV lines, then END
-//! FETCH job-0               → like WAIT but ERR if not finished
-//! QUIT                      → BYE, connection closes
-//! ```
-//!
-//! Responses are single lines except `RELEASE`, which frames the CSV
-//! the same way submissions do. Error messages are flattened to one
-//! line.
-//!
-//! `PREPARE` registers the dataset under a content-addressed handle
+//! `PREPARE` registers a dataset under a content-addressed handle
 //! (see [`crate::registry`]); an ε-sweep then submits by handle on
 //! one connection and the server never re-parses the tables.
 //!
@@ -78,25 +27,15 @@
 //! set renders to Chrome-trace JSON with
 //! [`chrome_trace_json`](crate::telemetry::chrome_trace_json).
 
-use std::io::{self, BufRead, Write};
-
 use hcc_consistency::LevelMethod;
 
 use crate::engine::EngineStats;
 use crate::registry::DatasetHandle;
 
-/// Stable machine-readable marker prefixing *retryable* rejections
-/// (the bounded job queue is at capacity): the server emits
-/// `ERR busy: <prose>` and clients key their backpressure handling on
-/// this token, never on the human-readable prose after it.
+/// Stable machine-readable marker leading the failure text of a
+/// request whose `BUSY` sheds outlasted the client's retry policy;
+/// callers key on this token, never on the prose after it.
 pub const BUSY: &str = "busy:";
-
-/// Stable machine-readable marker prefixing *privacy-budget*
-/// rejections: the server emits `ERR budget: <prose>` when admitting
-/// the submission would push its dataset's cumulative ε past the
-/// configured cap. Unlike [`BUSY`], this is **not** retryable with
-/// the same request — the budget does not come back.
-pub const BUDGET: &str = "budget:";
 
 /// Renders the one-line `STATS` reply — the single source of truth
 /// for its format, called by the server and pinned (field by field)
@@ -175,7 +114,7 @@ pub struct SubmitParams {
     /// Master RNG seed.
     pub seed: u64,
     /// Prepared-dataset handle. When set, the submission carries no
-    /// CSV sections — the server resolves the handle against its
+    /// tables — the server resolves the handle against its
     /// registry instead of re-parsing tables.
     pub handle: Option<DatasetHandle>,
 }
@@ -256,66 +195,6 @@ impl SubmitParams {
     }
 }
 
-/// Reads one `\n`-terminated line, trimming the terminator; `None` at
-/// EOF.
-pub fn read_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
-    }
-    Ok(Some(line))
-}
-
-/// Writes a text block as a `<label> <n>` header plus `n` raw lines.
-pub fn write_section(w: &mut impl Write, label: &str, text: &str) -> io::Result<()> {
-    let lines: Vec<&str> = text.lines().collect();
-    writeln!(w, "{label} {}", lines.len())?;
-    for l in &lines {
-        writeln!(w, "{l}")?;
-    }
-    Ok(())
-}
-
-/// Reads the `n` raw lines of a section announced as `<label> n`,
-/// reassembling the original text (`\n`-joined, trailing newline).
-///
-/// `max_bytes` caps the reassembled size: declared lengths come from
-/// the peer, so a server must bound how much one section may ask it
-/// to buffer. Exceeding the cap is an [`io::ErrorKind::InvalidData`]
-/// error — the remaining payload is unread, so the caller should drop
-/// the connection.
-pub fn read_section_body(
-    reader: &mut impl BufRead,
-    lines: usize,
-    max_bytes: usize,
-) -> io::Result<String> {
-    let mut text = String::new();
-    for _ in 0..lines {
-        match read_line(reader)? {
-            Some(l) => {
-                if text.len() + l.len() + 1 > max_bytes {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("section exceeds the {max_bytes}-byte limit"),
-                    ));
-                }
-                text.push_str(&l);
-                text.push('\n');
-            }
-            None => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-section",
-                ))
-            }
-        }
-    }
-    Ok(text)
-}
-
 /// Flattens a multi-line error message onto one protocol line.
 pub fn one_line(msg: &str) -> String {
     msg.replace(['\n', '\r'], "; ")
@@ -330,9 +209,8 @@ pub mod frame {
     //!
     //! ```text
     //! offset  size  field
-    //! 0       1     magic (0xFA — outside ASCII, so the first byte of a
-    //!               connection distinguishes framed from legacy
-    //!               line-protocol clients)
+    //! 0       1     magic (0xFA — outside ASCII, so a text client
+    //!               that connects by mistake fails on its first byte)
     //! 1       1     protocol version (currently 1)
     //! 2       1     frame type
     //! 3       1     flags (bit 0: bulk lane)
@@ -359,10 +237,9 @@ pub mod frame {
 
     use super::SubmitParams;
 
-    /// First byte of every frame. Deliberately a non-ASCII value: legacy
-    /// line-protocol commands start with an uppercase ASCII letter, so
-    /// the first byte received on a connection tells the server which
-    /// protocol the client speaks.
+    /// First byte of every frame. Deliberately a non-ASCII value, so a
+    /// text-protocol client is rejected on the first byte it sends
+    /// ([`FrameError::BadMagic`]) instead of being misparsed.
     pub const MAGIC: u8 = 0xFA;
     /// Protocol version this build speaks.
     pub const VERSION: u8 = 1;
@@ -396,12 +273,15 @@ pub mod frame {
     pub const T_UNPREPARE: u8 = 0x09;
     /// Request: orderly goodbye; the server flushes and closes.
     pub const T_GOODBYE: u8 = 0x0A;
+    /// Request: drain the span recorder. Empty payload; the reply is
+    /// [`T_OK_TEXT`] with one span line per recorded span.
+    pub const T_TRACE: u8 = 0x0B;
 
     /// Response to [`T_HELLO`]: the server's limits and quotas.
     pub const T_HELLO_OK: u8 = 0x81;
     /// Response to [`T_PING`].
     pub const T_PONG: u8 = 0x82;
-    /// Response carrying one line / small text (stats, metrics, handles).
+    /// Response carrying text (stats, metrics, trace, handles).
     pub const T_OK_TEXT: u8 = 0x83;
     /// Response carrying a finished release.
     pub const T_RESULT: u8 = 0x84;
@@ -1136,7 +1016,6 @@ pub mod frame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     #[test]
     fn params_round_trip() {
@@ -1180,32 +1059,5 @@ mod tests {
             let err = SubmitParams::decode(&format!("epsilon={eps}")).unwrap_err();
             assert!(err.contains("positive and finite"), "{eps}: {err}");
         }
-    }
-
-    #[test]
-    fn sections_round_trip() {
-        let text = "a,b\nc,d\n";
-        let mut buf = Vec::new();
-        write_section(&mut buf, "GROUPS", text).unwrap();
-        let mut r = BufReader::new(&buf[..]);
-        let header = read_line(&mut r).unwrap().unwrap();
-        assert_eq!(header, "GROUPS 2");
-        assert_eq!(read_section_body(&mut r, 2, 1 << 20).unwrap(), text);
-    }
-
-    #[test]
-    fn oversized_section_is_rejected() {
-        let mut buf = Vec::new();
-        write_section(&mut buf, "GROUPS", "aaaa,bbbb\ncccc,dddd\n").unwrap();
-        let mut r = BufReader::new(&buf[..]);
-        let _header = read_line(&mut r).unwrap().unwrap();
-        let err = read_section_body(&mut r, 2, 12).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn truncated_section_is_an_error() {
-        let mut r = BufReader::new(&b"only,one\n"[..]);
-        assert!(read_section_body(&mut r, 2, 1 << 20).is_err());
     }
 }

@@ -1,11 +1,8 @@
 //! Event-driven wire path: a single-thread epoll reactor multiplexing
 //! every connection.
 //!
-//! The blocking server ([`crate::server::serve_blocking`]) spends one
-//! OS thread per connection, and a pipelined client still pays a full
-//! round trip per request. This module replaces that wire path with a
-//! hand-rolled reactor (std-only; crates.io is unavailable, in the
-//! spirit of the PR 2 work queue):
+//! A hand-rolled reactor (std-only, no async runtime) that serves the
+//! binary framed protocol ([`crate::protocol::frame`]):
 //!
 //! - **One reactor thread.** A level-triggered epoll instance watches
 //!   the listener, a wake pipe, and every client socket; accept, read,
@@ -14,20 +11,19 @@
 //!   subscribes to results with [`crate::Engine::on_finish`] and never
 //!   blocks on a job, so reactor threads stay at `1` no matter how
 //!   many connections or jobs are open.
-//! - **Two protocols on one port.** The first byte a connection sends
-//!   picks its protocol: [`frame::MAGIC`] means the framed binary
-//!   protocol ([`crate::protocol::frame`]); anything else (legacy
-//!   commands start with an uppercase ASCII letter) is served by the
-//!   exact same dispatch the blocking server uses
-//!   ([`crate::server::dispatch_legacy`]), byte-for-byte.
+//! - **Pipelining.** Requests carry client-chosen ids and responses
+//!   echo them, so one connection can keep many requests in flight
+//!   and receive answers out of order. A connection whose first byte
+//!   is not [`frame::MAGIC`] gets one `E_PROTO` error frame and is
+//!   closed.
 //! - **Multi-tenant admission control.** Each connection has two
 //!   request lanes — interactive ([`frame::FLAG_BULK`] clear) and bulk
 //!   (set) — with separate in-flight quotas, plus a bounded park
 //!   buffer absorbing short engine-queue-full spikes. When both the
 //!   quota (or queue) and the park buffer are exhausted, the request
-//!   is shed with a structured [`frame::T_BUSY`] frame — the framed
-//!   generalization of the legacy `busy:` token — never silently
-//!   dropped. Parked interactive requests re-admit before bulk ones.
+//!   is shed with a structured [`frame::T_BUSY`] frame, never
+//!   silently dropped. Parked interactive requests re-admit before
+//!   bulk ones.
 //!
 //! Completions cross from worker threads to the reactor through
 //! [`CompletionQueue`]: a `wire`-ranked mutex (last in the lock order,
@@ -52,15 +48,12 @@ use crate::protocol::frame::{
     self, busy_frame, decode_frame, encode_frame, error_frame, hello_ok_frame, ok_text_frame,
     parse_derive, parse_prepare, parse_submit, parse_unprepare, result_frame, Frame, FrameError,
     HelloLimits, B_QUEUE, B_QUOTA, E_BUDGET, E_FAILED, E_PROTO, E_REJECTED, E_TIMEOUT, E_VERSION,
-    FLAG_BULK, HEADER_LEN, T_APPEND, T_DERIVE, T_GOODBYE, T_HELLO, T_METRICS, T_PING, T_PONG,
-    T_PREPARE, T_STATS, T_SUBMIT, T_UNPREPARE,
+    FLAG_BULK, T_APPEND, T_DERIVE, T_GOODBYE, T_HELLO, T_METRICS, T_PING, T_PONG, T_PREPARE,
+    T_STATS, T_SUBMIT, T_TRACE, T_UNPREPARE,
 };
 use crate::protocol::{format_stats, one_line};
 use crate::registry::DatasetHandle;
-use crate::server::{
-    dispatch_legacy, load_dataset, render_wait_reply, submit_config, wait_outcome, LegacyOutcome,
-    ServerHandle, MAX_SECTION_BYTES, MAX_SECTION_LINES,
-};
+use crate::server::{load_dataset, submit_config, ServerHandle};
 use crate::telemetry::WireStats;
 use crate::Engine;
 
@@ -186,16 +179,15 @@ impl Drop for Epoll {
     }
 }
 
-/// Reactor transport and admission knobs;
-/// [`serve_reactor`] applies them, [`crate::serve_with`] maps the
-/// blocking-era [`crate::ServeConfig`] onto the transport subset.
+/// Reactor transport and admission knobs, applied by
+/// [`serve_reactor`].
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
     /// Close a connection idle this long with nothing in flight
     /// (`None` disables the sweep).
     pub read_timeout: Option<Duration>,
     /// Most concurrent connections; beyond this, new clients get one
-    /// `ERR server busy` line and are dropped.
+    /// `E_REJECTED` "server busy" error frame and are dropped.
     pub max_connections: usize,
     /// Largest frame payload accepted from a client.
     pub max_frame: u32,
@@ -278,23 +270,12 @@ const OUTBUF_CAP: usize = 1 << 30;
 /// How often the idle sweep runs.
 const SWEEP_EVERY: Duration = Duration::from_millis(500);
 
-/// A job completion crossing from a worker thread to the reactor.
+/// A job completion crossing from a worker thread to the reactor; the
+/// response is a `RESULT`/`ERROR` frame keyed by request id.
 struct Completion {
     token: u64,
     request_id: u64,
-    job: JobId,
-    kind: CompletionKind,
     status: JobStatus,
-}
-
-/// What the completion resolves on the connection.
-enum CompletionKind {
-    /// A framed submit; the response is a `RESULT`/`ERROR` frame keyed
-    /// by request id.
-    Framed,
-    /// A legacy `WAIT`; the response is the line-protocol release
-    /// block, and the connection resumes parsing afterwards.
-    LegacyWait,
 }
 
 /// The worker→reactor handoff: completions land in a `wire`-ranked
@@ -316,110 +297,6 @@ impl CompletionQueue {
     fn drain(&self) -> Vec<Completion> {
         std::mem::take(&mut *self.completions.lock())
     }
-}
-
-/// Incremental scanner finding the end of one legacy line-protocol
-/// request in a growing buffer, without copying or re-scanning
-/// consumed bytes. Mirrors the framing rules of
-/// [`crate::server::dispatch_legacy`]'s section reader: sectioned
-/// commands (`SUBMIT`/`PREPARE`/`DERIVE`/`APPEND`) run through `END`,
-/// with each `<label> <count>` header declaring `count` payload lines;
-/// every other command is one line.
-#[derive(Default)]
-struct LegacyScan {
-    /// Bytes of the current request already validated.
-    offset: usize,
-    /// Whether the command line has been consumed.
-    started: bool,
-    /// Whether the command carries sections through `END`.
-    in_sections: bool,
-    /// Payload lines still to skip in the current section.
-    lines_left: usize,
-}
-
-impl LegacyScan {
-    /// Advances over `buf` (the unconsumed input, starting at the
-    /// request's first byte). `Ok(Some(len))` means the first `len`
-    /// bytes form one complete request; `Ok(None)` means more input is
-    /// needed; `Err` is a fatal framing error (mirroring the blocking
-    /// server's close-the-connection cases, with identical text).
-    fn advance(&mut self, buf: &[u8]) -> Result<Option<usize>, String> {
-        loop {
-            while self.lines_left > 0 {
-                let Some(end) = next_line_end(buf, self.offset) else {
-                    return Ok(None);
-                };
-                self.offset = end;
-                self.lines_left -= 1;
-            }
-            let Some(end) = next_line_end(buf, self.offset) else {
-                return Ok(None);
-            };
-            let line = line_text(buf, self.offset, end);
-            let at_start = !self.started;
-            self.offset = end;
-            if at_start {
-                self.started = true;
-                let cmd = line.split(' ').next().unwrap_or("");
-                if matches!(cmd, "SUBMIT" | "PREPARE" | "DERIVE" | "APPEND") {
-                    self.in_sections = true;
-                    continue;
-                }
-                return Ok(Some(self.offset));
-            }
-            // Inside sections: END terminates; anything else must be a
-            // section header declaring its payload length.
-            if line == "END" {
-                return Ok(Some(self.offset));
-            }
-            let header = line
-                .split_once(' ')
-                .and_then(|(label, count)| Some((label, count.parse::<usize>().ok()?)));
-            let Some((label, count)) = header else {
-                return Err(format!(
-                    "unparseable section header {line:?}; closing connection"
-                ));
-            };
-            if count > MAX_SECTION_LINES {
-                return Err(format!(
-                    "section {label} declares {count} lines (limit {MAX_SECTION_LINES}); \
-                     closing connection"
-                ));
-            }
-            self.lines_left = count;
-        }
-    }
-}
-
-/// Index just past the next `\n` at or after `from`, if present.
-fn next_line_end(buf: &[u8], from: usize) -> Option<usize> {
-    let rest = buf.get(from..)?;
-    rest.iter().position(|&b| b == b'\n').map(|i| from + i + 1)
-}
-
-/// The text of `buf[start..end]` minus the line terminator (lossy:
-/// only used for framing decisions; the dispatch re-reads the bytes
-/// with the strict UTF-8 reader).
-fn line_text(buf: &[u8], start: usize, end: usize) -> String {
-    let mut bytes = buf.get(start..end).unwrap_or(&[]);
-    while let Some((&last, rest)) = bytes.split_last() {
-        if last == b'\n' || last == b'\r' {
-            bytes = rest;
-        } else {
-            break;
-        }
-    }
-    String::from_utf8_lossy(bytes).into_owned()
-}
-
-/// Which protocol a connection speaks, decided by its first byte.
-enum Mode {
-    /// Nothing received yet.
-    Detect,
-    /// Binary framed protocol.
-    Framed,
-    /// Legacy line protocol, with its request scanner.
-    Legacy(LegacyScan),
 }
 
 /// A request admitted past parsing but not yet submitted to the
@@ -446,7 +323,6 @@ enum PendingWork {
 /// Per-connection state machine.
 struct Conn {
     stream: TcpStream,
-    mode: Mode,
     inbuf: Vec<u8>,
     outbuf: Vec<u8>,
     /// Bytes of `outbuf` already written to the socket.
@@ -458,9 +334,6 @@ struct Conn {
     wants_writable: bool,
     /// Whether the framed handshake (`HELLO`) has completed.
     hello_done: bool,
-    /// A legacy `WAIT` is outstanding; parsing is paused so replies
-    /// keep the line protocol's strict request/response order.
-    legacy_waiting: bool,
     /// Consecutive idle-sweep passes that saw this connection past the
     /// read timeout with nothing in flight. Closing needs two strikes,
     /// so a client that is merely starved for CPU (not gone) gets a
@@ -478,7 +351,6 @@ impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            mode: Mode::Detect,
             inbuf: Vec::new(),
             outbuf: Vec::new(),
             out_at: 0,
@@ -486,68 +358,11 @@ impl Conn {
             close_after_flush: false,
             wants_writable: false,
             hello_done: false,
-            legacy_waiting: false,
             idle_strikes: 0,
             inflight: BTreeMap::new(),
             inflight_interactive: 0,
             inflight_bulk: 0,
             parked: VecDeque::new(),
-        }
-    }
-}
-
-/// One decodable unit pulled off a connection's input buffer.
-enum Step {
-    /// Input incomplete; wait for more bytes.
-    Idle,
-    /// Parsing is paused (legacy `WAIT` outstanding).
-    Blocked,
-    /// One complete frame.
-    Frame(Frame),
-    /// One complete legacy request (raw bytes: command line + payload).
-    Legacy(Vec<u8>),
-    /// Unrecoverable frame-stream error (desynced; must close).
-    FrameFatal(FrameError),
-    /// Unrecoverable legacy framing error (must close).
-    LegacyFatal(String),
-}
-
-/// Pulls the next complete request off `conn.inbuf`, consuming its
-/// bytes. Also performs first-byte protocol detection.
-fn next_step(conn: &mut Conn, wire: &WireStats, max_frame: u32) -> Step {
-    if let Mode::Detect = conn.mode {
-        match conn.inbuf.first() {
-            None => return Step::Idle,
-            Some(&b) if b == frame::MAGIC => conn.mode = Mode::Framed,
-            Some(_) => {
-                conn.mode = Mode::Legacy(LegacyScan::default());
-                wire.legacy_connections.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-    match &mut conn.mode {
-        Mode::Detect => Step::Idle,
-        Mode::Framed => match decode_frame(&conn.inbuf, max_frame) {
-            Ok(None) => Step::Idle,
-            Ok(Some((frame, used))) => {
-                conn.inbuf.drain(..used);
-                Step::Frame(frame)
-            }
-            Err(e) => Step::FrameFatal(e),
-        },
-        Mode::Legacy(scan) => {
-            if conn.legacy_waiting {
-                return Step::Blocked;
-            }
-            match scan.advance(&conn.inbuf) {
-                Ok(None) => Step::Idle,
-                Ok(Some(len)) => {
-                    let raw: Vec<u8> = conn.inbuf.drain(..len).collect();
-                    *scan = LegacyScan::default();
-                    Step::Legacy(raw)
-                }
-                Err(msg) => Step::LegacyFatal(msg),
-            }
         }
     }
 }
@@ -624,7 +439,7 @@ pub fn serve_reactor(
     let thread = std::thread::Builder::new()
         .name("hcc-engine-reactor".to_string())
         .spawn(move || reactor.run())?;
-    Ok(ServerHandle::for_reactor(addr, stop, wake_tx, thread, wire))
+    Ok(ServerHandle::new(addr, stop, wake_tx, thread, wire))
 }
 
 impl Reactor {
@@ -680,9 +495,12 @@ impl Reactor {
         if self.conns.len() >= self.cfg.max_connections {
             self.wire.rejected.fetch_add(1, Ordering::Relaxed);
             let max = self.cfg.max_connections;
-            // Same line the blocking server emits; framed clients see
-            // the connection die during their handshake.
-            let _ = writeln!(stream, "ERR server busy ({max} connections)");
+            // The socket is still blocking here; one request-id-0
+            // error frame tells the client why before it is dropped.
+            let mut out = Vec::new();
+            let msg = format!("server busy ({max} connections)");
+            encode_frame(&mut out, &error_frame(0, E_REJECTED, &msg));
+            let _ = stream.write_all(&out);
             return;
         }
         if stream.set_nonblocking(true).is_err() {
@@ -759,40 +577,22 @@ impl Reactor {
             if conn.close_after_flush {
                 return;
             }
-            match next_step(conn, &self.wire, max_frame) {
-                Step::Idle => {
-                    // A request that can never complete within the
-                    // buffer bound is a fatal framing problem (framed
-                    // streams bound this earlier via the header's
-                    // declared length).
-                    let limit = match conn.mode {
-                        Mode::Framed => HEADER_LEN.saturating_add(max_frame as usize),
-                        _ => MAX_SECTION_BYTES,
-                    };
-                    if conn.inbuf.len() > limit {
-                        self.push_bytes(
-                            token,
-                            b"ERR request exceeds the server's buffer; closing connection\n"
-                                .to_vec(),
-                        );
-                        self.set_close(token);
-                    }
-                    return;
+            // The decoder rejects a declared length above `max_frame`
+            // before buffering it, so `inbuf` stays bounded by one
+            // frame plus one read chunk.
+            match decode_frame(&conn.inbuf, max_frame) {
+                Ok(None) => return,
+                Ok(Some((frame, used))) => {
+                    conn.inbuf.drain(..used);
+                    self.handle_frame(token, frame);
                 }
-                Step::Blocked => return,
-                Step::Frame(frame) => self.handle_frame(token, frame),
-                Step::Legacy(raw) => self.handle_legacy(token, raw),
-                Step::FrameFatal(e) => {
+                // The stream is desynced: report once, then close.
+                Err(e) => {
                     let code = match e {
                         FrameError::BadVersion(_) => E_VERSION,
                         _ => E_PROTO,
                     };
                     self.push_frame(token, error_frame(0, code, &e.to_string()));
-                    self.set_close(token);
-                    return;
-                }
-                Step::LegacyFatal(msg) => {
-                    self.push_bytes(token, format!("ERR {}\n", one_line(&msg)).into_bytes());
                     self.set_close(token);
                     return;
                 }
@@ -854,6 +654,16 @@ impl Reactor {
             T_METRICS => {
                 let mut text = engine.telemetry().to_prometheus();
                 text.push_str(&self.wire.snapshot().to_prometheus());
+                self.push_frame(token, ok_text_frame(rid, &text));
+            }
+            T_TRACE => {
+                // Drains the span recorder (empty unless the engine
+                // was started with a trace capacity).
+                let text: String = engine
+                    .take_trace()
+                    .iter()
+                    .map(|span| span.to_wire_line() + "\n")
+                    .collect();
                 self.push_frame(token, ok_text_frame(rid, &text));
             }
             T_UNPREPARE => {
@@ -964,9 +774,7 @@ impl Reactor {
                 );
                 return;
             };
-            // Parsing/aggregation happens on the reactor thread: a
-            // deliberate tradeoff keeping job identity (and the cache
-            // key) computed exactly as the blocking path does. Heavy
+            // Parsing/aggregation happens on the reactor thread. Heavy
             // repeat traffic should PREPARE once and submit by handle.
             match load_dataset(&h, &g, &ent) {
                 Ok((hierarchy, data)) => {
@@ -1071,12 +879,10 @@ impl Reactor {
             }
         }
         let queue = Arc::clone(&self.completions);
-        let subscribed = self.engine.on_finish(id, move |job, status| {
+        let subscribed = self.engine.on_finish(id, move |_, status| {
             queue.push(Completion {
                 token,
                 request_id,
-                job,
-                kind: CompletionKind::Framed,
                 status,
             });
         });
@@ -1111,37 +917,21 @@ impl Reactor {
             return;
         }
         for c in drained {
-            match c.kind {
-                CompletionKind::Framed => {
-                    if self.untrack(c.token, c.request_id).is_none() {
-                        // Connection closed while the job ran; the
-                        // result stays queryable via the engine.
-                        continue;
-                    }
-                    let reply = match c.status {
-                        JobStatus::Done { result, from_cache } => {
-                            let rows = u32::try_from(result.rows).unwrap_or(u32::MAX);
-                            result_frame(c.request_id, from_cache, rows, &result.csv)
-                        }
-                        JobStatus::Failed(msg) => {
-                            error_frame(c.request_id, E_FAILED, &one_line(&msg))
-                        }
-                        // Watchers only fire on terminal states.
-                        JobStatus::Queued | JobStatus::Running => continue,
-                    };
-                    self.push_frame(c.token, reply);
-                }
-                CompletionKind::LegacyWait => {
-                    let Some(conn) = self.conns.get_mut(&c.token) else {
-                        continue;
-                    };
-                    conn.legacy_waiting = false;
-                    let reply = render_wait_reply(wait_outcome(c.job, c.status));
-                    self.push_bytes(c.token, reply);
-                    // Resume any requests pipelined behind the WAIT.
-                    self.process_conn(c.token);
-                }
+            if self.untrack(c.token, c.request_id).is_none() {
+                // Connection closed while the job ran; the result
+                // stays queryable via the engine.
+                continue;
             }
+            let reply = match c.status {
+                JobStatus::Done { result, from_cache } => {
+                    let rows = u32::try_from(result.rows).unwrap_or(u32::MAX);
+                    result_frame(c.request_id, from_cache, rows, &result.csv)
+                }
+                JobStatus::Failed(msg) => error_frame(c.request_id, E_FAILED, &one_line(&msg)),
+                // Watchers only fire on terminal states.
+                JobStatus::Queued | JobStatus::Running => continue,
+            };
+            self.push_frame(c.token, reply);
         }
         self.drain_parked();
     }
@@ -1213,62 +1003,6 @@ impl Reactor {
         }
     }
 
-    /// Dispatches one complete legacy request through the shared
-    /// line-protocol dispatch.
-    fn handle_legacy(&mut self, token: u64, raw: Vec<u8>) {
-        let engine = Arc::clone(&self.engine);
-        let line_end = raw
-            .iter()
-            .position(|&b| b == b'\n')
-            .map(|i| i + 1)
-            .unwrap_or(raw.len());
-        let (line_bytes, rest) = raw.split_at(line_end);
-        let mut line_vec = line_bytes.to_vec();
-        while matches!(line_vec.last(), Some(&(b'\n' | b'\r'))) {
-            line_vec.pop();
-        }
-        let Ok(line) = String::from_utf8(line_vec) else {
-            // The strict reader of the blocking path treats non-UTF-8
-            // as a transport error and drops the connection; match it.
-            self.close_conn(token);
-            return;
-        };
-        let mut payload = io::Cursor::new(rest);
-        match dispatch_legacy(&engine, &line, &mut payload, Some(&self.wire)) {
-            Ok(LegacyOutcome::Reply(bytes)) => self.push_bytes(token, bytes),
-            Ok(LegacyOutcome::Close(bytes)) => {
-                self.push_bytes(token, bytes);
-                self.set_close(token);
-            }
-            Ok(LegacyOutcome::Wait(id)) => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.legacy_waiting = true;
-                }
-                let queue = Arc::clone(&self.completions);
-                let subscribed = engine.on_finish(id, move |job, status| {
-                    queue.push(Completion {
-                        token,
-                        request_id: 0,
-                        job,
-                        kind: CompletionKind::LegacyWait,
-                        status,
-                    });
-                });
-                if let Err(e) = subscribed {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.legacy_waiting = false;
-                    }
-                    self.push_bytes(token, render_wait_reply(Err(e.to_string())));
-                }
-            }
-            // The scanner guaranteed a complete request, so an I/O
-            // error here means the payload was internally inconsistent
-            // beyond recovery; drop the connection like the blocking
-            // path would.
-            Err(_) => self.close_conn(token),
-        }
-    }
-
     /// Closes connections idle past the read timeout with nothing in
     /// flight (in-flight work exempts a connection: the timer guards
     /// slots against idle peers, not against slow jobs).
@@ -1276,12 +1010,11 @@ impl Reactor {
         let Some(timeout) = self.cfg.read_timeout else {
             return;
         };
-        let mut idle: Vec<(u64, bool)> = Vec::new();
+        let mut idle: Vec<u64> = Vec::new();
         for (&token, conn) in self.conns.iter_mut() {
             let quiet = !conn.close_after_flush
                 && conn.inflight.is_empty()
                 && conn.parked.is_empty()
-                && !conn.legacy_waiting
                 && conn.last_activity.elapsed() >= timeout;
             if !quiet {
                 conn.idle_strikes = 0;
@@ -1295,18 +1028,14 @@ impl Reactor {
             // only a peer quiet across consecutive sweeps is treated
             // as gone.
             if conn.idle_strikes >= 2 {
-                idle.push((token, matches!(conn.mode, Mode::Framed)));
+                idle.push(token);
             }
         }
-        for (token, framed) in idle {
-            if framed {
-                self.push_frame(
-                    token,
-                    error_frame(0, E_TIMEOUT, "idle timeout; closing connection"),
-                );
-            } else {
-                self.push_bytes(token, b"ERR idle timeout; closing connection\n".to_vec());
-            }
+        for token in idle {
+            self.push_frame(
+                token,
+                error_frame(0, E_TIMEOUT, "idle timeout; closing connection"),
+            );
             self.set_close(token);
         }
     }
@@ -1318,15 +1047,6 @@ impl Reactor {
         };
         encode_frame(&mut conn.outbuf, &frame);
         self.wire.frames_out.fetch_add(1, Ordering::Relaxed);
-        self.touched.push(token);
-    }
-
-    /// Appends raw legacy-protocol response bytes.
-    fn push_bytes(&mut self, token: u64, bytes: Vec<u8>) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        conn.outbuf.extend_from_slice(&bytes);
         self.touched.push(token);
     }
 
@@ -1448,48 +1168,6 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn legacy_scan_one_line_commands() {
-        let mut scan = LegacyScan::default();
-        assert_eq!(scan.advance(b"PING"), Ok(None));
-        assert_eq!(scan.advance(b"PING\nSTATS\n"), Ok(Some(5)));
-    }
-
-    #[test]
-    fn legacy_scan_sectioned_request_incrementally() {
-        let req = b"SUBMIT epsilon=1\nHIERARCHY 2\na\nb\nEND\n";
-        let mut scan = LegacyScan::default();
-        // Feed byte by byte: the scanner must never re-consume lines.
-        for cut in 0..req.len() {
-            assert_eq!(scan.advance(&req[..cut]), Ok(None), "cut at {cut}");
-        }
-        assert_eq!(scan.advance(req), Ok(Some(req.len())));
-    }
-
-    #[test]
-    fn legacy_scan_rejects_bad_section_headers() {
-        let mut scan = LegacyScan::default();
-        let err = scan
-            .advance(b"SUBMIT epsilon=1\nHIERARCHY lots\n")
-            .unwrap_err();
-        assert!(err.contains("unparseable section header"), "{err}");
-
-        let mut scan = LegacyScan::default();
-        let err = scan.advance(b"PREPARE\nGROUPS 99999999999\n").unwrap_err();
-        assert!(err.contains("declares"), "{err}");
-    }
-
-    #[test]
-    fn legacy_scan_handles_pipelined_requests() {
-        let buf = b"PING\nSTATS\n";
-        let mut scan = LegacyScan::default();
-        let first = scan.advance(buf).unwrap().unwrap();
-        assert_eq!(first, 5);
-        // Caller drains the consumed prefix and resets the scanner.
-        let mut scan = LegacyScan::default();
-        assert_eq!(scan.advance(&buf[first..]), Ok(Some(6)));
-    }
 
     #[test]
     fn clamp_u16_saturates() {

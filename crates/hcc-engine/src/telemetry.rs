@@ -1012,8 +1012,6 @@ pub struct WireStats {
     pub frames_out: AtomicU64,
     /// BUSY backpressure frames sent (load shed to a framed client).
     pub backpressure: AtomicU64,
-    /// Connections auto-detected as legacy line-protocol speakers.
-    pub legacy_connections: AtomicU64,
     /// Framed requests currently parked awaiting an engine queue slot
     /// or lane quota (gauge).
     pub parked: AtomicU64,
@@ -1031,7 +1029,6 @@ impl WireStats {
             frames_in: self.frames_in.load(Ordering::Relaxed),
             frames_out: self.frames_out.load(Ordering::Relaxed),
             backpressure: self.backpressure.load(Ordering::Relaxed),
-            legacy_connections: self.legacy_connections.load(Ordering::Relaxed),
             parked: self.parked.load(Ordering::Relaxed),
         }
     }
@@ -1056,8 +1053,6 @@ pub struct WireSnapshot {
     pub frames_out: u64,
     /// BUSY backpressure frames sent.
     pub backpressure: u64,
-    /// Connections served via legacy line-protocol auto-detection.
-    pub legacy_connections: u64,
     /// Requests currently parked for admission.
     pub parked: u64,
 }
@@ -1067,7 +1062,7 @@ impl WireSnapshot {
     /// reactor appends this to the engine's `METRICS` payload.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(1024);
-        let counters: [(&str, &str, u64); 8] = [
+        let counters: [(&str, &str, u64); 7] = [
             (
                 "hcc_wire_connections_accepted_total",
                 "Connections accepted by the reactor",
@@ -1102,11 +1097,6 @@ impl WireSnapshot {
                 "hcc_wire_backpressure_total",
                 "BUSY backpressure frames sent",
                 self.backpressure,
-            ),
-            (
-                "hcc_wire_legacy_connections_total",
-                "Connections auto-detected as legacy line protocol",
-                self.legacy_connections,
             ),
         ];
         for (name, help, value) in counters {

@@ -7,8 +7,8 @@
 //! hierarchy (and even more so an ε-sweep) spent its time in the
 //! allocator rather than in arithmetic. An [`EstimatorWorkspace`]
 //! owns those buffers; one workspace per worker thread, reused across
-//! every node of a subtree task and — through a [`WorkspacePool`] —
-//! across jobs, keeps the hot loop in cache-resident storage with no
+//! every node it estimates (the engine's workers keep theirs across
+//! jobs), keeps the hot loop in cache-resident storage with no
 //! steady-state allocations.
 //!
 //! **Determinism.** Buffer reuse never changes results: every buffer
@@ -19,13 +19,11 @@
 //! `hcc-engine` pins this: releases through warm workspaces hash
 //! identically to the seed pipeline's.
 
-use std::sync::Mutex;
-
 use hcc_isotonic::PavL1Workspace;
 use hcc_noise::GeometricMechanism;
 
 /// Scratch buffers for one estimation worker. Create once per thread
-/// (or check out of a [`WorkspacePool`]) and pass to
+/// and pass to
 /// [`Estimator::estimate_in`](crate::Estimator::estimate_in) for
 /// every node.
 #[derive(Default)]
@@ -79,73 +77,9 @@ impl EstimatorWorkspace {
     }
 }
 
-/// A small shared pool of [`EstimatorWorkspace`]s, used by a serving
-/// engine to carry warmed-up buffers **across jobs**: a worker checks
-/// one out at the start of a release, reuses it for every node it
-/// estimates, and restores it afterwards.
-///
-/// The pool never grows beyond the peak number of concurrent
-/// checkouts (one per engine worker × intra-job thread), because
-/// [`WorkspacePool::restore`] only returns what
-/// [`WorkspacePool::checkout`] handed out.
-#[derive(Default)]
-pub struct WorkspacePool {
-    idle: Mutex<Vec<EstimatorWorkspace>>,
-}
-
-impl WorkspacePool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes an idle workspace, or creates a fresh one when all are
-    /// in use (the buffers warm up on first release).
-    pub fn checkout(&self) -> EstimatorWorkspace {
-        self.idle
-            .lock()
-            .expect("workspace pool lock poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Returns a workspace for later reuse, buffers kept warm.
-    pub fn restore(&self, ws: EstimatorWorkspace) {
-        self.idle
-            .lock()
-            .expect("workspace pool lock poisoned")
-            .push(ws);
-    }
-
-    /// Number of idle workspaces currently held.
-    pub fn idle_len(&self) -> usize {
-        self.idle
-            .lock()
-            .expect("workspace pool lock poisoned")
-            .len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn checkout_restore_recycles_buffers() {
-        let pool = WorkspacePool::new();
-        assert_eq!(pool.idle_len(), 0);
-        let mut ws = pool.checkout();
-        ws.cum.reserve(1024);
-        let warmed = ws.cum.capacity();
-        pool.restore(ws);
-        assert_eq!(pool.idle_len(), 1);
-        let ws = pool.checkout();
-        assert!(
-            ws.cum.capacity() >= warmed,
-            "restored workspace must keep its warm buffers"
-        );
-        assert_eq!(pool.idle_len(), 0);
-    }
 
     #[test]
     fn mechanism_is_rebuilt_only_when_its_key_changes() {
@@ -158,15 +92,5 @@ mod tests {
         // A one-ULP change of ε is a different key.
         let m = cached_mechanism(&mut slot, 0.25 + f64::EPSILON, 2.0);
         assert_eq!(m.epsilon().to_bits(), (0.25 + f64::EPSILON).to_bits());
-    }
-
-    #[test]
-    fn concurrent_checkouts_get_distinct_workspaces() {
-        let pool = WorkspacePool::new();
-        let a = pool.checkout();
-        let b = pool.checkout();
-        pool.restore(a);
-        pool.restore(b);
-        assert_eq!(pool.idle_len(), 2);
     }
 }

@@ -184,12 +184,12 @@ fn panic_policy_false_positives() {
 #[test]
 fn panic_policy_out_of_scope_file_is_ignored() {
     let (findings, _) = lint_as(
-        "crates/hcc-engine/src/exec.rs",
+        "crates/hcc-engine/src/client.rs",
         include_str!("fixtures/panic_bad.rs"),
     );
     assert!(
         findings.iter().all(|f| f.rule != "panic-policy"),
-        "exec.rs is not a server/worker connection path: {findings:?}"
+        "client.rs is not a server/worker connection path: {findings:?}"
     );
 }
 

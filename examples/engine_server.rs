@@ -1,6 +1,6 @@
 //! Serving releases: boot the hcc-engine worker pool, expose it over
-//! loopback TCP, and drive it with the bundled client — the same
-//! wire round-trip `hcc serve` / `hcc submit` perform.
+//! loopback TCP, and drive it with the bundled framed client — the
+//! same wire round-trip `hcc serve` / `hcc submit` perform.
 //!
 //! ```sh
 //! cargo run --example engine_server
@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use hccount::engine::{protocol::SubmitParams, serve, Client, Engine, EngineConfig};
+use hccount::engine::{protocol::SubmitParams, serve, Engine, EngineConfig, MuxClient};
 
 fn main() -> std::io::Result<()> {
     // A tiny two-state census: the tables a client would read from
@@ -24,8 +24,8 @@ fn main() -> std::io::Result<()> {
     let server = serve(Arc::new(engine), "127.0.0.1:0")?;
     println!("engine listening on {}", server.addr());
 
-    // Client side: submit, then block for the release.
-    let mut client = Client::connect(server.addr())?;
+    // Client side: submit and block for the release.
+    let mut client = MuxClient::connect(server.addr())?;
     let params = SubmitParams {
         epsilon: 1.0,
         method: "hc".into(),
@@ -33,24 +33,24 @@ fn main() -> std::io::Result<()> {
         seed: 7,
         handle: None,
     };
-    let id = client
-        .submit(&params, hierarchy_csv, groups_csv, entities_csv)?
-        .expect("submission accepted");
-    println!("submitted {id}, status: {}", client.status(id)?);
-    let release = client.wait(id)?.expect("release succeeded");
+    let release = client
+        .submit_release(&params, hierarchy_csv, groups_csv, entities_csv)?
+        .expect("release succeeded");
     println!("released CSV:\n{}", release.csv);
 
     // ε-sweep workflow: load the tables once into the prepared
     // registry, then sweep a budget grid over the handle — the server
-    // never re-parses the tables and streams each ε as it finishes.
+    // never re-parses the tables, and every point is pipelined on the
+    // one connection.
     let handle = client
         .prepare(hierarchy_csv, groups_csv, entities_csv)?
         .expect("tables accepted");
     println!("prepared {handle}");
-    client.sweep(&params, handle, &[0.5, 1.0, 2.0], |eps, result| {
-        let r = result.expect("sweep point succeeded");
+    for point in client.sweep(&params, handle, &[0.5, 1.0, 2.0])? {
+        let r = point.outcome.expect("sweep point succeeded");
         println!(
-            "eps={eps}: {} rows ({})",
+            "eps={}: {} rows ({})",
+            point.epsilon,
             r.csv.lines().count().saturating_sub(1),
             if r.from_cache {
                 "cache hit"
@@ -58,14 +58,13 @@ fn main() -> std::io::Result<()> {
                 "computed"
             }
         );
-    })?;
+    }
     client.unprepare(handle)?.expect("handle released");
 
     // The same request again — served bit-identically from the cache.
-    let id2 = client
-        .submit(&params, hierarchy_csv, groups_csv, entities_csv)?
-        .expect("submission accepted");
-    let cached = client.wait(id2)?.expect("release succeeded");
+    let cached = client
+        .submit_release(&params, hierarchy_csv, groups_csv, entities_csv)?
+        .expect("release succeeded");
     assert_eq!(cached.csv, release.csv);
     println!(
         "repeat request was a cache {} — {}",

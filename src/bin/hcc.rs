@@ -8,8 +8,9 @@
 //! hcc release  --hierarchy data/hierarchy.csv --groups data/groups.csv \
 //!              --entities data/entities.csv --epsilon 1.0 \
 //!              [--method hc|hc-l2|hg|naive|adaptive] [--bound 100000] [--seed 42] \
-//!              --out release.csv
-//!     runs Algorithm 1 and writes the consistent private release
+//!              [--threads N] --out release.csv
+//!     runs Algorithm 1 on a one-shot N-worker engine and writes the
+//!     consistent private release (the same bytes at every N)
 //!
 //! hcc stats    --hierarchy data/hierarchy.csv --release release.csv \
 //!              [--region NAME]
@@ -18,7 +19,8 @@
 //! hcc stats    --addr 127.0.0.1:7878 [--watch SECS] [--raw]
 //!     fetches the METRICS exposition from a running server and
 //!     renders a live telemetry summary (--raw dumps the Prometheus
-//!     text verbatim; --watch repeats every SECS seconds)
+//!     text verbatim; --watch repeats every SECS seconds, on a fresh
+//!     connection each time)
 //!
 //! hcc trace    --addr 127.0.0.1:7878 --out trace.json
 //!     drains the server's span recorder (requires `hcc serve
@@ -31,15 +33,12 @@
 //! hcc serve    --addr 127.0.0.1:7878 --threads 4
 //!     boots the hcc-engine job server (bounded queue, worker pool,
 //!     result cache) and serves release requests over TCP — an epoll
-//!     reactor speaking both the framed protocol and the legacy line
-//!     protocol on one port (--legacy-wire restores the blocking
-//!     thread-per-connection server)
+//!     reactor speaking the framed protocol
 //!
 //! hcc submit   --addr 127.0.0.1:7878 --hierarchy data/hierarchy.csv \
 //!              --groups data/groups.csv --entities data/entities.csv \
 //!              --epsilon 1.0 --out release.csv
 //!     submits one release to a running server and fetches the result
-//!     (framed protocol; --line-protocol uses the legacy text wire)
 //!
 //! hcc prepare  --addr 127.0.0.1:7878 --hierarchy data/hierarchy.csv \
 //!              --groups data/groups.csv --entities data/entities.csv
@@ -69,20 +68,15 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use hccount::consistency::{
-    from_csv as release_from_csv, to_csv as release_to_csv, top_down_release, HierarchicalCounts,
-    TopDownConfig,
-};
+use hccount::consistency::{from_csv as release_from_csv, HierarchicalCounts, TopDownConfig};
 use hccount::core::{emd, size_stats};
 use hccount::data::{Dataset, DatasetKind};
 use hccount::engine::{
-    level_method, protocol::SubmitParams, serve_blocking_with, serve_reactor, Client,
-    DatasetHandle, Engine, EngineConfig, MuxClient, ReactorConfig, RetryPolicy, ServeConfig,
+    level_method, protocol::SubmitParams, serve_reactor, DatasetHandle, Engine, EngineConfig,
+    MuxClient, ReactorConfig, ReleaseRequest, RetryPolicy,
 };
 use hccount::hierarchy::{hierarchy_from_csv, Hierarchy};
 use hccount::tables::CsvLoader;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -137,24 +131,21 @@ const USAGE: &str = "usage:
                [--connections N] [--inflight N] [--bulk-inflight N] [--park N]
                [--store F.hcc (durable dataset store + WAL'd budget ledger)]
                [--budget-cap EPS (per-dataset cumulative ε ceiling)]
-               [--legacy-wire (blocking thread-per-connection server)]
   hcc submit   --addr HOST:PORT --hierarchy F --groups F --entities F --epsilon F
                [--method hc|hc-l2|hg|naive|adaptive] [--bound N] [--seed N] [--out F]
-               [--line-protocol (legacy text wire instead of framed)]
                [--no-retry (fail on the first BUSY shed instead of backing off)]
   hcc prepare  --addr HOST:PORT --hierarchy F --groups F --entities F
   hcc sweep    --addr HOST:PORT --eps F,F,... (--handle ds-HEX | --hierarchy F --groups F --entities F)
                [--method hc|hc-l2|hg|naive|adaptive] [--bound N] [--seed N] [--out-dir DIR]
-               [--line-protocol (sequential text wire instead of pipelined frames)]
                [--no-retry (fail on the first BUSY shed instead of backing off)]
   hcc derive   --addr HOST:PORT --handle ds-HEX --delta F [--append]
   hcc unprepare --addr HOST:PORT --handle ds-HEX
   hcc trace    --addr HOST:PORT [--out F (default stdout)]
 
 environment:
-  HCC_THREADS  default for --threads: estimator parallelism in `release`,
-               worker-pool size in `serve` (a fixed seed gives the same
-               release at every thread count)
+  HCC_THREADS  default for --threads: the engine worker-pool size in
+               `release` and `serve` (a fixed seed gives the same release
+               at every thread count)
   HCC_SCALE, HCC_RUNS, HCC_SEED, HCC_BOUND, HCC_OUT
                experiment-harness knobs honoured by the hcc-bench binaries";
 
@@ -162,7 +153,7 @@ type Opts = HashMap<String, String>;
 
 /// Options that are bare flags (present/absent) rather than
 /// `--key value` pairs.
-const FLAGS: &[&str] = &["append", "raw", "legacy-wire", "line-protocol", "no-retry"];
+const FLAGS: &[&str] = &["append", "raw", "no-retry"];
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut opts = HashMap::new();
@@ -229,14 +220,18 @@ fn load_all(opts: &Opts) -> Result<(Hierarchy, HierarchicalCounts), String> {
     Ok((hierarchy, data))
 }
 
-/// `--no-retry` turns BUSY backpressure into an immediate failure;
-/// the default is the bounded jittered backoff ladder.
-fn retry_policy(opts: &Opts) -> RetryPolicy {
-    if opts.contains_key("no-retry") {
+/// Connects a framed client to `addr`. `--no-retry` turns BUSY
+/// backpressure into an immediate failure; the default is the bounded
+/// jittered backoff ladder.
+fn connect(addr: &str, opts: &Opts) -> Result<MuxClient, String> {
+    let retry = if opts.contains_key("no-retry") {
         RetryPolicy::disabled()
     } else {
         RetryPolicy::default()
-    }
+    };
+    MuxClient::connect(addr)
+        .map(|client| client.with_retry_policy(retry))
+        .map_err(|e| format!("connecting to {addr}: {e}"))
 }
 
 /// Resolves `--threads`, falling back to `HCC_THREADS`, then `default`.
@@ -300,17 +295,18 @@ fn cmd_release(opts: &Opts) -> Result<(), String> {
         bound,
     )?;
     let threads = threads_opt(opts, 1)?;
-    let cfg = TopDownConfig::new(epsilon)
-        .with_method(method)
-        .with_parallelism(threads);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let released =
-        top_down_release(&hierarchy, &data, &cfg, &mut rng).map_err(|e| e.to_string())?;
+    let cfg = TopDownConfig::new(epsilon).with_method(method);
+    // A one-shot engine: the scheduler is the only parallel executor,
+    // and its output is byte-identical at every worker count.
+    let regions = hierarchy.num_nodes();
+    let engine = Engine::start(EngineConfig::default().with_workers(threads));
+    let request = ReleaseRequest::new(Arc::new(hierarchy), Arc::new(data), cfg, seed);
+    let id = engine.submit(request).map_err(|e| e.to_string())?;
+    let (result, _) = engine.wait(id).map_err(|e| e.to_string())?;
     let out = PathBuf::from(required(opts, "out")?);
-    write(&out, &release_to_csv(&hierarchy, &released))?;
+    write(&out, &result.csv)?;
     println!(
-        "released {} regions under ε = {epsilon} ({}) to {}",
-        hierarchy.num_nodes(),
+        "released {regions} regions under ε = {epsilon} ({}) to {}",
         method.name(),
         out.display()
     );
@@ -362,16 +358,19 @@ fn cmd_stats(opts: &Opts) -> Result<(), String> {
 
 /// Live-server telemetry: fetches the `METRICS` exposition and
 /// renders a summary (or dumps it verbatim with `--raw`). `--watch N`
-/// repeats every N seconds on the same connection until killed.
+/// repeats every N seconds until killed, on a fresh connection per
+/// sample so a watch period longer than the server's read timeout
+/// never finds its connection closed as idle.
 fn cmd_stats_server(opts: &Opts) -> Result<(), String> {
     let addr = required(opts, "addr")?;
     let raw = opts.contains_key("raw");
     let watch_secs: u64 = parsed(opts, "watch", 0)?;
-    let mut client = Client::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
     loop {
+        let mut client = connect(addr, opts)?;
         let text = client
             .metrics()
             .map_err(|e| format!("talking to {addr}: {e}"))?;
+        let _ = client.quit();
         if raw {
             print!("{text}");
         } else {
@@ -383,7 +382,6 @@ fn cmd_stats_server(opts: &Opts) -> Result<(), String> {
         println!();
         std::thread::sleep(std::time::Duration::from_secs(watch_secs));
     }
-    let _ = client.quit();
     Ok(())
 }
 
@@ -443,12 +441,11 @@ fn render_metrics_summary(text: &str) -> String {
         get("hcc_trace_spans_dropped_total"),
     ));
     out.push_str(&format!(
-        "wire      conns {} active ({} accepted, {} rejected, {} legacy)  \
+        "wire      conns {} active ({} accepted, {} rejected)  \
          frames {} in / {} out  busy {}  parked {}\n",
         get("hcc_wire_connections_active"),
         get("hcc_wire_connections_accepted_total"),
         get("hcc_wire_connections_rejected_total"),
-        get("hcc_wire_legacy_connections_total"),
         get("hcc_wire_frames_in_total"),
         get("hcc_wire_frames_out_total"),
         get("hcc_wire_backpressure_total"),
@@ -531,7 +528,7 @@ fn render_metrics_summary(text: &str) -> String {
 /// dump is valid but empty.
 fn cmd_trace(opts: &Opts) -> Result<(), String> {
     let addr = required(opts, "addr")?;
-    let mut client = Client::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
+    let mut client = connect(addr, opts)?;
     let spans = client
         .trace()
         .map_err(|e| format!("talking to {addr}: {e}"))?;
@@ -569,7 +566,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let prepared: usize = parsed(opts, "prepared", 16)?;
     let read_timeout_secs: u64 = parsed(opts, "read-timeout", 30)?;
     let trace: usize = parsed(opts, "trace", 0)?;
-    let legacy_wire = opts.contains_key("legacy-wire");
     let inflight: usize = parsed(opts, "inflight", 256)?;
     let bulk_inflight: usize = parsed(opts, "bulk-inflight", 64)?;
     let park: usize = parsed(opts, "park", 64)?;
@@ -617,30 +613,19 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     // `--read-timeout 0` disables the idle disconnect.
     let read_timeout =
         (read_timeout_secs > 0).then(|| std::time::Duration::from_secs(read_timeout_secs));
-    let handle = if legacy_wire {
-        let serve_cfg = ServeConfig::default()
-            .with_read_timeout(read_timeout)
-            .with_max_connections(connections.max(1));
-        serve_blocking_with(Arc::new(engine), addr, serve_cfg)
-    } else {
-        let reactor_cfg = ReactorConfig::default()
-            .with_read_timeout(read_timeout)
-            .with_max_connections(connections.max(1))
-            .with_interactive_inflight(inflight.max(1))
-            .with_bulk_inflight(bulk_inflight.max(1))
-            .with_park_capacity(park);
-        serve_reactor(Arc::new(engine), addr, reactor_cfg)
-    }
-    .map_err(|e| format!("binding {addr}: {e}"))?;
+    let reactor_cfg = ReactorConfig::default()
+        .with_read_timeout(read_timeout)
+        .with_max_connections(connections.max(1))
+        .with_interactive_inflight(inflight.max(1))
+        .with_bulk_inflight(bulk_inflight.max(1))
+        .with_park_capacity(park);
+    let handle = serve_reactor(Arc::new(engine), addr, reactor_cfg)
+        .map_err(|e| format!("binding {addr}: {e}"))?;
     println!(
-        "hcc-engine listening on {} ({} wire, {workers} workers, queue {queue}, cache {cache}, \
-         prepared {prepared}, read timeout {}, trace {})",
+        "hcc-engine listening on {} ({workers} workers, queue {queue}, cache {cache}, \
+         prepared {prepared}, lanes {inflight}/{bulk_inflight}, park {park}, \
+         read timeout {}, trace {})",
         handle.addr(),
-        if legacy_wire {
-            "blocking legacy".to_string()
-        } else {
-            format!("reactor, lanes {inflight}/{bulk_inflight} park {park}")
-        },
         if read_timeout_secs > 0 {
             format!("{read_timeout_secs}s")
         } else {
@@ -659,8 +644,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
 }
 
 /// Client mode: submits one release request to a running `hcc serve`
-/// and downloads the result. Speaks the framed protocol by default;
-/// `--line-protocol` falls back to the legacy text wire.
+/// and downloads the result.
 fn cmd_submit(opts: &Opts) -> Result<(), String> {
     let addr = required(opts, "addr")?;
     let params = SubmitParams {
@@ -678,38 +662,18 @@ fn cmd_submit(opts: &Opts) -> Result<(), String> {
     let groups_csv = read(required(opts, "groups")?)?;
     let entities_csv = read(required(opts, "entities")?)?;
 
-    let io = |e: std::io::Error| format!("talking to {addr}: {e}");
-    let (label, release) = if opts.contains_key("line-protocol") {
-        let mut client = Client::connect(addr)
-            .map_err(|e| format!("connecting to {addr}: {e}"))?
-            .with_retry_policy(retry_policy(opts));
-        let id = client
-            .submit(&params, &hierarchy_csv, &groups_csv, &entities_csv)
-            .map_err(io)?
-            .map_err(|e| format!("server rejected the request: {e}"))?;
-        let release = client
-            .wait(id)
-            .map_err(io)?
-            .map_err(|e| format!("{id} failed: {e}"))?;
-        let _ = client.quit();
-        (id.to_string(), release)
-    } else {
-        let mut client = MuxClient::connect(addr)
-            .map_err(|e| format!("connecting to {addr}: {e}"))?
-            .with_retry_policy(retry_policy(opts));
-        let release = client
-            .submit_release(&params, &hierarchy_csv, &groups_csv, &entities_csv)
-            .map_err(io)?
-            .map_err(|e| format!("server rejected the request: {e}"))?;
-        let _ = client.quit();
-        ("submitted".to_string(), release)
-    };
+    let mut client = connect(addr, opts)?;
+    let release = client
+        .submit_release(&params, &hierarchy_csv, &groups_csv, &entities_csv)
+        .map_err(|e| format!("talking to {addr}: {e}"))?
+        .map_err(|e| format!("server rejected the request: {e}"))?;
+    let _ = client.quit();
     match opts.get("out") {
         Some(out) => {
             let out = PathBuf::from(out);
             write(&out, &release.csv)?;
             println!(
-                "{label}: {} rows ({}) written to {}",
+                "submitted: {} rows ({}) written to {}",
                 release.csv.lines().count().saturating_sub(1),
                 if release.from_cache {
                     "cache hit"
@@ -731,7 +695,7 @@ fn cmd_prepare(opts: &Opts) -> Result<(), String> {
     let hierarchy_csv = read(required(opts, "hierarchy")?)?;
     let groups_csv = read(required(opts, "groups")?)?;
     let entities_csv = read(required(opts, "entities")?)?;
-    let mut client = Client::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
+    let mut client = connect(addr, opts)?;
     let handle = client
         .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
         .map_err(|e| format!("talking to {addr}: {e}"))?
@@ -750,7 +714,7 @@ fn cmd_derive(opts: &Opts) -> Result<(), String> {
     let delta = hccount::data::DatasetDelta::from_csv(&read(delta_path)?)
         .map_err(|e| format!("{delta_path}: {e}"))?;
     let append = opts.contains_key("append");
-    let mut client = Client::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
+    let mut client = connect(addr, opts)?;
     let io_err = |e: std::io::Error| format!("talking to {addr}: {e}");
     let derived = if append {
         client.append(parent, &delta)
@@ -776,7 +740,7 @@ fn cmd_derive(opts: &Opts) -> Result<(), String> {
 fn cmd_unprepare(opts: &Opts) -> Result<(), String> {
     let addr = required(opts, "addr")?;
     let handle: DatasetHandle = required(opts, "handle")?.parse()?;
-    let mut client = Client::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
+    let mut client = connect(addr, opts)?;
     let refs = client
         .unprepare(handle)
         .map_err(|e| format!("talking to {addr}: {e}"))?
@@ -790,9 +754,9 @@ fn cmd_unprepare(opts: &Opts) -> Result<(), String> {
 /// connection. With table paths instead of `--handle`, prepares them
 /// first (and unprepares on the way out). Each release is written to
 /// `--out-dir/release-eps-<ε>.csv` when given; otherwise only the
-/// per-ε summary lines are printed. The default wire is the framed
-/// protocol with every grid point pipelined up front;
-/// `--line-protocol` falls back to the legacy sequential text wire.
+/// per-ε summary lines are printed. Every grid point is pipelined up
+/// front on one connection; the server computes them concurrently and
+/// the responses come back matched by request id.
 fn cmd_sweep(opts: &Opts) -> Result<(), String> {
     let addr = required(opts, "addr")?;
     let eps_tokens: Vec<String> = required(opts, "eps")?
@@ -825,8 +789,7 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
     let mut failures = 0usize;
     let mut write_err: Option<String> = None;
     let mut point = 0usize;
-    // Shared per-point reporting for both wire protocols. The token is
-    // positional — value-matching would alias distinct tokens that
+    // Per-point reporting. The token is positional — value-matching would alias distinct tokens that
     // parse equal (`--eps 1,1.0`) and silently skip an output file.
     let mut on_point = |epsilon: f64, result: Result<hccount::engine::FetchedRelease, String>| {
         let token = eps_tokens
@@ -868,61 +831,29 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
         }
     };
 
-    if opts.contains_key("line-protocol") {
-        let mut client = Client::connect(addr)
-            .map_err(|e| format!("connecting to {addr}: {e}"))?
-            .with_retry_policy(retry_policy(opts));
-        let (handle, auto_prepared) = match opts.get("handle") {
-            Some(h) => (h.parse::<DatasetHandle>()?, false),
-            None => {
-                let hierarchy_csv = read(required(opts, "hierarchy")?)?;
-                let groups_csv = read(required(opts, "groups")?)?;
-                let entities_csv = read(required(opts, "entities")?)?;
-                let handle = client
-                    .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
-                    .map_err(io_err)?
-                    .map_err(|e| format!("server rejected the tables: {e}"))?;
-                println!("prepared {handle}");
-                (handle, true)
-            }
-        };
-        client
-            .sweep(&base, handle, &epsilons, &mut on_point)
-            .map_err(io_err)?;
-        if auto_prepared {
-            let _ = client.unprepare(handle);
+    let mut client = connect(addr, opts)?;
+    let (handle, auto_prepared) = match opts.get("handle") {
+        Some(h) => (h.parse::<DatasetHandle>()?, false),
+        None => {
+            let hierarchy_csv = read(required(opts, "hierarchy")?)?;
+            let groups_csv = read(required(opts, "groups")?)?;
+            let entities_csv = read(required(opts, "entities")?)?;
+            let handle = client
+                .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
+                .map_err(io_err)?
+                .map_err(|e| format!("server rejected the tables: {e}"))?;
+            println!("prepared {handle}");
+            (handle, true)
         }
-        let _ = client.quit();
-    } else {
-        // Framed wire: every grid point is pipelined up front on one
-        // connection; the server computes them concurrently and the
-        // responses come back matched by request id.
-        let mut client = MuxClient::connect(addr)
-            .map_err(|e| format!("connecting to {addr}: {e}"))?
-            .with_retry_policy(retry_policy(opts));
-        let (handle, auto_prepared) = match opts.get("handle") {
-            Some(h) => (h.parse::<DatasetHandle>()?, false),
-            None => {
-                let hierarchy_csv = read(required(opts, "hierarchy")?)?;
-                let groups_csv = read(required(opts, "groups")?)?;
-                let entities_csv = read(required(opts, "entities")?)?;
-                let handle = client
-                    .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
-                    .map_err(io_err)?
-                    .map_err(|e| format!("server rejected the tables: {e}"))?;
-                println!("prepared {handle}");
-                (handle, true)
-            }
-        };
-        let points = client.sweep(&base, handle, &epsilons).map_err(io_err)?;
-        for p in points {
-            on_point(p.epsilon, p.outcome);
-        }
-        if auto_prepared {
-            let _ = client.unprepare(handle);
-        }
-        let _ = client.quit();
+    };
+    let points = client.sweep(&base, handle, &epsilons).map_err(io_err)?;
+    for p in points {
+        on_point(p.epsilon, p.outcome);
     }
+    if auto_prepared {
+        let _ = client.unprepare(handle);
+    }
+    let _ = client.quit();
 
     if let Some(e) = write_err {
         return Err(e);

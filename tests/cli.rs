@@ -185,6 +185,76 @@ fn serve_and_submit_roundtrip() {
     );
 }
 
+/// `hcc stats --watch N` samples on a fresh connection each time, so a
+/// watch period longer than the server's read timeout keeps printing
+/// instead of dying on a connection the idle sweep closed. `hcc trace`
+/// works against the same server.
+#[test]
+fn stats_watch_outlives_the_read_timeout() {
+    use std::io::BufRead;
+    use std::time::Duration;
+
+    let mut server = hcc()
+        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "1"])
+        .args(["--read-timeout", "1"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut banner = String::new();
+    std::io::BufReader::new(server.stdout.as_mut().unwrap())
+        .read_line(&mut banner)
+        .unwrap();
+    let addr = banner
+        .split_whitespace()
+        .find(|w| w.starts_with("127.0.0.1:"))
+        .unwrap_or_else(|| panic!("no address in banner {banner:?}"))
+        .to_string();
+
+    let out = hcc().args(["trace", "--addr", &addr]).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("traceEvents"));
+
+    let mut watch = hcc()
+        .args(["stats", "--addr", &addr, "--watch", "3"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    // Lines arrive on a channel so a stuck or dead watcher fails the
+    // test instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let stdout = watch.stdout.take().unwrap();
+    std::thread::spawn(move || {
+        for line in std::io::BufReader::new(stdout).lines() {
+            let Ok(line) = line else { break };
+            if tx.send(line).is_err() {
+                break;
+            }
+        }
+    });
+    let mut summaries = 0;
+    while summaries < 2 {
+        match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(line) => summaries += usize::from(line.starts_with("jobs ")),
+            Err(_) => break,
+        }
+    }
+    let _ = watch.kill();
+    let status = watch.wait().unwrap();
+    let mut stderr = String::new();
+    let _ = std::io::Read::read_to_string(&mut watch.stderr.take().unwrap(), &mut stderr);
+    let _ = server.kill();
+    let _ = server.wait();
+    assert_eq!(
+        summaries, 2,
+        "watch stopped after {summaries} summary(ies) ({status}): {stderr}"
+    );
+}
+
 /// Boots `hcc serve`, loads the tables once with `hcc prepare`, runs
 /// an ε grid with `hcc sweep` over the handle, and checks every sweep
 /// point is byte-identical to a direct `hcc release` with the same

@@ -1,6 +1,7 @@
 //! Integration tests of the `hcc-engine` subsystem: multi-worker
 //! byte-identity with the direct library call, and the TCP server
-//! driven end-to-end over a loopback connection.
+//! driven end-to-end over a loopback connection with the framed
+//! client.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -8,9 +9,13 @@ use std::time::Duration;
 use hccount::consistency::{to_csv, top_down_release, LevelMethod, TopDownConfig};
 use hccount::data::{Dataset, DatasetKind};
 use hccount::data::{DatasetDelta, DeltaOp};
+use hccount::engine::protocol::frame::{
+    self, parse_error, read_frame, Frame, DEFAULT_MAX_FRAME, E_REJECTED, E_TIMEOUT, T_ERROR,
+    T_HELLO, T_HELLO_OK, T_PING, T_PONG,
+};
 use hccount::engine::{
-    protocol::SubmitParams, serve, serve_with, Client, DatasetHandle, Engine, EngineConfig,
-    EngineError, JobStatus, ReleaseRequest, ServeConfig,
+    protocol::SubmitParams, serve, serve_reactor, DatasetHandle, Engine, EngineConfig, EngineError,
+    JobStatus, MuxClient, ReactorConfig, ReleaseRequest,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,8 +69,34 @@ fn tables(ds: &Dataset) -> (String, String, String) {
     ds.to_csv_tables()
 }
 
-/// Acceptance criterion: submit → poll → fetch over a real loopback
-/// TCP connection.
+/// A raw framed connection past its `HELLO`, for requests the typed
+/// client cannot express (a malformed handle).
+fn raw_framed(addr: std::net::SocketAddr) -> std::net::TcpStream {
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    frame::write_frame(&mut stream, &Frame::empty(T_HELLO, 1)).unwrap();
+    let hello = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!(hello.ftype, T_HELLO_OK);
+    stream
+}
+
+/// Sends `request` then a `PING` on a raw framed connection and
+/// asserts the request is refused with an error frame naming `needle`
+/// while the `PONG` still arrives: the connection survives.
+fn assert_refused_then_pong(addr: std::net::SocketAddr, request: Frame, needle: &str) {
+    let mut stream = raw_framed(addr);
+    let rid = request.request_id;
+    frame::write_frame(&mut stream, &request).unwrap();
+    frame::write_frame(&mut stream, &Frame::empty(T_PING, rid + 1)).unwrap();
+    let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!((reply.ftype, reply.request_id), (T_ERROR, rid));
+    let (_, msg) = parse_error(&reply.payload);
+    assert!(msg.contains(needle), "{msg}");
+    let pong = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!((pong.ftype, pong.request_id), (T_PONG, rid + 1));
+}
+
+/// Acceptance criterion: submit → result over a real loopback TCP
+/// connection, then the same request again from the cache.
 #[test]
 fn serve_end_to_end_over_loopback() {
     let ds = dataset();
@@ -81,7 +112,7 @@ fn serve_end_to_end_over_loopback() {
 
     let engine = Engine::start(EngineConfig::default().with_workers(2));
     let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = MuxClient::connect(handle.addr()).unwrap();
     assert!(client.ping().unwrap());
 
     let params = SubmitParams {
@@ -91,35 +122,20 @@ fn serve_end_to_end_over_loopback() {
         seed: 7,
         handle: None,
     };
-    let id = client
-        .submit(&params, &hierarchy_csv, &groups_csv, &entities_csv)
+    // The released bytes must match the direct library call (the
+    // server round-trips CSV losslessly).
+    let fetched = client
+        .submit_release(&params, &hierarchy_csv, &groups_csv, &entities_csv)
         .unwrap()
         .expect("server accepts a well-formed submission");
-
-    // Poll until done, then fetch; the released bytes must match the
-    // direct library call (the server round-trips CSV losslessly).
-    loop {
-        let status = client.status(id).unwrap();
-        if status.starts_with("DONE") {
-            break;
-        }
-        assert!(
-            status == "QUEUED" || status == "RUNNING",
-            "unexpected status {status:?}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    let fetched = client.fetch(id).unwrap().unwrap();
     assert_eq!(fetched.csv, expected);
     assert!(!fetched.from_cache);
 
-    // A second identical submission is served from the cache; WAIT
-    // both blocks and downloads.
-    let id2 = client
-        .submit(&params, &hierarchy_csv, &groups_csv, &entities_csv)
+    // A second identical submission is served from the cache.
+    let again = client
+        .submit_release(&params, &hierarchy_csv, &groups_csv, &entities_csv)
         .unwrap()
         .unwrap();
-    let again = client.wait(id2).unwrap().unwrap();
     assert_eq!(again.csv, expected);
     assert!(again.from_cache);
 
@@ -141,7 +157,7 @@ fn prepare_sweep_unprepare_over_loopback() {
     let (hierarchy_csv, groups_csv, entities_csv) = tables(&ds);
     let engine = Engine::start(EngineConfig::default().with_workers(2));
     let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = MuxClient::connect(handle.addr()).unwrap();
 
     let ds_handle = client
         .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
@@ -171,38 +187,35 @@ fn prepare_sweep_unprepare_over_loopback() {
         seed: 3,
         handle: None,
     };
-    let inline_id = client
-        .submit(&params, &hierarchy_csv, &groups_csv, &entities_csv)
+    let inline = client
+        .submit_release(&params, &hierarchy_csv, &groups_csv, &entities_csv)
         .unwrap()
         .unwrap();
-    let inline = client.wait(inline_id).unwrap().unwrap();
-    let by_handle_id = client.submit_prepared(&params, ds_handle).unwrap().unwrap();
-    let by_handle = client.wait(by_handle_id).unwrap().unwrap();
+    let by_handle = client.submit_prepared(&params, ds_handle).unwrap().unwrap();
     assert_eq!(inline.csv, by_handle.csv);
     assert!(
         by_handle.from_cache,
         "handle submission must hit the cache entry the inline one filled"
     );
 
-    // ε-sweep over the prepared handle, streamed in grid order.
+    // ε-sweep over the prepared handle, returned in grid order.
     let epsilons = [0.5, 1.0, 2.0];
-    let mut seen = Vec::new();
-    client
-        .sweep(&params, ds_handle, &epsilons, |eps, result| {
-            let release = result.expect("sweep point succeeds");
-            // Every sweep point must match a direct library release
-            // with the same seed.
-            let mut rng = StdRng::seed_from_u64(3);
-            let cfg = TopDownConfig::new(eps).with_method(LevelMethod::Cumulative { bound: 500 });
-            let direct = to_csv(
-                &ds.hierarchy,
-                &top_down_release(&ds.hierarchy, &ds.data, &cfg, &mut rng).unwrap(),
-            );
-            assert_eq!(release.csv, direct, "eps={eps}");
-            seen.push(eps);
-        })
-        .unwrap();
+    let points = client.sweep(&params, ds_handle, &epsilons).unwrap();
+    let seen: Vec<f64> = points.iter().map(|p| p.epsilon).collect();
     assert_eq!(seen, epsilons);
+    for point in points {
+        let release = point.outcome.expect("sweep point succeeds");
+        // Every sweep point must match a direct library release with
+        // the same seed.
+        let mut rng = StdRng::seed_from_u64(3);
+        let cfg =
+            TopDownConfig::new(point.epsilon).with_method(LevelMethod::Cumulative { bound: 500 });
+        let direct = to_csv(
+            &ds.hierarchy,
+            &top_down_release(&ds.hierarchy, &ds.data, &cfg, &mut rng).unwrap(),
+        );
+        assert_eq!(release.csv, direct, "eps={}", point.epsilon);
+    }
 
     // Two references were taken; both must be dropped to free it.
     assert_eq!(client.unprepare(ds_handle).unwrap().unwrap(), 1);
@@ -218,8 +231,8 @@ fn prepare_sweep_unprepare_over_loopback() {
 }
 
 /// A sweep wider than the server's bounded job queue must still
-/// complete: the client drains its oldest in-flight point when the
-/// queue pushes back, preserving grid order.
+/// complete: the reactor parks the points the queue pushes back and
+/// re-admits them as slots free, preserving grid order.
 #[test]
 fn sweep_wider_than_the_queue_backpressures_and_completes() {
     let ds = dataset();
@@ -233,7 +246,7 @@ fn sweep_wider_than_the_queue_backpressures_and_completes() {
             .with_cache_capacity(0),
     );
     let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = MuxClient::connect(handle.addr()).unwrap();
     let ds_handle = client
         .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
         .unwrap()
@@ -243,14 +256,16 @@ fn sweep_wider_than_the_queue_backpressures_and_completes() {
         ..SubmitParams::default()
     };
     let epsilons = [0.5, 0.75, 1.0, 1.5, 2.0];
-    let mut seen = Vec::new();
-    client
-        .sweep(&params, ds_handle, &epsilons, |eps, result| {
-            result.expect("every point completes despite queue pressure");
-            seen.push(eps);
-        })
-        .unwrap();
-    assert_eq!(seen, epsilons, "results stream in grid order");
+    let points = client.sweep(&params, ds_handle, &epsilons).unwrap();
+    for p in &points {
+        assert!(
+            p.outcome.is_ok(),
+            "every point completes despite queue pressure: {:?}",
+            p.outcome
+        );
+    }
+    let seen: Vec<f64> = points.iter().map(|p| p.epsilon).collect();
+    assert_eq!(seen, epsilons, "results return in grid order");
     client.quit().unwrap();
     handle.shutdown();
 }
@@ -264,7 +279,7 @@ fn unknown_and_evicted_handles_over_loopback() {
     // Capacity-1 registry: the second PREPARE evicts the first.
     let engine = Engine::start(EngineConfig::default().with_prepared_capacity(1));
     let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = MuxClient::connect(handle.addr()).unwrap();
     let params = SubmitParams::default();
 
     // Never-prepared handle.
@@ -287,34 +302,24 @@ fn unknown_and_evicted_handles_over_loopback() {
     assert!(err.contains("evicted"), "{err}");
     assert!(client.submit_prepared(&params, b).unwrap().is_ok());
 
-    // Handle + sections on one SUBMIT is malformed (but well-framed,
+    // Handle + tables on one SUBMIT is malformed (but well-framed,
     // so the connection survives).
     let mut p = params.clone();
     p.handle = Some(b);
     let err = client
-        .submit(&p, &hierarchy_csv, &groups_csv, &entities_csv)
+        .submit_release(&p, &hierarchy_csv, &groups_csv, &entities_csv)
         .unwrap()
         .unwrap_err();
     assert!(err.contains("takes no data sections"), "{err}");
     assert!(client.ping().unwrap());
 
-    // Malformed handle on the raw wire: the server rejects it with a
-    // one-line ERR and the connection stays usable.
-    {
-        use std::io::{BufRead, BufReader, Write};
-        use std::net::TcpStream;
-
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        write!(stream, "UNPREPARE nope\nPING\n").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.starts_with("ERR"), "{line:?}");
-        assert!(line.contains("malformed dataset handle"), "{line:?}");
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), "PONG");
-    }
+    // Malformed handle on a raw framed connection: the server rejects
+    // it with an error frame and the connection stays usable.
+    assert_refused_then_pong(
+        handle.addr(),
+        frame::unprepare_frame(2, "nope"),
+        "malformed dataset handle",
+    );
 
     client.quit().unwrap();
     handle.shutdown();
@@ -357,7 +362,7 @@ fn derive_and_append_over_loopback() {
 
     let engine = Engine::start(EngineConfig::default().with_workers(2));
     let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = MuxClient::connect(handle.addr()).unwrap();
     let parent = client
         .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
         .unwrap()
@@ -381,8 +386,7 @@ fn derive_and_append_over_loopback() {
         seed: 17,
         handle: None,
     };
-    let id = client.submit_prepared(&params, derived).unwrap().unwrap();
-    let release = client.wait(id).unwrap().unwrap();
+    let release = client.submit_prepared(&params, derived).unwrap().unwrap();
     let direct = {
         let mut rng = StdRng::seed_from_u64(17);
         let cfg = TopDownConfig::new(1.25).with_method(LevelMethod::Cumulative { bound: 500 });
@@ -412,9 +416,8 @@ fn derive_and_append_over_loopback() {
     assert_eq!(client.unprepare(derived).unwrap().unwrap(), 0);
     assert!(client.submit_prepared(&params, chained).unwrap().is_ok());
 
-    // Bad deltas are one-line rejections that keep the connection:
-    // removing groups that are not there, then a malformed parent
-    // handle (its DELTA section must still be drained).
+    // Bad deltas are rejections that keep the connection: removing
+    // groups that are not there, then a malformed parent handle.
     let bad = DatasetDelta {
         ops: vec![DeltaOp::Remove {
             region: "nowhere".into(),
@@ -428,24 +431,16 @@ fn derive_and_append_over_loopback() {
     // distinguishable unknown-handle rejection.
     let err = client.derive(derived, &append_delta).unwrap().unwrap_err();
     assert!(err.contains("unknown dataset handle"), "{err}");
-    {
-        use std::io::{BufRead, BufReader, Write};
-        use std::net::TcpStream;
-
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        write!(
-            stream,
-            "DERIVE nope\nDELTA 1\nop,region,size,new_size,count\nEND\nPING\n"
-        )
-        .unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("malformed dataset handle"), "{line:?}");
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), "PONG");
-    }
+    assert_refused_then_pong(
+        handle.addr(),
+        frame::derive_frame(
+            2,
+            frame::T_DERIVE,
+            "nope",
+            "op,region,size,new_size,count\n",
+        ),
+        "malformed dataset handle",
+    );
     assert!(client.ping().unwrap());
 
     client.quit().unwrap();
@@ -470,7 +465,7 @@ fn derive_beats_cold_prepare_by_a_wide_margin() {
 
     let engine = Engine::start(EngineConfig::default().with_workers(2));
     let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = MuxClient::connect(handle.addr()).unwrap();
     let parent = client
         .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
         .unwrap()
@@ -504,48 +499,51 @@ fn derive_beats_cold_prepare_by_a_wide_margin() {
 /// subsequent client's submit goes through.
 #[test]
 fn idle_client_no_longer_blocks_a_subsequent_submit() {
-    use std::io::{BufRead, BufReader};
     use std::net::TcpStream;
 
     let ds = dataset();
     let (hierarchy_csv, groups_csv, entities_csv) = tables(&ds);
     let engine = Engine::start(EngineConfig::default().with_workers(1));
-    let handle = serve_with(
+    let handle = serve_reactor(
         Arc::new(engine),
         "127.0.0.1:0",
-        ServeConfig::default()
+        ReactorConfig::default()
             .with_max_connections(1)
             .with_read_timeout(Some(Duration::from_millis(150))),
     )
     .unwrap();
 
     // The idle client takes the only slot and sends nothing.
-    let idle = TcpStream::connect(handle.addr()).unwrap();
-    let mut idle_reader = BufReader::new(idle.try_clone().unwrap());
+    let mut idle = TcpStream::connect(handle.addr()).unwrap();
 
-    // While the slot is held, new clients are turned away with the
-    // busy line (this also proves the slot really was pinned).
-    let mut probe = BufReader::new(TcpStream::connect(handle.addr()).unwrap());
-    let mut line = String::new();
-    probe.read_line(&mut line).unwrap();
-    assert!(line.contains("server busy"), "{line:?}");
+    // While the slot is held, new clients are turned away with a
+    // "server busy" error frame (this also proves the slot really was
+    // pinned).
+    let mut probe = TcpStream::connect(handle.addr()).unwrap();
+    let busy = read_frame(&mut probe, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!((busy.ftype, busy.request_id), (T_ERROR, 0));
+    let (code, msg) = parse_error(&busy.payload);
+    assert_eq!(code, E_REJECTED, "{msg}");
+    assert!(msg.contains("server busy"), "{msg}");
 
     // The idle client is disconnected once the read timeout fires...
-    line.clear();
-    idle_reader.read_line(&mut line).unwrap();
-    assert!(line.contains("idle timeout"), "{line:?}");
-    line.clear();
-    assert_eq!(idle_reader.read_line(&mut line).unwrap(), 0, "closed");
+    let notice = read_frame(&mut idle, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!((notice.ftype, notice.request_id), (T_ERROR, 0));
+    let (code, msg) = parse_error(&notice.payload);
+    assert_eq!(code, E_TIMEOUT, "{msg}");
+    assert!(msg.contains("idle timeout"), "{msg}");
+    let mut rest = Vec::new();
+    std::io::Read::read_to_end(&mut idle, &mut rest).unwrap();
+    assert!(rest.is_empty(), "closed");
 
     // ...freeing the slot: a real client now connects and submits.
-    // The accept loop may need a beat to recycle the slot, so retry
+    // The reactor may need a beat to recycle the slot, so retry
     // connecting briefly.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     let submitted = loop {
-        let mut client = Client::connect(handle.addr()).unwrap();
-        if client.ping().unwrap_or(false) {
-            let id = client
-                .submit(
+        if let Ok(mut client) = MuxClient::connect(handle.addr()) {
+            let release = client
+                .submit_release(
                     &SubmitParams {
                         bound: 500,
                         ..SubmitParams::default()
@@ -556,7 +554,6 @@ fn idle_client_no_longer_blocks_a_subsequent_submit() {
                 )
                 .unwrap()
                 .unwrap();
-            let release = client.wait(id).unwrap().unwrap();
             client.quit().unwrap();
             break release;
         }
@@ -570,17 +567,61 @@ fn idle_client_no_longer_blocks_a_subsequent_submit() {
     handle.shutdown();
 }
 
+/// Runs `sweep` over `ds_handle` on its own connection and, once the
+/// server reports the first completed job, calls `sabotage` from a
+/// second connection while the rest of the grid is still parked.
+/// Returns the sweep's per-point outcomes in grid order.
+fn sweep_with_sabotage(
+    addr: std::net::SocketAddr,
+    ds_handle: DatasetHandle,
+    params: &SubmitParams,
+    epsilons: &[f64],
+    sabotage: impl FnOnce(&mut MuxClient),
+) -> Vec<(f64, Result<usize, String>)> {
+    let mut saboteur = MuxClient::connect(addr).unwrap();
+    let sweeper = {
+        let params = params.clone();
+        let epsilons = epsilons.to_vec();
+        std::thread::spawn(move || {
+            let mut client = MuxClient::connect(addr).unwrap();
+            let points = client.sweep(&params, ds_handle, &epsilons).unwrap();
+            client.quit().unwrap();
+            points
+        })
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    let completed = |stats: String| -> u64 {
+        stats
+            .split_whitespace()
+            .find_map(|kv| kv.strip_prefix("completed="))
+            .and_then(|n| n.parse().ok())
+            .unwrap()
+    };
+    while completed(saboteur.stats().unwrap()) == 0 {
+        assert!(std::time::Instant::now() < deadline, "no point completed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    sabotage(&mut saboteur);
+    saboteur.quit().unwrap();
+    sweeper
+        .join()
+        .unwrap()
+        .into_iter()
+        .map(|p| (p.epsilon, p.outcome.map(|r| r.csv.len())))
+        .collect()
+}
+
 /// Satellite regression: unpreparing (or evicting) a handle while a
-/// sweep streams against it must surface the distinguishable
+/// sweep is in flight against it must surface the distinguishable
 /// re-prepare error on the remaining points — never a hang and never
-/// a wrong result. In-flight points that were accepted before the
-/// unprepare still complete (jobs hold their own `Arc`s).
+/// a wrong result. Points accepted before the unprepare still complete
+/// (jobs hold their own `Arc`s).
 #[test]
 fn unprepare_and_eviction_mid_sweep_fail_cleanly() {
-    // Slow-ish releases (large isotonic bound) so the single worker
-    // is still busy when the third point arrives: the sweep hits the
-    // bounded queue, drains its first point, and our callback pulls
-    // the dataset out from under the rest of the grid.
+    // Slow-ish releases (large isotonic bound) on one worker with one
+    // queue slot: while the first point runs, the reactor parks the
+    // rest of the grid, and the saboteur pulls the dataset out from
+    // under them.
     let ds = Dataset::generate(DatasetKind::Housing, 0.001, 5);
     let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
     let params = SubmitParams {
@@ -588,33 +629,27 @@ fn unprepare_and_eviction_mid_sweep_fail_cleanly() {
         ..SubmitParams::default()
     };
     let epsilons = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0];
-
-    // Scenario 1: UNPREPARE to zero references mid-sweep.
-    {
-        let engine = Engine::start(
+    let engine = |prepared: usize| {
+        Engine::start(
             EngineConfig::default()
                 .with_workers(1)
                 .with_queue_capacity(1)
-                .with_cache_capacity(0),
-        );
-        let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
-        let mut sweeper = Client::connect(handle.addr()).unwrap();
-        let mut saboteur = Client::connect(handle.addr()).unwrap();
-        let ds_handle = sweeper
+                .with_cache_capacity(0)
+                .with_prepared_capacity(prepared),
+        )
+    };
+
+    // Scenario 1: UNPREPARE to zero references mid-sweep.
+    {
+        let handle = serve(Arc::new(engine(16)), "127.0.0.1:0").unwrap();
+        let ds_handle = MuxClient::connect(handle.addr())
+            .unwrap()
             .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
             .unwrap()
             .unwrap();
-        let mut outcomes: Vec<(f64, Result<usize, String>)> = Vec::new();
-        let mut sabotaged = false;
-        sweeper
-            .sweep(&params, ds_handle, &epsilons, |eps, result| {
-                if !sabotaged {
-                    sabotaged = true;
-                    assert_eq!(saboteur.unprepare(ds_handle).unwrap().unwrap(), 0);
-                }
-                outcomes.push((eps, result.map(|r| r.csv.len())));
-            })
-            .unwrap();
+        let outcomes = sweep_with_sabotage(handle.addr(), ds_handle, &params, &epsilons, |c| {
+            assert_eq!(c.unprepare(ds_handle).unwrap().unwrap(), 0);
+        });
         // Grid order and length are preserved even through failures.
         let seen: Vec<f64> = outcomes.iter().map(|(e, _)| *e).collect();
         assert_eq!(seen, epsilons);
@@ -624,15 +659,13 @@ fn unprepare_and_eviction_mid_sweep_fail_cleanly() {
             .collect();
         assert!(
             !failures.is_empty(),
-            "queue pressure must have forced at least one post-unprepare submit"
+            "queue pressure must have parked at least one post-unprepare point"
         );
         for f in &failures {
             assert!(f.contains("unknown dataset handle"), "{f}");
         }
         // Points accepted before the unprepare still completed.
         assert!(outcomes.iter().any(|(_, r)| r.is_ok()));
-        sweeper.quit().unwrap();
-        saboteur.quit().unwrap();
         handle.shutdown();
     }
 
@@ -640,38 +673,22 @@ fn unprepare_and_eviction_mid_sweep_fail_cleanly() {
     // saboteur prepares a different dataset) — the distinguishable
     // "re-prepare" error, not "unknown".
     {
-        let engine = Engine::start(
-            EngineConfig::default()
-                .with_workers(1)
-                .with_queue_capacity(1)
-                .with_cache_capacity(0)
-                .with_prepared_capacity(1),
-        );
-        let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
-        let mut sweeper = Client::connect(handle.addr()).unwrap();
-        let mut saboteur = Client::connect(handle.addr()).unwrap();
-        let ds_handle = sweeper
+        let handle = serve(Arc::new(engine(1)), "127.0.0.1:0").unwrap();
+        let ds_handle = MuxClient::connect(handle.addr())
+            .unwrap()
             .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
             .unwrap()
             .unwrap();
         let other = Dataset::generate(DatasetKind::Housing, 0.001, 6);
         let (h2, g2, e2) = other.to_csv_tables();
-        let mut failures: Vec<String> = Vec::new();
-        let mut successes = 0usize;
-        let mut sabotaged = false;
-        sweeper
-            .sweep(&params, ds_handle, &epsilons, |_, result| {
-                if !sabotaged {
-                    sabotaged = true;
-                    saboteur.prepare(&h2, &g2, &e2).unwrap().unwrap();
-                }
-                match result {
-                    Ok(_) => successes += 1,
-                    Err(e) => failures.push(e),
-                }
-            })
-            .unwrap();
-        assert!(successes >= 1);
+        let outcomes = sweep_with_sabotage(handle.addr(), ds_handle, &params, &epsilons, |c| {
+            c.prepare(&h2, &g2, &e2).unwrap().unwrap();
+        });
+        let failures: Vec<&String> = outcomes
+            .iter()
+            .filter_map(|(_, r)| r.as_ref().err())
+            .collect();
+        assert!(outcomes.iter().any(|(_, r)| r.is_ok()));
         assert!(!failures.is_empty());
         for f in &failures {
             assert!(
@@ -679,31 +696,22 @@ fn unprepare_and_eviction_mid_sweep_fail_cleanly() {
                 "{f}"
             );
         }
-        sweeper.quit().unwrap();
-        saboteur.quit().unwrap();
         handle.shutdown();
     }
 }
 
-/// Malformed wire requests get one-line errors and keep the
-/// connection usable.
+/// Malformed wire requests get error replies and keep the connection
+/// usable.
 #[test]
 fn server_reports_errors_and_survives_them() {
     let engine = Engine::start(EngineConfig::default());
     let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
-
-    // Unknown job.
-    let err = client
-        .fetch(hccount::engine::JobId(404))
-        .unwrap()
-        .unwrap_err();
-    assert!(err.contains("unknown job"), "{err}");
+    let mut client = MuxClient::connect(handle.addr()).unwrap();
 
     // Bad submission: groups referencing a region missing from the
     // hierarchy. The error names the bad region.
     let err = client
-        .submit(
+        .submit_release(
             &SubmitParams::default(),
             "region,parent\nroot,\nva,root\n",
             "g1,nowhere\n",
@@ -713,11 +721,10 @@ fn server_reports_errors_and_survives_them() {
         .unwrap_err();
     assert!(err.contains("nowhere"), "{err}");
 
-    // Bad parameter line: the client has already written the CSV
-    // sections, so the server must drain them before replying — the
-    // connection stays in sync for the next request.
+    // Bad parameter line: the frame boundary is known, so the server
+    // rejects the request and the connection stays in sync.
     let err = client
-        .submit(
+        .submit_release(
             &SubmitParams {
                 epsilon: 0.0,
                 ..SubmitParams::default()
@@ -733,59 +740,6 @@ fn server_reports_errors_and_survives_them() {
     // Connection still works afterwards.
     assert!(client.ping().unwrap());
     client.quit().unwrap();
-    handle.shutdown();
-}
-
-/// Hand-rolled wire requests with broken section framing: a
-/// well-framed unknown section is drained and rejected with the
-/// connection kept; an unparseable header closes the connection
-/// (stale payload must never be parsed as commands).
-#[test]
-fn raw_protocol_framing_errors() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
-
-    let engine = Engine::start(EngineConfig::default());
-    let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
-
-    // Misspelled but well-framed section label: the one payload line
-    // is drained, the submit is rejected, and PING still answers.
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    write!(stream, "SUBMIT epsilon=1\nHIERACHY 1\nroot,\nEND\nPING\n").unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    assert!(line.starts_with("ERR"), "{line:?}");
-    assert!(line.contains("HIERACHY"), "{line:?}");
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    assert_eq!(line.trim(), "PONG");
-
-    // Unparseable section length: framing is lost, so the server
-    // reports once and closes instead of misreading the payload.
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    write!(stream, "SUBMIT epsilon=1\nHIERARCHY x\nroot,\nEND\n").unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    assert!(line.starts_with("ERR"), "{line:?}");
-    line.clear();
-    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
-
-    // Absurd declared section size: rejected before any payload is
-    // buffered, and the connection is closed.
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    write!(stream, "SUBMIT epsilon=1\nHIERARCHY 18446744073709551615\n").unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    assert!(
-        line.starts_with("ERR") && line.contains("limit"),
-        "{line:?}"
-    );
-    line.clear();
-    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
-
     handle.shutdown();
 }
 

@@ -1,12 +1,12 @@
 //! Property test: across random hierarchy shapes, leaf data, seeds,
-//! and level methods, the parallel engine release is bit-identical to
-//! a direct single-threaded `top_down_release` with the same seed.
+//! and level methods, the multi-worker engine release is bit-identical
+//! to a direct single-threaded `top_down_release` with the same seed.
 
 use std::sync::Arc;
 
 use hccount::consistency::{to_csv, top_down_release, LevelMethod, TopDownConfig};
 use hccount::core::CountOfCounts;
-use hccount::engine::{parallel_release, Engine, EngineConfig, ReleaseRequest};
+use hccount::engine::{Engine, EngineConfig, ReleaseRequest};
 use hccount::hierarchy::{Hierarchy, HierarchyBuilder, NodeId};
 use hccount::prelude::HierarchicalCounts;
 use proptest::prelude::*;
@@ -74,19 +74,7 @@ proptest! {
             to_csv(&h, &top_down_release(&h, &data, &cfg, &mut rng).unwrap())
         };
 
-        // The executor alone, at several thread counts.
-        for threads in [1, workers] {
-            let parallel = parallel_release(&h, &data, &cfg, seed, threads).unwrap();
-            prop_assert_eq!(
-                to_csv(&h, &parallel),
-                direct.clone(),
-                "threads={} method={}",
-                threads,
-                cfg.method_for_level(0).name()
-            );
-        }
-
-        // The full engine (queue + pool + cache) on top.
+        // The full engine: queue, work-stealing pool, cache.
         let engine = Engine::start(EngineConfig::default().with_workers(workers));
         let id = engine
             .submit(ReleaseRequest::new(

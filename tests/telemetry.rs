@@ -9,8 +9,8 @@ use std::sync::Arc;
 use hccount::consistency::{LevelMethod, TopDownConfig};
 use hccount::data::{Dataset, DatasetKind};
 use hccount::engine::{
-    chrome_trace_json, protocol::SubmitParams, serve, Client, Engine, EngineConfig, ReleaseRequest,
-    SpanKind,
+    chrome_trace_json, protocol::SubmitParams, serve, Engine, EngineConfig, MuxClient,
+    ReleaseRequest, SpanKind,
 };
 
 fn dataset() -> Dataset {
@@ -149,7 +149,7 @@ fn metrics_exposition_is_well_formed() {
     assert!(hc_count > 0, "Hc workload must record hc-labelled samples");
 }
 
-/// The METRICS and TRACE verbs over a real loopback connection: the
+/// The METRICS and TRACE frames over a real loopback connection: the
 /// client fetches the exposition with live job counters, and TRACE on
 /// a recorder-off server returns a valid empty dump.
 #[test]
@@ -158,7 +158,7 @@ fn metrics_and_trace_over_loopback() {
     let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
     let engine = Engine::start(EngineConfig::default().with_workers(2));
     let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = MuxClient::connect(handle.addr()).unwrap();
 
     let params = SubmitParams {
         epsilon: 1.0,
@@ -167,11 +167,10 @@ fn metrics_and_trace_over_loopback() {
         seed: 7,
         handle: None,
     };
-    let id = client
-        .submit(&params, &hierarchy_csv, &groups_csv, &entities_csv)
+    client
+        .submit_release(&params, &hierarchy_csv, &groups_csv, &entities_csv)
         .unwrap()
-        .expect("server accepts the submission");
-    client.wait(id).unwrap().expect("job completes");
+        .expect("server accepts the submission and the job completes");
 
     let text = client.metrics().unwrap();
     assert!(
@@ -188,6 +187,29 @@ fn metrics_and_trace_over_loopback() {
     let spans = client.trace().unwrap();
     assert!(spans.is_empty(), "recorder off ⇒ no spans, got {spans:?}");
     assert!(client.ping().unwrap(), "connection survives both verbs");
+    client.quit().unwrap();
+    handle.shutdown();
+
+    // With the recorder on, TRACE carries the spans over the wire.
+    let engine = Engine::start(
+        EngineConfig::default()
+            .with_workers(2)
+            .with_trace_capacity(4096),
+    );
+    let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
+    let mut client = MuxClient::connect(handle.addr()).unwrap();
+    client
+        .submit_release(&params, &hierarchy_csv, &groups_csv, &entities_csv)
+        .unwrap()
+        .unwrap();
+    let spans = client.trace().unwrap();
+    assert!(
+        spans.iter().any(|s| s.kind == SpanKind::Task),
+        "a computed release records task spans: {spans:?}"
+    );
+    assert!(chrome_trace_json(&spans).contains("traceEvents"));
+    client.quit().unwrap();
+    handle.shutdown();
 }
 
 /// Acceptance criterion: an 8-job batch at 4 workers with the span

@@ -1,27 +1,33 @@
 //! Integration tests of the event-driven wire path: the epoll reactor
-//! serving the framed multiplexed protocol and the legacy line
-//! protocol on one port.
+//! serving the framed multiplexed protocol.
 //!
 //! The load-bearing claims: (1) results over the framed wire are
-//! byte-identical to the legacy line protocol, (2) a legacy client is
-//! served by the reactor unchanged, (3) many connections multiplex
-//! onto the single reactor thread, (4) admission control sheds with
-//! structured `BUSY` frames instead of stalling, and (5) a version
-//! mismatch is answered with a typed error, never a hang or a panic.
+//! byte-identical to the direct library release, (2) a client that
+//! does not speak the framed protocol gets one typed error and is
+//! closed without disturbing anyone else, (3) many connections
+//! multiplex onto the single reactor thread, (4) admission control
+//! sheds with structured `BUSY` frames instead of stalling, and (5) a
+//! version mismatch is answered with a typed error, never a hang or a
+//! panic.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
+use hccount::consistency::{to_csv, top_down_release, LevelMethod, TopDownConfig};
 use hccount::data::{Dataset, DatasetKind};
 use hccount::engine::protocol::frame::{
     encode_frame, parse_busy, parse_error, read_frame, submit_frame, Frame, B_QUOTA,
-    DEFAULT_MAX_FRAME, E_BUDGET, E_VERSION, T_BUSY, T_ERROR, T_HELLO, T_HELLO_OK, T_RESULT,
+    DEFAULT_MAX_FRAME, E_BUDGET, E_PROTO, E_VERSION, T_BUSY, T_ERROR, T_HELLO, T_HELLO_OK,
+    T_RESULT,
 };
 use hccount::engine::{
-    protocol::SubmitParams, serve_blocking_with, serve_reactor, Client, Engine, EngineConfig,
-    MuxClient, ReactorConfig, RetryPolicy, ServeConfig,
+    protocol::SubmitParams, serve_reactor, Engine, EngineConfig, MuxClient, ReactorConfig,
+    RetryPolicy,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn dataset() -> Dataset {
     Dataset::generate(DatasetKind::Housing, 0.001, 5)
@@ -36,11 +42,11 @@ fn engine(workers: usize) -> Arc<Engine> {
 }
 
 /// Acceptance criterion: a 32-point ε sweep pipelined on one framed
-/// connection returns, point for point, the same bytes the legacy
-/// line protocol returns from a blocking server — the wire is an
-/// encoding, not a second code path with its own numerics.
+/// connection returns, point for point, the bytes of a direct
+/// `top_down_release` with the same seed — the wire is an encoding,
+/// not a second code path with its own numerics.
 #[test]
-fn framed_pipelined_sweep_is_bit_identical_to_the_legacy_wire() {
+fn framed_pipelined_sweep_is_bit_identical_to_the_direct_release() {
     let ds = dataset();
     let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
     let epsilons: Vec<f64> = (1..=32).map(|i| i as f64 / 8.0).collect();
@@ -48,22 +54,6 @@ fn framed_pipelined_sweep_is_bit_identical_to_the_legacy_wire() {
         bound: 500,
         ..SubmitParams::default()
     };
-
-    // Legacy wire, blocking server: the pre-reactor baseline.
-    let blocking = serve_blocking_with(engine(2), "127.0.0.1:0", ServeConfig::default()).unwrap();
-    let mut legacy = Client::connect(blocking.addr()).unwrap();
-    let handle = legacy
-        .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
-        .unwrap()
-        .unwrap();
-    let mut baseline: Vec<String> = Vec::new();
-    legacy
-        .sweep(&base, handle, &epsilons, |_, result| {
-            baseline.push(result.unwrap().csv);
-        })
-        .unwrap();
-    legacy.quit().unwrap();
-    blocking.shutdown();
 
     // Framed wire, reactor server: every point pipelined up front.
     let reactor = serve_reactor(engine(2), "127.0.0.1:0", ReactorConfig::default()).unwrap();
@@ -76,62 +66,80 @@ fn framed_pipelined_sweep_is_bit_identical_to_the_legacy_wire() {
     mux.quit().unwrap();
     reactor.shutdown();
 
-    assert_eq!(points.len(), baseline.len());
-    for (i, (point, expected)) in points.iter().zip(&baseline).enumerate() {
+    assert_eq!(points.len(), epsilons.len());
+    for (i, (point, &eps)) in points.iter().zip(&epsilons).enumerate() {
+        let cfg = TopDownConfig::new(eps).with_method(LevelMethod::Cumulative { bound: 500 });
+        let mut rng = StdRng::seed_from_u64(base.seed);
+        let direct = to_csv(
+            &ds.hierarchy,
+            &top_down_release(&ds.hierarchy, &ds.data, &cfg, &mut rng).unwrap(),
+        );
         let csv = &point.outcome.as_ref().unwrap().csv;
         assert_eq!(
-            csv, expected,
-            "ε grid point {i} differs between the framed and legacy wires"
+            csv, &direct,
+            "ε grid point {i} differs between the framed wire and the direct release"
         );
     }
 }
 
-/// Satellite regression: a legacy line-protocol client pointed at the
-/// reactor (first byte is ASCII, not the frame magic) gets the exact
-/// bytes the old blocking server produced, and the reactor counts the
-/// legacy connection in its wire telemetry.
+/// Satellite regression: a client speaking a text line protocol
+/// (first byte is ASCII, not the frame magic) gets exactly one
+/// `E_PROTO` error frame and is closed, while a framed client
+/// connected at the same time is unaffected.
 #[test]
-fn legacy_client_is_served_by_the_reactor_unchanged() {
+fn line_protocol_client_gets_one_proto_error_and_is_closed() {
     let ds = dataset();
     let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
-    let params = SubmitParams {
-        bound: 500,
-        ..SubmitParams::default()
-    };
-
-    let run = |addr: std::net::SocketAddr| -> String {
-        let mut client = Client::connect(addr).unwrap();
-        assert!(client.ping().unwrap());
-        let id = client
-            .submit(&params, &hierarchy_csv, &groups_csv, &entities_csv)
-            .unwrap()
-            .unwrap();
-        let release = client.wait(id).unwrap().unwrap();
-        client.quit().unwrap();
-        release.csv
-    };
-
-    let blocking = serve_blocking_with(engine(1), "127.0.0.1:0", ServeConfig::default()).unwrap();
-    let expected = run(blocking.addr());
-    blocking.shutdown();
-
     let reactor = serve_reactor(engine(1), "127.0.0.1:0", ReactorConfig::default()).unwrap();
-    let got = run(reactor.addr());
-    assert_eq!(got, expected, "reactor changed the legacy wire's bytes");
+    let mut mux = MuxClient::connect(reactor.addr()).unwrap();
 
-    // The auto-detected legacy connection shows up in wire telemetry.
-    let mut client = Client::connect(reactor.addr()).unwrap();
-    let metrics = client.metrics().unwrap();
-    let legacy_total = metrics
-        .lines()
-        .find_map(|l| l.strip_prefix("hcc_wire_legacy_connections_total "))
-        .and_then(|v| v.trim().parse::<u64>().ok())
+    let mut text = TcpStream::connect(reactor.addr()).unwrap();
+    text.write_all(b"PING\n").unwrap();
+    let reply = read_frame(&mut text, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!((reply.ftype, reply.request_id), (T_ERROR, 0));
+    let (code, msg) = parse_error(&reply.payload);
+    assert_eq!(code, E_PROTO, "{msg}");
+    assert!(msg.contains("magic"), "{msg}");
+    let mut rest = Vec::new();
+    text.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "exactly one frame, then close: {rest:?}");
+
+    assert!(mux.ping().unwrap());
+    let release = mux
+        .submit_release(
+            &SubmitParams {
+                bound: 500,
+                ..SubmitParams::default()
+            },
+            &hierarchy_csv,
+            &groups_csv,
+            &entities_csv,
+        )
+        .unwrap()
         .unwrap();
-    assert!(
-        legacy_total >= 2,
-        "legacy connections uncounted: {legacy_total}"
-    );
-    client.quit().unwrap();
+    assert!(release.csv.starts_with("region,level,size,count"));
+    mux.quit().unwrap();
+    reactor.shutdown();
+}
+
+/// Satellite regression: the server's idle-timeout notice (a
+/// request-id-0 `ERROR` frame sent just before it closes the
+/// connection) reaches the caller as an error carrying the server's
+/// message, not as an anonymous EOF.
+#[test]
+fn idle_timeout_notice_surfaces_as_the_client_error() {
+    let reactor = serve_reactor(
+        engine(1),
+        "127.0.0.1:0",
+        ReactorConfig::default().with_read_timeout(Some(Duration::from_millis(100))),
+    )
+    .unwrap();
+    let mut mux = MuxClient::connect(reactor.addr()).unwrap();
+    // The idle sweep runs every 500 ms and closes on its second
+    // strike, so 2.5 s of silence is past the close with margin.
+    std::thread::sleep(Duration::from_millis(2_500));
+    let err = mux.ping().unwrap_err();
+    assert!(err.to_string().contains("idle timeout"), "{err}");
     reactor.shutdown();
 }
 
@@ -329,12 +337,11 @@ fn busy_sheds_are_retried_with_bounded_backoff() {
 }
 
 /// Tentpole acceptance: a submit pushing a dataset's cumulative ε
-/// past `--budget-cap` is refused with a *typed* budget error on both
-/// wires — `E_BUDGET` on the framed protocol, the stable `budget:`
-/// token on the legacy line protocol — and the refusal is not
-/// retryable backpressure.
+/// past `--budget-cap` is refused with the *typed* `E_BUDGET` error —
+/// inline or by handle, since both key the ledger by the same content
+/// digest — and the refusal is not retryable backpressure.
 #[test]
-fn budget_cap_refusal_is_typed_on_both_wires() {
+fn budget_cap_refusal_is_typed_for_inline_and_handle_submits() {
     let ds = dataset();
     let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
     let engine = Arc::new(Engine::start(
@@ -346,7 +353,7 @@ fn budget_cap_refusal_is_typed_on_both_wires() {
         ..SubmitParams::default()
     };
 
-    // Spend ε=2.0 of the 2.5 cap over the framed wire.
+    // Spend ε=2.0 of the 2.5 cap.
     let mut mux = MuxClient::connect(reactor.addr()).unwrap();
     let handle = mux
         .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
@@ -360,9 +367,8 @@ fn budget_cap_refusal_is_typed_on_both_wires() {
         };
         mux.submit_prepared(&params, handle).unwrap().unwrap();
     }
-    mux.quit().unwrap();
 
-    // Framed wire: the refusal frame carries the E_BUDGET code.
+    // Both submission forms are refused with the E_BUDGET code.
     let mut stream = TcpStream::connect(reactor.addr()).unwrap();
     let mut out = Vec::new();
     encode_frame(&mut out, &Frame::empty(T_HELLO, 1));
@@ -371,54 +377,45 @@ fn budget_cap_refusal_is_typed_on_both_wires() {
         read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap().ftype,
         T_HELLO_OK
     );
-    let params = SubmitParams {
+    let tables = [
+        hierarchy_csv.as_str(),
+        groups_csv.as_str(),
+        entities_csv.as_str(),
+    ];
+    let by_handle = SubmitParams {
         epsilon: 1.0,
         seed: 44,
         handle: Some(handle),
         ..base.clone()
     };
+    let inline = SubmitParams {
+        epsilon: 1.0,
+        seed: 45,
+        ..base.clone()
+    };
     let mut out = Vec::new();
-    encode_frame(&mut out, &submit_frame(2, &params, None, false));
+    encode_frame(&mut out, &submit_frame(2, &by_handle, None, false));
+    encode_frame(&mut out, &submit_frame(3, &inline, Some(tables), false));
     stream.write_all(&out).unwrap();
-    let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
-    assert_eq!((reply.ftype, reply.request_id), (T_ERROR, 2));
-    let (code, msg) = parse_error(&reply.payload);
-    assert_eq!(code, E_BUDGET, "{msg}");
-    assert!(msg.contains("privacy budget exhausted"), "{msg}");
+    for rid in [2, 3] {
+        let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!((reply.ftype, reply.request_id), (T_ERROR, rid));
+        let (code, msg) = parse_error(&reply.payload);
+        assert_eq!(code, E_BUDGET, "{msg}");
+        assert!(msg.contains("privacy budget exhausted"), "{msg}");
+    }
 
-    // Legacy wire (same port, auto-detected): the stable `budget:`
-    // token leads the rejection, distinct from retryable `busy:`.
-    let mut legacy = Client::connect(reactor.addr()).unwrap();
-    let refused = legacy
-        .submit_prepared(
-            &SubmitParams {
-                epsilon: 1.0,
-                seed: 45,
-                ..base.clone()
-            },
-            handle,
-        )
-        .unwrap()
-        .unwrap_err();
-    assert!(
-        refused.starts_with(hccount::engine::protocol::BUDGET),
-        "{refused}"
+    // An under-cap point on the same client still works: the refusals
+    // poisoned nothing.
+    let ok = mux.submit_prepared(
+        &SubmitParams {
+            epsilon: 0.25,
+            seed: 46,
+            ..base.clone()
+        },
+        handle,
     );
-    assert!(!refused.starts_with(hccount::engine::protocol::BUSY));
-    // An under-cap point on the same connection still works: the
-    // refusal poisoned nothing.
-    let ok = legacy
-        .submit_prepared(
-            &SubmitParams {
-                epsilon: 0.25,
-                seed: 46,
-                ..base.clone()
-            },
-            handle,
-        )
-        .unwrap();
-    let id = ok.unwrap();
-    legacy.wait(id).unwrap().unwrap();
-    legacy.quit().unwrap();
+    ok.unwrap().unwrap();
+    mux.quit().unwrap();
     reactor.shutdown();
 }
