@@ -1,14 +1,15 @@
 //! Criterion micro-benchmarks for the performance-critical kernels:
 //! the isotonic solvers (both losses), Algorithm 2's run-length
 //! matching (against the dense expansion it replaces), EMD, the noise
-//! samplers, and the end-to-end top-down release.
+//! samplers, the per-node `Hc` kernel, and the end-to-end top-down
+//! release.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hcc_consistency::matching_dense::match_groups_dense_from_runs;
 use hcc_consistency::{match_groups, top_down_release, LevelMethod, TopDownConfig};
 use hcc_core::{emd, CountOfCounts};
 use hcc_data::{housing, HousingConfig};
-use hcc_estimators::VarianceRun;
+use hcc_estimators::{CumulativeEstimator, Estimator, EstimatorWorkspace, VarianceRun};
 use hcc_isotonic::{
     anchored_cumulative, isotonic_l1, isotonic_l1_weighted, isotonic_l2, project_simplex,
     CumulativeLoss,
@@ -211,6 +212,29 @@ fn bench_isotonic_l1_old_vs_new(c: &mut Criterion) {
             b.iter(|| isotonic_l1_with(black_box(y), &mut ws))
         });
     }
+    g.finish();
+}
+
+/// The `Hc` kernel on one node of `K + 1 = 20 001` cells (the
+/// national release's bound), per cell: one streaming pass that draws
+/// each cumulative cell, clamps it to `[0, G]` and pushes it into the
+/// slope-trick heap, then the backward pass that emits the estimate.
+/// The node's shape follows the housing fixture's root: `G` in the
+/// thousands, sizes far below the bound, ε of one level of four.
+/// (perfbench's `hc_stage.*` metrics time the staged replica instead.)
+fn bench_hc_stage(c: &mut Criterion) {
+    const BOUND: u64 = 20_000;
+    let mut g = c.benchmark_group("hc_stage");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(BOUND + 1));
+    let hist = CountOfCounts::from_group_sizes((0..2_500u64).map(|i| 1 + (i * 7_919) % 14));
+    let groups = hist.num_groups();
+    let est = CumulativeEstimator::new(BOUND);
+    let mut ws = EstimatorWorkspace::new();
+    let mut rng = StdRng::seed_from_u64(12);
+    g.bench_function("fused", |b| {
+        b.iter(|| est.estimate_in(black_box(&hist), groups, 0.25, &mut rng, &mut ws))
+    });
     g.finish();
 }
 
@@ -437,6 +461,7 @@ criterion_group!(
     bench_emd,
     bench_noise,
     bench_noise_fill,
+    bench_hc_stage,
     bench_end_to_end,
     bench_engine,
     bench_engine_sweep,

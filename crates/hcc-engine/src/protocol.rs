@@ -101,6 +101,14 @@ pub fn level_method(method: &str, bound: u64) -> Result<LevelMethod, String> {
     }
 }
 
+/// Largest public group-size bound `K` a `SUBMIT` may name (ten times
+/// the default). Every `Hc`, naive and adaptive node estimate works
+/// through `K + 1` cells, so the limit caps the per-node work and
+/// scratch memory one request can demand of every worker. Submits
+/// outside `1..=MAX_BOUND` are refused before admission, so they
+/// spend no privacy budget.
+pub const MAX_BOUND: u64 = 1_000_000;
+
 /// The release parameters carried on a `SUBMIT` line.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SubmitParams {
@@ -109,7 +117,7 @@ pub struct SubmitParams {
     /// Estimator selection: `hc`, `hc-l2`, `hg`, `naive`, or
     /// `adaptive`.
     pub method: String,
-    /// Public group-size bound `K`.
+    /// Public group-size bound `K`, in `1..=`[`MAX_BOUND`].
     pub bound: u64,
     /// Master RNG seed.
     pub seed: u64,

@@ -17,7 +17,7 @@ use hcc_consistency::{HierarchicalCounts, TopDownConfig};
 use hcc_hierarchy::{hierarchy_from_csv, Hierarchy};
 use hcc_tables::CsvLoader;
 
-use crate::protocol::{level_method, SubmitParams};
+use crate::protocol::{level_method, SubmitParams, MAX_BOUND};
 use crate::reactor::ReactorConfig;
 use crate::telemetry::{WireSnapshot, WireStats};
 use crate::Engine;
@@ -110,7 +110,11 @@ pub(crate) fn load_dataset(
 }
 
 /// Builds the release configuration a request's parameters describe.
+/// Runs before admission, so a refused request is never charged.
 pub(crate) fn submit_config(params: &SubmitParams) -> Result<TopDownConfig, String> {
+    if !(1..=MAX_BOUND).contains(&params.bound) {
+        return Err(format!("bound {} is outside 1..={MAX_BOUND}", params.bound));
+    }
     let method = level_method(&params.method, params.bound)?;
     Ok(TopDownConfig::new(params.epsilon).with_method(method))
 }

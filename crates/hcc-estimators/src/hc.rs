@@ -2,6 +2,7 @@
 
 use hcc_core::CountOfCounts;
 use hcc_isotonic::{anchored_cumulative_into, CumulativeLoss};
+use hcc_noise::GeometricMechanism;
 use rand::Rng;
 
 use crate::estimate::VarianceRun;
@@ -63,36 +64,92 @@ impl Estimator for CumulativeEstimator {
         ws: &mut EstimatorWorkspace,
     ) -> NodeEstimate {
         debug_assert_eq!(hist.num_groups(), g, "public G must match the data");
-        // Every dense step runs in workspace buffers: true cumulative
-        // view (no truncated-histogram clone), noise (same per-cell
-        // draw order as `privatize_vec`), anchored isotonic fit. Only
-        // the run-length outputs below allocate, and those are
-        // O(distinct sizes), not O(bound).
-        hist.to_cumulative_into(self.bound, &mut ws.cum);
         let mech = cached_mechanism(&mut ws.mech, epsilon, Self::SENSITIVITY);
-        mech.privatize_into(&ws.cum, &mut ws.noisy, rng);
-        anchored_cumulative_into(
-            &ws.noisy,
-            g,
-            self.loss,
-            &mut ws.pav,
-            &mut ws.values,
-            &mut ws.fitted,
-        );
-        // Differencing the fitted cumulative yields the estimated
-        // histogram's non-zero cells in increasing size order —
-        // exactly `est.to_unattributed().runs()` of the seed path.
-        let mut runs: Vec<VarianceRun> = Vec::new();
-        let mut prev = 0u64;
-        for (size, &cell) in ws.fitted.iter().enumerate() {
-            // Checked: the fit is non-decreasing by construction, but
-            // the seed path validated this at runtime
-            // (`Cumulative::from_vec`) and a wrap here would flow a
-            // garbage count silently into the release.
-            let count = cell
-                .checked_sub(prev)
-                .expect("anchored cumulative fit must be non-decreasing");
-            prev = cell;
+        let g_cell = i64::try_from(g).expect("group count exceeds i64::MAX");
+        let cells = cumulative_cells(hist, self.bound);
+        match self.loss {
+            CumulativeLoss::L1 => {
+                // One pass: each cell is drawn, clamped to [0, G] and
+                // pushed into the slope trick. Clamping commutes with
+                // the fit, so this is the clamped fit of the noisy
+                // cells. The anchor cell enters as G, at or above
+                // every other cell, so it pins the last fitted cell to
+                // G and leaves the rest alone.
+                let mut pass = ws.pav.begin(0, g_cell);
+                pass.extend(mech.privatize_iter(cells, rng));
+                spend_anchor_draw(mech, rng);
+                pass.push(g_cell);
+                variance_runs(pass.finish().runs_rev(), epsilon)
+            }
+            CumulativeLoss::L2 => {
+                ws.noisy.clear();
+                ws.noisy.extend(mech.privatize_iter(cells, rng));
+                spend_anchor_draw(mech, rng);
+                ws.noisy.push(g_cell);
+                anchored_cumulative_into(
+                    &ws.noisy,
+                    g,
+                    self.loss,
+                    &mut ws.pav,
+                    &mut ws.values,
+                    &mut ws.fitted,
+                );
+                let mut end = ws.fitted.len();
+                let runs = ws.fitted.chunk_by(|a, b| a == b).rev().map(|run| {
+                    end -= run.len();
+                    (end, run[0] as i64)
+                });
+                variance_runs(runs, epsilon)
+            }
+        }
+    }
+}
+
+/// The true cumulative cells `Hc[0..K]` of `hist`, below the anchor
+/// cell `K`: the running sums of the counts, then constant at the
+/// total once the counts run out. They equal `to_cumulative_into`'s
+/// cells without the dense buffer, and the noise draw reads them as
+/// `i64`s, as `privatize_into` converts them.
+fn cumulative_cells(hist: &CountOfCounts, bound: u64) -> impl Iterator<Item = i64> + '_ {
+    let k = usize::try_from(bound).expect("bound too large");
+    let counts = hist.as_slice();
+    // Every cell is at most the total, so one check covers them all.
+    let total = counts
+        .iter()
+        .try_fold(0u64, |acc, &c| acc.checked_add(c))
+        .expect("cumulative histogram total overflows u64");
+    let total = i64::try_from(total).expect("count exceeds i64::MAX");
+    let head = &counts[..counts.len().min(k)];
+    let mut acc = 0i64;
+    let rising = head.iter().map(move |&c| {
+        acc += c as i64;
+        acc
+    });
+    rising.chain(std::iter::repeat_n(total, k - head.len()))
+}
+
+/// The anchor cell `K` is fixed to the public `G`, yet releases are
+/// pinned to one draw per cell including it (sizes above `K` fold onto
+/// it), so the stream spends that draw to keep every later draw in
+/// place.
+fn spend_anchor_draw<R: Rng + ?Sized>(mech: &GeometricMechanism, rng: &mut R) {
+    let _ = mech.distribution().sample(rng);
+}
+
+/// Differences a fitted cumulative histogram, given as its maximal
+/// constant runs from last to first (`(start, value)`, values strictly
+/// decreasing), into the estimate's non-zero counts: each run rises at
+/// its start above the run before it, the first one from zero.
+fn variance_runs(runs_rev: impl Iterator<Item = (usize, i64)>, epsilon: f64) -> NodeEstimate {
+    let mut runs = Vec::new();
+    let mut above: Option<(usize, i64)> = None;
+    // The trailing (0, 0) is the zero below the first run.
+    for (start, value) in runs_rev.chain([(0, 0)]) {
+        if let Some((size, upper)) = above {
+            // Checked: a wrap here would flow a garbage count silently
+            // into the release.
+            let count = u64::try_from(upper - value)
+                .expect("fitted cumulative cells must be non-decreasing");
             if count > 0 {
                 runs.push(VarianceRun {
                     size: size as u64,
@@ -101,8 +158,11 @@ impl Estimator for CumulativeEstimator {
                 });
             }
         }
-        NodeEstimate::from_variance_runs(runs)
+        above = Some((start, value));
     }
+    // Sizes came last to first.
+    runs.reverse();
+    NodeEstimate::from_variance_runs(runs)
 }
 
 #[cfg(test)]

@@ -1,22 +1,29 @@
 //! Reusable per-worker scratch buffers for the estimation hot path.
 //!
-//! The `Hc` pipeline privatizes a `bound`-length cumulative histogram
-//! at every hierarchy node: true cumulative view → noisy copy →
-//! isotonic fit → fitted cells. The seed implementation allocated all
-//! four dense vectors afresh per node, so a release over a deep
-//! hierarchy (and even more so an ε-sweep) spent its time in the
-//! allocator rather than in arithmetic. An [`EstimatorWorkspace`]
-//! owns those buffers; one workspace per worker thread, reused across
-//! every node it estimates (the engine's workers keep theirs across
-//! jobs), keeps the hot loop in cache-resident storage with no
+//! The `Hc` method privatizes a `bound`-length cumulative histogram
+//! at every hierarchy node. The seed implementation allocated four
+//! dense vectors afresh per node (true cumulative view → noisy copy →
+//! isotonic fit → fitted cells), so a release over a deep hierarchy
+//! (and even more so an ε-sweep) spent its time in the allocator
+//! rather than in arithmetic. The L1 path now needs none of them: one
+//! streaming pass per node works out each cumulative cell from the
+//! sparse histogram, draws its noise, clamps it to `[0, G]` and
+//! pushes it into the slope-trick heap, and a backward running
+//! minimum over the recorded heap tops emits the estimate's runs. The
+//! clamp moves into the stream because clamping commutes with the L1
+//! isotonic fit: the fit of the clamped cells is the clamped fit. An
+//! [`EstimatorWorkspace`] owns what remains (the heap, its tops, the
+//! `Hg` and `Hc`-L2 buffers); one workspace per worker thread, reused
+//! across every node it estimates (the engine's workers keep theirs
+//! across jobs), keeps the hot loop in cache-resident storage with no
 //! steady-state allocations.
 //!
 //! **Determinism.** Buffer reuse never changes results: every buffer
 //! is fully overwritten (cleared, then written for exactly the
 //! current node's length) before it is read, and the RNG draw order
-//! is untouched — the slice-filling noise entry points draw in
-//! exactly the per-cell order. The golden bit-identity suite in
-//! `hcc-engine` pins this: releases through warm workspaces hash
+//! is untouched — the streaming and slice-filling noise entry points
+//! draw in exactly the per-cell order. The golden bit-identity suite
+//! in `hcc-engine` pins this: releases through warm workspaces hash
 //! identically to the seed pipeline's.
 
 use hcc_isotonic::PavL1Workspace;
@@ -28,16 +35,14 @@ use hcc_noise::GeometricMechanism;
 /// every node.
 #[derive(Default)]
 pub struct EstimatorWorkspace {
-    /// True cumulative view of the node (`Hc`), `bound + 1` cells.
-    pub(crate) cum: Vec<u64>,
-    /// Noisy integer view (`Hc`).
+    /// Noisy integer view (`Hc`-L2, naive).
     pub(crate) noisy: Vec<i64>,
     /// Dense f64 scratch: the `Hg` method's noisy unattributed
     /// vector, and the `Hc`-L2 branch's fitted expansion.
     pub(crate) values: Vec<f64>,
-    /// Fitted cumulative cells (`Hc`).
+    /// Fitted cumulative cells (`Hc`-L2).
     pub(crate) fitted: Vec<u64>,
-    /// L1 isotonic solver state.
+    /// L1 isotonic solver state: the `Hc` kernel's slope-trick heap.
     pub(crate) pav: PavL1Workspace,
     /// The last noise mechanism built, reused while `(ε, Δ)` repeats
     /// (see [`cached_mechanism`]).

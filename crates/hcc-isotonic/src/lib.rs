@@ -16,7 +16,8 @@
 //!   integer fits, matching the paper's observation that "the L1
 //!   version mostly returns integers". Preferred variant for the `Hc`
 //!   method. The hot-path entry point is [`PavL1Workspace`], whose
-//!   retained buffers make repeated solves allocation-free;
+//!   streaming [`L1Pass`] takes each value as it is produced and whose
+//!   retained buffers make repeated passes allocation-free;
 //!   [`isotonic_l1_heap`] is the seed PAV with mergeable median
 //!   blocks, kept as oracle and perf baseline.
 //! * [`project_simplex`] — exact Euclidean projection onto
@@ -41,7 +42,7 @@ pub mod simplex;
 
 pub use anchored::{anchored_cumulative, anchored_cumulative_into, CumulativeLoss};
 pub use fit::{Block, IsotonicFit};
-pub use pav_l1::{isotonic_l1, isotonic_l1_heap, isotonic_l1_with, PavL1Workspace};
+pub use pav_l1::{isotonic_l1, isotonic_l1_heap, isotonic_l1_with, L1Fit, L1Pass, PavL1Workspace};
 pub use pav_l1_weighted::isotonic_l1_weighted;
 pub use pav_l2::{isotonic_l2, isotonic_l2_weighted};
 pub use rounding::{apportion, round_preserving_sum};

@@ -10,80 +10,129 @@
 //!
 //! Two implementations return that same fit:
 //!
-//! * [`PavL1Workspace::solve`] — the hot-path solver, the *slope
-//!   trick*. A forward pass keeps a max-heap of the breakpoints of the
-//!   prefix problem's cost function: push `y_i`; if the heap's max
-//!   exceeds `y_i`, pop the max and push `y_i` once more; record the
-//!   max as `top_i`, the smallest optimal last value of the prefix
-//!   ending at `i`. A backward pass then reads the fit off as
+//! * [`PavL1Workspace`] — the hot-path solver, the *slope trick*. A
+//!   forward pass keeps a max-heap of the breakpoints of the prefix
+//!   problem's cost function: push `y_i`; if the heap's max exceeds
+//!   `y_i`, pop the max and push `y_i` once more; record the max as
+//!   `top_i`, the smallest optimal last value of the prefix ending at
+//!   `i`. A backward running minimum then reads the fit off as
 //!   `x_{n−1} = top_{n−1}`, `x_i = min(x_{i+1}, top_i)`. Taking the
 //!   *smallest* minimiser everywhere is what lower-median pooling
 //!   does, so the reconstruction equals the lower-median PAV solution
 //!   exactly; the property tests check it against the oracle below.
-//!   The heap is a value-indexed count array (an `O(1)` bucket
+//!   The forward pass streams: [`PavL1Workspace::begin`] opens an
+//!   [`L1Pass`] that clamps its values to `[lo, hi]`,
+//!   [`L1Pass::push`] and `extend` take values as they are produced,
+//!   and [`L1Pass::finish`] hands back the [`L1Fit`], read as its
+//!   maximal constant runs. [`PavL1Workspace::solve`] is that pass
+//!   over a slice, with the box spanning the slice's values. The heap is a value-indexed count array (an `O(1)` bucket
 //!   update per push, plus an occupancy bitmap so a pop finds the
-//!   next maximum by word scans) when the input's values span at most
-//!   2¹⁶, and a `BinaryHeap` otherwise: the input alone picks the
-//!   form. `O(n + span)` or `O(n log n)`, and a warm workspace solves
-//!   without allocating.
+//!   next maximum by word scans) when `[lo, hi]` spans at most 2¹⁶
+//!   values, and a `BinaryHeap` otherwise. `O(n + span)` or
+//!   `O(n log n)`, and a warm workspace runs a pass without
+//!   allocating.
 //! * [`isotonic_l1_heap`] — the seed implementation (PAV with two
 //!   fresh `BinaryHeap`s per input element), kept as the property-test
 //!   oracle and as the perf baseline for the `release_hot_path`
 //!   benchmarks.
+//!
+//! **Monotone maps commute with the fit.** For a non-decreasing `f`,
+//! the fit of `f(y)` is `f` of the fit of `y`: a push compares two
+//! values and keeps the smaller, and a step where `f` merges them
+//! swaps equal `f`-values, so the heap of `f(y)` is `f` of the heap of
+//! `y`, and max and min commute with `f`. Clamping to `[lo, hi]` is
+//! such a map, so fitting clamped input equals clamping the fit. The
+//! `Hc` kernel relies on it to clamp each cell to `[0, G]` as it is
+//! drawn, which also fixes the span before the first value arrives.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::fit::{Block, IsotonicFit};
 
-/// Widest value span (`max − min + 1`) the counting heap takes: 256
-/// KB of `u32` counts to zero per solve, and a pop's scan for the
-/// next maximum reads at most `COUNT_SPAN_MAX / 64` bitmap words.
-/// The `Hc` method's inputs span `G` plus the noise, far below it on
-/// the benchmark hierarchies; wider inputs take the `BinaryHeap`.
-const COUNT_SPAN_MAX: u64 = 1 << 16;
+/// Widest value span (`hi − lo + 1`) the counting heap takes: a pass
+/// zeroes at most 256 KB of `u32` counts, and a pop's scan for the
+/// next maximum reads at most `COUNT_SPAN_MAX / 64` bitmap words. The
+/// `Hc` kernel's span is `G + 1`, far below it on the benchmark
+/// hierarchies; wider passes take the `BinaryHeap`.
+const COUNT_SPAN_MAX: usize = 1 << 16;
 
 /// Reusable state for the L1 solver. One warm workspace per worker
-/// thread makes [`PavL1Workspace::solve`] allocation-free across the
-/// thousands of `bound`-length fits a hierarchical release performs.
+/// thread makes every pass allocation-free across the thousands of
+/// `bound`-length fits a hierarchical release performs.
 #[derive(Default)]
 pub struct PavL1Workspace {
-    /// The forward pass's `top_i`, turned into the fit in place.
+    /// [`PavL1Workspace::solve`]'s fit.
     fit: Vec<i64>,
-    /// Counting heap: multiplicity of value `min + i` at index `i`.
+    /// A counted pass's `top_i`, as offsets from its `lo`, in the
+    /// first entries (as many as the pass took); the rest are stale
+    /// slots a later pass overwrites rather than zeroes.
+    tops: Vec<u32>,
+    /// A `BinaryHeap` pass's `top_i`.
+    wide_tops: Vec<i64>,
+    /// Counting heap: multiplicity of value `lo + i` at index `i`.
+    /// Empty, or a power of two (at least 64) long.
     counts: Vec<u32>,
-    /// Counting heap: bit `i` set iff `counts[i] > 0`.
+    /// Counting heap: bit `i` set iff value `lo + i` is in the heap.
+    /// `counts.len() / 64` long.
     occupied: Vec<u64>,
-    /// The heap for inputs too wide to count.
+    /// The heap for passes too wide to count.
     heap: BinaryHeap<i64>,
 }
 
 impl PavL1Workspace {
     /// An empty workspace; buffers grow on first use and are retained
-    /// for later solves.
+    /// for later passes.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Opens a streaming pass that fits its values clamped to
+    /// `[lo, hi]`: by the clamp lemma (see the module docs), the fit of
+    /// the values clamped to the box. The bounds also pick the heap
+    /// form. Panics if `lo > hi`.
+    pub fn begin(&mut self, lo: i64, hi: i64) -> L1Pass<'_> {
+        assert!(lo <= hi, "empty value range [{lo}, {hi}]");
+        let counted = hi.abs_diff(lo) < COUNT_SPAN_MAX as u64;
+        if counted {
+            let span = hi.abs_diff(lo) as usize + 1;
+            // Power-of-two lengths let a pass mask its indices (see
+            // `push_counted`); buckets past the span are never touched.
+            let len = span.next_power_of_two().max(64);
+            if self.counts.len() < len {
+                self.counts.resize(len, 0);
+                self.occupied.resize(len / 64, 0);
+            }
+            self.counts[..span].fill(0);
+            self.occupied[..span.div_ceil(64)].fill(0);
+        } else {
+            self.heap.clear();
+            self.wide_tops.clear();
+        }
+        L1Pass {
+            ws: self,
+            lo,
+            hi,
+            counted,
+            taken: 0,
+            top: 0,
+            top_count: 0,
+        }
     }
 
     /// Solves `min Σ |x_i − y_i|` over non-decreasing `x`, leaving the
     /// fit readable through [`PavL1Workspace::fit`] until the next
     /// solve.
     pub fn solve(&mut self, y: &[i64]) {
-        self.fit.clear();
-        let (Some(&lo), Some(&hi)) = (y.iter().min(), y.iter().max()) else {
-            return;
-        };
-        // Each element adds at most two counts.
-        if hi.abs_diff(lo) < COUNT_SPAN_MAX && y.len() < (u32::MAX / 2) as usize {
-            self.forward_counting(y, lo, hi.abs_diff(lo) as usize + 1);
+        let mut out = std::mem::take(&mut self.fit);
+        if let (Some(&lo), Some(&hi)) = (y.iter().min(), y.iter().max()) {
+            let mut pass = self.begin(lo, hi);
+            pass.extend(y.iter().copied());
+            pass.finish().values_into(&mut out);
         } else {
-            self.forward_heap(y);
+            out.clear();
         }
-        let mut run = i64::MAX;
-        for x in self.fit.iter_mut().rev() {
-            run = run.min(*x);
-            *x = run;
-        }
+        self.fit = out;
     }
 
     /// The fit of the last solve: one non-decreasing value per input
@@ -91,52 +140,253 @@ impl PavL1Workspace {
     pub fn fit(&self) -> &[i64] {
         &self.fit
     }
+}
 
-    /// Forward pass over a count array indexed by `v − lo`.
-    fn forward_counting(&mut self, y: &[i64], lo: i64, span: usize) {
-        let counts = &mut self.counts;
-        let occupied = &mut self.occupied;
-        counts.clear();
-        counts.resize(span, 0);
-        occupied.clear();
-        occupied.resize(span.div_ceil(64), 0);
-        // The heap's max; the first element always lands at or above
-        // index 0, so the empty heap needs no special case.
-        let mut top = 0usize;
-        for &v in y {
-            let b = v.abs_diff(lo) as usize;
-            // Branch-free on the coin flip of a noisy tail: when v is
-            // below the max, push it twice and pop the max; otherwise
-            // push it once and it becomes the max.
-            let pop = b < top;
-            occupied[b / 64] |= 1 << (b % 64);
-            counts[b] += 1 + u32::from(pop);
-            counts[top] -= u32::from(pop);
-            top = top.max(b);
-            if counts[top] == 0 {
-                occupied[top / 64] &= !(1 << (top % 64));
-                top = highest_set_below(occupied, top);
-            }
-            self.fit.push(lo + top as i64);
+/// One streaming slope-trick pass, opened by
+/// [`PavL1Workspace::begin`] and fed by [`L1Pass::push`] or, for a
+/// whole stream, [`Extend::extend`]. `extend` runs the stream in one
+/// loop that keeps the heap's max in registers; prefer it to a loop
+/// of pushes.
+pub struct L1Pass<'a> {
+    ws: &'a mut PavL1Workspace,
+    lo: i64,
+    hi: i64,
+    /// Counting heap (else `BinaryHeap`).
+    counted: bool,
+    /// Counting heap: values taken so far.
+    taken: usize,
+    /// Counting heap: the max's bucket, and its multiplicity (see
+    /// [`push_counted`]).
+    top: usize,
+    top_count: u32,
+}
+
+impl<'a> L1Pass<'a> {
+    /// Takes the next value, clamped to the pass's `[lo, hi]`, and
+    /// returns `top_i`: the smallest optimal last value of the prefix
+    /// fit so far.
+    pub fn push(&mut self, v: i64) -> i64 {
+        self.extend([v]);
+        if self.counted {
+            self.lo + self.top as i64
+        } else {
+            *self.ws.heap.peek().expect("the heap holds v")
         }
     }
 
-    /// Forward pass over a `BinaryHeap`.
-    fn forward_heap(&mut self, y: &[i64]) {
-        let heap = &mut self.heap;
-        heap.clear();
-        for &v in y {
-            // Replacing a max above v by v, then pushing v, is the
-            // push-pop-push of the slope trick with one sift fewer.
-            if let Some(mut max) = heap.peek_mut() {
-                if *max > v {
-                    *max = v;
+    /// Ends the pass: the fit of every value pushed.
+    pub fn finish(self) -> L1Fit<'a> {
+        let ws: &'a PavL1Workspace = self.ws;
+        let tops = if self.counted {
+            // A bucket gains at most one net count per push.
+            assert!(
+                u32::try_from(self.taken).is_ok(),
+                "a counted pass takes at most u32::MAX values"
+            );
+            Tops::Counted {
+                lo: self.lo,
+                tops: &ws.tops[..self.taken],
+            }
+        } else {
+            Tops::Heap(&ws.wide_tops)
+        };
+        L1Fit { tops }
+    }
+}
+
+impl Extend<i64> for L1Pass<'_> {
+    /// Pushes every value in order, each clamped to the pass's
+    /// `[lo, hi]`.
+    fn extend<I: IntoIterator<Item = i64>>(&mut self, values: I) {
+        let values = values.into_iter();
+        let (lo, hi) = (self.lo, self.hi);
+        let ws = &mut *self.ws;
+        if !self.counted {
+            for v in values {
+                push_heap(&mut ws.heap, &mut ws.wide_tops, v.clamp(lo, hi));
+            }
+            return;
+        }
+        let (counts, occupied, tops) = (&mut ws.counts[..], &mut ws.occupied[..], &mut ws.tops);
+        // Tops are written by index into slots sized from the length
+        // hint, so the loop does not carry the vector's length through
+        // memory; slots left from earlier passes are reused as they
+        // are.
+        let mut n = self.taken;
+        let needed = n + values.size_hint().0;
+        if tops.len() < needed {
+            tops.resize(needed, 0);
+        }
+        // The max lives in locals for the whole loop, not in `self`,
+        // so the loop carries it in registers.
+        let (mut top, mut count) = (self.top, self.top_count);
+        for v in values {
+            let b = v.clamp(lo, hi).abs_diff(lo) as usize;
+            push_counted(counts, occupied, &mut top, &mut count, b);
+            if n == tops.len() {
+                grow(tops);
+            }
+            // `top < COUNT_SPAN_MAX`, so the offset fits.
+            tops[n] = top as u32;
+            n += 1;
+        }
+        (self.taken, self.top, self.top_count) = (n, top, count);
+    }
+}
+
+/// One more slot for a stream longer than its length hint.
+#[cold]
+fn grow(tops: &mut Vec<u32>) {
+    tops.push(0);
+}
+
+/// One counting-heap push of bucket `b`. Invariant: `counts[i]` is
+/// the multiplicity of bucket `i` for every `i ≠ top`, and `count` is
+/// the max bucket's. The max's multiplicity lives in the caller's
+/// register; `counts[top]` is stale while it is the max and is written
+/// back only when a larger value displaces it, so a push never waits
+/// on a count it stored one push earlier.
+#[inline(always)]
+fn push_counted(
+    counts: &mut [u32],
+    occupied: &mut [u64],
+    top: &mut usize,
+    count: &mut u32,
+    b: usize,
+) {
+    // Every bucket index is below the span, so masking with the
+    // power-of-two lengths changes none of them; it lets the compiler
+    // drop the bounds checks.
+    let (mask, word_mask) = (counts.len() - 1, occupied.len() - 1);
+    let (t, c) = (*top, *count);
+    // Below the max, push v twice and pop the max; above it, v becomes
+    // the max with multiplicity 1; equal, the max gains one. Branch-free
+    // on the coin flip of a noisy tail; only the rarer displacement of
+    // the max branches (on a tail clamped to [0, G], which piles up at
+    // G, it stops once the max reaches G).
+    let pop = b < t;
+    counts[b & mask] += 2 * u32::from(pop);
+    occupied[(b / 64) & word_mask] |= 1 << (b % 64);
+    if b > t {
+        // v displaces the max: park its multiplicity in its bucket.
+        counts[t & mask] = c;
+    }
+    *top = t.max(b);
+    *count = if b > t { 1 } else { c + 1 - 2 * u32::from(pop) };
+    if *count == 0 {
+        counts[t] = 0;
+        occupied[t / 64] &= !(1 << (t % 64));
+        *top = highest_set_below(occupied, t);
+        *count = counts[*top];
+    }
+}
+
+/// The fit of a finished [`L1Pass`]: one non-decreasing value per
+/// pushed value, held as the pass's `top_i` and read as the backward
+/// running minimum.
+pub struct L1Fit<'a> {
+    tops: Tops<'a>,
+}
+
+#[derive(Clone, Copy)]
+enum Tops<'a> {
+    Counted { lo: i64, tops: &'a [u32] },
+    Heap(&'a [i64]),
+}
+
+impl<'a> L1Fit<'a> {
+    /// Number of fitted values.
+    pub fn len(&self) -> usize {
+        match self.tops {
+            Tops::Counted { tops, .. } => tops.len(),
+            Tops::Heap(tops) => tops.len(),
+        }
+    }
+
+    /// Whether the pass took no values.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Overwrites `out` with the fitted values, in order: the
+    /// backward running minimum of the tops.
+    fn values_into(&self, out: &mut Vec<i64>) {
+        // Every entry is overwritten below, so only growth is zeroed.
+        out.resize(self.len(), 0);
+        let mut run = i64::MAX;
+        match self.tops {
+            Tops::Counted { lo, tops } => {
+                for (x, &t) in out.iter_mut().zip(tops).rev() {
+                    run = run.min(lo + i64::from(t));
+                    *x = run;
                 }
             }
-            heap.push(v);
-            self.fit.push(heap.peek().copied().unwrap_or(v));
+            Tops::Heap(tops) => {
+                for (x, &t) in out.iter_mut().zip(tops).rev() {
+                    run = run.min(t);
+                    *x = run;
+                }
+            }
         }
     }
+
+    /// The fit's maximal constant runs from last to first, each as
+    /// `(start, value)`: a run covers `start` up to the previous
+    /// run's start (the end of the fit, for the first). Values
+    /// strictly decrease from run to run.
+    pub fn runs_rev(&self) -> impl Iterator<Item = (usize, i64)> + 'a {
+        RunsRev {
+            tops: self.tops,
+            end: self.len(),
+        }
+    }
+}
+
+/// Iterator of [`L1Fit::runs_rev`].
+struct RunsRev<'a> {
+    tops: Tops<'a>,
+    /// The runs from here on are yielded.
+    end: usize,
+}
+
+impl Iterator for RunsRev<'_> {
+    type Item = (usize, i64);
+
+    fn next(&mut self) -> Option<(usize, i64)> {
+        let (start, value) = match self.tops {
+            Tops::Counted { lo, tops } => {
+                let (start, top) = last_run(&tops[..self.end])?;
+                (start, lo + i64::from(top))
+            }
+            Tops::Heap(tops) => last_run(&tops[..self.end])?,
+        };
+        self.end = start;
+        Some((start, value))
+    }
+}
+
+/// The last maximal run of the running minimum from the right, as
+/// `(start, value)`. The fit value at the end is the last top itself
+/// (a run before it ended exactly where a top dropped below it), and
+/// the run reaches back to just after the last smaller top.
+fn last_run<T: Copy + Ord>(tops: &[T]) -> Option<(usize, T)> {
+    let &value = tops.last()?;
+    let start = tops.iter().rposition(|&t| t < value).map_or(0, |i| i + 1);
+    Some((start, value))
+}
+
+/// One `BinaryHeap` push of `v`, recording the new max.
+#[inline(never)]
+fn push_heap(heap: &mut BinaryHeap<i64>, tops: &mut Vec<i64>, v: i64) {
+    // Replacing a max above v by v, then pushing v, is the
+    // push-pop-push of the slope trick with one sift fewer.
+    if let Some(mut max) = heap.peek_mut() {
+        if *max > v {
+            *max = v;
+        }
+    }
+    heap.push(v);
+    tops.push(heap.peek().copied().unwrap_or(v));
 }
 
 /// Index of the highest set bit strictly below `idx`. The caller
@@ -376,8 +626,8 @@ mod tests {
         let narrow = plateau(20_000, 41);
         let mut ws = PavL1Workspace::new();
         ws.solve(&narrow);
-        assert_eq!(ws.counts.len(), 41);
-        assert!(ws.heap.is_empty());
+        assert_eq!(ws.tops.len(), narrow.len());
+        assert!(ws.wide_tops.is_empty());
         assert_eq!(
             isotonic_l1_with(&narrow, &mut ws).values(),
             isotonic_l1_heap(&narrow).values()
@@ -387,7 +637,7 @@ mod tests {
         let mut ws = PavL1Workspace::new();
         ws.solve(&wide);
         assert!(ws.counts.is_empty());
-        assert!(!ws.heap.is_empty());
+        assert_eq!(ws.wide_tops.len(), wide.len());
         assert_eq!(
             isotonic_l1_with(&wide, &mut ws).values(),
             isotonic_l1_heap(&wide).values()
@@ -544,6 +794,45 @@ mod tests {
             for y in [&ties, &hot, &over_cap, &extremes, &one_end] {
                 let fast = isotonic_l1_with(y, &mut ws);
                 prop_assert_eq!(fast.values(), isotonic_l1_heap(y).values());
+            }
+        }
+
+        /// The clamp lemma the `Hc` kernel rests on: for any `y` and
+        /// `lo ≤ hi`, the fit of `y` clamped to `[lo, hi]` is the fit
+        /// of `y`, clamped. Checked through `solve`, whose form follows
+        /// the data (so clamping can switch forms), and through a pass
+        /// over `[lo, hi]` that clamps each value as it takes it, on
+        /// the counting heap (narrow box) and the `BinaryHeap` (a box
+        /// wider than the counting cap).
+        #[test]
+        fn clamp_commutes_with_the_fit(
+            narrow in prop::collection::vec(-3_000i64..3_000, 0..300),
+            wide in prop::collection::vec(-300_000i64..300_000, 0..300),
+            a in -3_500i64..3_500,
+            b in -3_500i64..3_500,
+            c in -320_000i64..-40_000,
+            d in 40_000i64..320_000,
+        ) {
+            let mut ws = PavL1Workspace::new();
+            let boxes = [(a.min(b), a.max(b)), (c, d)];
+            for y in [&narrow, &wide] {
+                for (lo, hi) in boxes {
+                    ws.solve(y);
+                    let clamped_fit: Vec<i64> = ws.fit().iter().map(|&v| v.clamp(lo, hi)).collect();
+                    let clamped: Vec<i64> = y.iter().map(|&v| v.clamp(lo, hi)).collect();
+                    ws.solve(&clamped);
+                    prop_assert_eq!(ws.fit(), &clamped_fit[..]);
+                    let mut pass = ws.begin(lo, hi);
+                    pass.extend(y.iter().copied());
+                    let fit = pass.finish();
+                    let mut streamed = vec![0; fit.len()];
+                    let mut end = fit.len();
+                    for (start, value) in fit.runs_rev() {
+                        streamed[start..end].fill(value);
+                        end = start;
+                    }
+                    prop_assert_eq!(streamed, clamped_fit);
+                }
             }
         }
 

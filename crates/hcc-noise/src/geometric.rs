@@ -24,6 +24,11 @@ const TAIL_BITS: u32 = 20;
 const GUIDE_BITS: u32 = 10;
 const GUIDE_SHIFT: u32 = 53 - GUIDE_BITS;
 
+/// Set on a guide entry whose slice of the grid holds a threshold (or
+/// reaches the `ln` tail): a draw there walks on from the entry's
+/// outcome. Clear, the entry is the draw for its whole slice.
+const WALK: u16 = 1 << 15;
+
 /// The two-sided (double) geometric distribution with parameter
 /// `alpha = e^(−ε/Δ)`:
 ///
@@ -54,9 +59,10 @@ const GUIDE_SHIFT: u32 = 53 - GUIDE_BITS;
 /// `t_k = min { m : g(m) ≥ k }` for `k = 1..=T` (an `expm1` estimate
 /// of `2⁵³·(1 − α^k)`, then a galloping search that evaluates `g`
 /// itself), plus a guide table mapping the top bits of `m` to the
-/// draw at the start of that slice of the grid. A draw is the guide
-/// entry followed by a short walk over the thresholds; `m ≥ t_T`
-/// falls back to evaluating `g(m)`. Every draw is bit-identical to
+/// draw at the start of that slice of the grid. Most slices hold no
+/// threshold, and there the guide entry is the draw; elsewhere a
+/// short walk over the thresholds follows, and `m ≥ t_T` falls back
+/// to evaluating `g(m)`. Every draw is bit-identical to
 /// the `ln` inversion and consumes the same single `u64`, so releases
 /// do not change.
 #[derive(Clone)]
@@ -70,8 +76,9 @@ pub struct DoubleGeometric {
     /// `thresholds[k] = t_k` (`t_0 = 0`); the last entry is `t_T`, or
     /// `2⁵³` when outcome `T` is unreachable on the grid.
     thresholds: Box<[u64]>,
-    /// `guide[b]`: the largest `k ≤ T` with `t_k ≤ b·2^GUIDE_SHIFT`.
-    guide: Box<[u16]>,
+    /// `guide[b]`: the largest `k ≤ T` with `t_k ≤ b·2^GUIDE_SHIFT`,
+    /// flagged [`WALK`] unless every `m` of slice `b` draws `k < T`.
+    guide: Box<[u16; 1 << GUIDE_BITS]>,
 }
 
 impl fmt::Debug for DoubleGeometric {
@@ -130,14 +137,17 @@ impl DoubleGeometric {
         }
         let last = thresholds.len() - 1;
         let mut k = 0;
-        let guide = (0..1u64 << GUIDE_BITS)
+        let guide: Box<[u16]> = (0..1u64 << GUIDE_BITS)
             .map(|b| {
                 while k < last && thresholds[k + 1] <= b << GUIDE_SHIFT {
                     k += 1;
                 }
-                k as u16
+                let whole = k < last && thresholds[k + 1] >= (b + 1) << GUIDE_SHIFT;
+                // k ≤ TABLE_MAX < WALK.
+                k as u16 | if whole { 0 } else { WALK }
             })
             .collect();
+        let guide = guide.try_into().expect("the guide has one entry per slice");
         Self {
             alpha,
             ln_alpha,
@@ -180,17 +190,34 @@ impl DoubleGeometric {
         }
     }
 
-    /// Geometric on {0, 1, 2, …} with `P(g) = (1 − α) α^g`, by table
-    /// lookup of the inversion `floor(ln U / ln α)` (see the type
-    /// docs). α = 0 draws nothing and returns 0.
+    /// Geometric on {0, 1, 2, …} with `P(g) = (1 − α) α^g`. α = 0
+    /// draws nothing and returns 0.
     fn sample_one_sided<R: Rng + ?Sized>(&self, rng: &mut R) -> i64 {
         if self.alpha == 0.0 {
             return 0;
         }
+        self.draw_one_sided(rng)
+    }
+
+    /// The one-sided draw for `α > 0`, by table lookup of the
+    /// inversion `floor(ln U / ln α)` (see the type docs): exactly one
+    /// `next_u64`.
+    #[inline(always)]
+    fn draw_one_sided<R: Rng + ?Sized>(&self, rng: &mut R) -> i64 {
         let m = rng.next_u64() >> 11;
+        let entry = self.guide[(m >> GUIDE_SHIFT) as usize];
+        if entry & WALK == 0 {
+            i64::from(entry)
+        } else {
+            self.walk(usize::from(entry & !WALK), m)
+        }
+    }
+
+    /// The draw for `m` from outcome `k ≤ g(m)` on.
+    #[inline(never)]
+    fn walk(&self, mut k: usize, m: u64) -> i64 {
         let t = &*self.thresholds;
         let last = t.len() - 1;
-        let mut k = usize::from(self.guide[(m >> GUIDE_SHIFT) as usize]);
         while k < last && t[k + 1] <= m {
             k += 1;
         }
@@ -204,7 +231,8 @@ impl DoubleGeometric {
 
 /// The one-sided draw for grid point `m`, by `ln` inversion — the
 /// sampler's defining formula, used for the table's tail and to
-/// build it.
+/// build it. Cold: a draw takes it about once in 2²⁰.
+#[cold]
 fn ln_inversion(ln_alpha: f64, m: u64) -> i64 {
     // U ∈ (0, 1]: `1 − gen::<f64>()` avoids ln(0).
     let u = 1.0 - m as f64 * (1.0 / GRID as f64);
@@ -326,6 +354,29 @@ impl GeometricMechanism {
         values.iter().map(|&v| self.privatize(v, rng)).collect()
     }
 
+    /// Adds noise to every value, lazily: the same draws, in the same
+    /// order and with the same saturating add, as
+    /// [`GeometricMechanism::privatize`] per value. A streaming kernel
+    /// consumes each noisy cell as it is drawn instead of buffering
+    /// the vector. The `α = 0` check (no noise, no draws) is made once
+    /// here rather than per draw.
+    pub fn privatize_iter<'a, I, R>(
+        &'a self,
+        values: I,
+        rng: &'a mut R,
+    ) -> impl Iterator<Item = i64> + 'a
+    where
+        I: IntoIterator<Item = i64>,
+        I::IntoIter: 'a,
+        R: Rng + ?Sized,
+    {
+        Privatized {
+            dist: (self.dist.alpha > 0.0).then_some(&self.dist),
+            values: values.into_iter(),
+            rng,
+        }
+    }
+
     /// [`GeometricMechanism::privatize_vec`] into a caller-owned
     /// buffer (cleared first): same draws in the same order, but the
     /// hot loop reuses one allocation across nodes instead of
@@ -336,11 +387,36 @@ impl GeometricMechanism {
     }
 }
 
+/// The iterator of [`GeometricMechanism::privatize_iter`].
+struct Privatized<'a, I, R: ?Sized> {
+    /// `None` when `α = 0`: the noise is always 0 and draws nothing.
+    dist: Option<&'a DoubleGeometric>,
+    values: I,
+    rng: &'a mut R,
+}
+
+impl<I: Iterator<Item = i64>, R: Rng + ?Sized> Iterator for Privatized<'_, I, R> {
+    type Item = i64;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<i64> {
+        let v = self.values.next()?;
+        Some(match self.dist {
+            Some(d) => v.saturating_add(d.draw_one_sided(self.rng) - d.draw_one_sided(self.rng)),
+            None => v,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.values.size_hint()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     #[should_panic(expected = "epsilon must be positive")]
@@ -487,6 +563,28 @@ mod tests {
         // A second use with fewer values shrinks, not appends.
         m.privatize_into(&values[..10], &mut out, &mut b);
         assert_eq!(out.len(), 10);
+    }
+
+    #[test]
+    fn privatize_iter_matches_privatize_draw_for_draw() {
+        // A heavy tail (`ln` fallback, saturating adds) and α = 0
+        // (no draws at all) included: the stream must leave the RNG
+        // exactly where per-value `privatize` calls leave it.
+        let values: Vec<u64> = vec![0, 5, 1 << 40, i64::MAX as u64, 7];
+        let cells = || values.iter().map(|&v| v as i64);
+        for eps in [0.5, 1e-12, 800.0] {
+            let m = GeometricMechanism::new(eps, 1.0);
+            let mut a = StdRng::seed_from_u64(23);
+            let reference: Vec<i64> = values.iter().map(|&v| m.privatize(v, &mut a)).collect();
+            let mut b = StdRng::seed_from_u64(23);
+            let pulled: Vec<i64> = m.privatize_iter(cells(), &mut b).collect();
+            assert_eq!(pulled, reference, "eps {eps}");
+            assert_eq!(
+                b.next_u64(),
+                a.next_u64(),
+                "eps {eps}: RNG streams diverged"
+            );
+        }
     }
 
     #[test]

@@ -23,8 +23,8 @@ use hccount::engine::protocol::frame::{
     T_RESULT,
 };
 use hccount::engine::{
-    protocol::SubmitParams, serve_reactor, Engine, EngineConfig, MuxClient, ReactorConfig,
-    RetryPolicy,
+    protocol::{SubmitParams, MAX_BOUND},
+    serve_reactor, Engine, EngineConfig, MuxClient, ReactorConfig, RetryPolicy,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -416,6 +416,84 @@ fn budget_cap_refusal_is_typed_for_inline_and_handle_submits() {
         handle,
     );
     ok.unwrap().unwrap();
+    mux.quit().unwrap();
+    reactor.shutdown();
+}
+
+/// A submit whose public bound is zero, or above `MAX_BOUND`, is
+/// refused with a typed `E_PROTO` error before admission: it spends
+/// no budget and reaches no worker. (A zero bound used to be charged
+/// and then panic the worker, so the next valid submit met a budget
+/// that a request without a result had spent.)
+#[test]
+fn out_of_range_bound_is_refused_before_any_budget_is_spent() {
+    let ds = dataset();
+    let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
+    let engine = Arc::new(Engine::start(
+        EngineConfig::default().with_workers(1).with_budget_cap(1.5),
+    ));
+    let reactor = serve_reactor(engine, "127.0.0.1:0", ReactorConfig::default()).unwrap();
+    let mut mux = MuxClient::connect(reactor.addr()).unwrap();
+    let handle = mux
+        .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
+        .unwrap()
+        .unwrap();
+
+    let mut stream = TcpStream::connect(reactor.addr()).unwrap();
+    let mut out = Vec::new();
+    encode_frame(&mut out, &Frame::empty(T_HELLO, 1));
+    stream.write_all(&out).unwrap();
+    assert_eq!(
+        read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap().ftype,
+        T_HELLO_OK
+    );
+    let bad = [(2, "hc", 0), (3, "hg", 0), (4, "hc", MAX_BOUND + 1)];
+    let mut out = Vec::new();
+    for (rid, method, bound) in bad {
+        let params = SubmitParams {
+            epsilon: 1.0,
+            method: method.to_string(),
+            bound,
+            seed: rid,
+            handle: Some(handle),
+        };
+        encode_frame(&mut out, &submit_frame(rid, &params, None, false));
+    }
+    stream.write_all(&out).unwrap();
+    for (rid, _, bound) in bad {
+        let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!((reply.ftype, reply.request_id), (T_ERROR, rid));
+        let (code, msg) = parse_error(&reply.payload);
+        assert_eq!(code, E_PROTO, "{msg}");
+        assert!(msg.contains(&format!("bound {bound} is outside")), "{msg}");
+    }
+
+    // The whole cap is still unspent: ε = 1 fits, with the largest
+    // admitted bound (Hg does not read it, so this stays quick).
+    let full = SubmitParams {
+        epsilon: 1.0,
+        method: "hg".to_string(),
+        bound: MAX_BOUND,
+        seed: 5,
+        handle: None,
+    };
+    mux.submit_prepared(&full, handle).unwrap().unwrap();
+    // The cap still binds what was charged: another ε = 1 is refused.
+    let over = mux
+        .submit_prepared(
+            &SubmitParams {
+                method: "hc".to_string(),
+                bound: 500,
+                seed: 6,
+                ..full
+            },
+            handle,
+        )
+        .unwrap();
+    assert!(
+        over.unwrap_err().contains("privacy budget exhausted"),
+        "the second ε = 1 must exceed the 1.5 cap"
+    );
     mux.quit().unwrap();
     reactor.shutdown();
 }
