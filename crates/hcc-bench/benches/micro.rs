@@ -1,20 +1,19 @@
 //! Criterion micro-benchmarks for the performance-critical kernels:
 //! the isotonic solvers (both losses), Algorithm 2's run-length
-//! matching (against the dense expansion it replaces), EMD, the noise
-//! samplers, the per-node `Hc` kernel, and the end-to-end top-down
-//! release.
+//! matching, EMD, the noise samplers, the per-node `Hc` kernel, and
+//! the engine's cache-hit path. End-to-end releases, ε-sweeps and
+//! dataset derivation are timed by the `perfbench` package
+//! (`national_hc`, `hg_sweep`, `ledger_churn`), not here.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hcc_consistency::matching_dense::match_groups_dense_from_runs;
-use hcc_consistency::{match_groups, top_down_release, LevelMethod, TopDownConfig};
+use hcc_consistency::{match_groups, LevelMethod, TopDownConfig};
 use hcc_core::{emd, CountOfCounts};
 use hcc_data::{housing, HousingConfig};
 use hcc_estimators::{CumulativeEstimator, Estimator, EstimatorWorkspace, VarianceRun};
 use hcc_isotonic::{
-    anchored_cumulative, isotonic_l1, isotonic_l1_weighted, isotonic_l2, project_simplex,
-    CumulativeLoss,
+    anchored_cumulative, isotonic_l1, isotonic_l2, project_simplex, CumulativeLoss,
 };
-use hcc_noise::{DiscreteGaussian, DoubleGeometric, GeometricMechanism};
+use hcc_noise::{DoubleGeometric, GeometricMechanism};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,10 +39,6 @@ fn bench_isotonic(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("anchored_l1", n), &y, |b, y| {
             b.iter(|| anchored_cumulative(black_box(y), (n / 7) as u64, CumulativeLoss::L1))
         });
-        let w = vec![1u64; n];
-        g.bench_with_input(BenchmarkId::new("pav_l1_weighted_unit", n), &y, |b, y| {
-            b.iter(|| isotonic_l1_weighted(black_box(y), &w))
-        });
     }
     g.finish();
 }
@@ -61,9 +56,9 @@ fn bench_simplex(c: &mut Criterion) {
     g.finish();
 }
 
-/// Run-length matching vs the dense-size matching it supersedes: the
-/// paper's Algorithm 2 is O(G log G); the run-length variant is
-/// O(R log R) in distinct sizes R.
+/// Run-length matching: the paper's Algorithm 2 is O(G log G) over
+/// dense per-group sizes; the run-length variant is O(R log R) in
+/// distinct sizes R, whatever the group count.
 fn bench_matching(c: &mut Criterion) {
     let mut g = c.benchmark_group("matching");
     g.sample_size(20);
@@ -96,19 +91,9 @@ fn bench_matching(c: &mut Criterion) {
         assert_eq!(parent_total, total);
         g.bench_with_input(
             BenchmarkId::new("run_length", groups),
-            &(parent.clone(), children.clone()),
+            &(parent, children),
             |b, (p, cs)| b.iter(|| match_groups(black_box(p), black_box(cs)).unwrap()),
         );
-        // The dense O(G log G) reference from the paper, for the
-        // run-length-vs-dense ablation (skip the largest size: the
-        // expansion alone allocates 8 MB+ per iteration).
-        if groups <= 100_000 {
-            g.bench_with_input(
-                BenchmarkId::new("dense_reference", groups),
-                &(parent, children),
-                |b, (p, cs)| b.iter(|| match_groups_dense_from_runs(black_box(p), black_box(cs))),
-            );
-        }
     }
     g.finish();
 }
@@ -138,10 +123,6 @@ fn bench_noise(c: &mut Criterion) {
     let values: Vec<u64> = (0..10_000).collect();
     g.bench_function("privatize_vec_10k", |b| {
         b.iter(|| mech.privatize_vec(black_box(&values), &mut rng))
-    });
-    let dg = DiscreteGaussian::new(4.0);
-    g.bench_function("discrete_gaussian_sample", |b| {
-        b.iter(|| dg.sample(black_box(&mut rng)))
     });
     g.finish();
 }
@@ -238,35 +219,6 @@ fn bench_hc_stage(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_end_to_end(c: &mut Criterion) {
-    let mut g = c.benchmark_group("end_to_end");
-    g.sample_size(10);
-    let ds = housing(&HousingConfig {
-        scale: 2e-5,
-        seed: 6,
-        ..Default::default()
-    });
-    for (name, method) in [
-        ("topdown_hc", LevelMethod::Cumulative { bound: 20_000 }),
-        ("topdown_hg", LevelMethod::Unattributed),
-    ] {
-        let cfg = TopDownConfig::new(1.0).with_method(method);
-        g.bench_function(name, |b| {
-            let mut rng = StdRng::seed_from_u64(7);
-            b.iter(|| {
-                top_down_release(
-                    black_box(&ds.hierarchy),
-                    black_box(&ds.data),
-                    &cfg,
-                    &mut rng,
-                )
-                .unwrap()
-            })
-        });
-    }
-    g.finish();
-}
-
 /// The engine's cache-hit fast path through the full job API. (The
 /// multi-worker batch curve is `engine_scaling/jobs_batch8/*`, from
 /// the `scaling` binary.)
@@ -303,155 +255,6 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
-/// The prepared-dataset amortization win: an 8-point ε sweep over one
-/// prepared handle versus 8 cold inline submits of the same dataset,
-/// both through the real TCP server. Every inline submit ships and
-/// re-parses the CSV tables and re-aggregates the per-node true
-/// views; the prepared sweep pays that load exactly once (at setup)
-/// and each point costs only the release itself. The result cache is
-/// disabled so all 8 points *compute* in both variants — the measured
-/// gap is purely the amortized load, which must put the sweep at well
-/// under half the cold wall-time.
-fn bench_engine_sweep(c: &mut Criterion) {
-    use std::sync::Arc;
-
-    use std::net::TcpStream;
-
-    use hcc_data::{Dataset, DatasetKind};
-    use hcc_engine::protocol::frame::{
-        read_frame, submit_frame, write_frame, Frame, T_HELLO, T_RESULT,
-    };
-    use hcc_engine::{protocol::SubmitParams, serve, Engine, EngineConfig, MuxClient};
-
-    let mut g = c.benchmark_group("engine_sweep");
-    g.sample_size(10);
-
-    // A dataset big enough that table load dominates one release: a
-    // couple hundred thousand entity rows against a tiny bound K.
-    let ds = Dataset::generate(DatasetKind::Housing, 1.0, 6);
-    let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
-    const EPS: [f64; 8] = [0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0];
-    let base = SubmitParams {
-        epsilon: 1.0,
-        method: "hc".into(),
-        bound: 500,
-        seed: 0,
-        handle: None,
-    };
-
-    let engine = Engine::start(
-        EngineConfig::default()
-            .with_workers(2)
-            .with_cache_capacity(0),
-    );
-    let server = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
-    let mut client = MuxClient::connect(server.addr()).unwrap();
-    let handle = client
-        .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
-        .unwrap()
-        .unwrap();
-
-    // Distinct seeds per iteration keep requests unique even if a
-    // cache were enabled.
-    let mut round = 0u64;
-    g.bench_function("prepared_sweep8", |b| {
-        b.iter(|| {
-            round += 1;
-            let params = SubmitParams {
-                seed: round,
-                ..base.clone()
-            };
-            for point in client.sweep(&params, handle, &EPS).unwrap() {
-                black_box(point.outcome.unwrap());
-            }
-        })
-    });
-    // The cold variant gets the same write-all-then-read pipelining
-    // as the sweep (raw frames on one connection, since the client's
-    // inline submit blocks per request), so the measured gap isolates
-    // the amortized table load rather than conflating it with batch
-    // parallelism.
-    let mut raw = TcpStream::connect(server.addr()).unwrap();
-    write_frame(&mut raw, &Frame::empty(T_HELLO, 1)).unwrap();
-    read_frame(&mut raw, u32::MAX).unwrap();
-    let tables = Some([
-        hierarchy_csv.as_str(),
-        groups_csv.as_str(),
-        entities_csv.as_str(),
-    ]);
-    let mut rid = 1u64;
-    g.bench_function("cold_inline_submits8", |b| {
-        b.iter(|| {
-            round += 1;
-            for &epsilon in &EPS {
-                let params = SubmitParams {
-                    epsilon,
-                    seed: round,
-                    ..base.clone()
-                };
-                rid += 1;
-                write_frame(&mut raw, &submit_frame(rid, &params, tables, false)).unwrap();
-            }
-            for _ in EPS {
-                let reply = read_frame(&mut raw, u32::MAX).unwrap();
-                assert_eq!(reply.ftype, T_RESULT);
-                black_box(reply);
-            }
-        })
-    });
-    g.finish();
-}
-
-/// The delta-derivation win: moving a prepared dataset forward by a
-/// 1%-of-groups delta with `DERIVE` versus a cold `PREPARE` of the
-/// post-delta tables, both through the real TCP server. The cold path
-/// re-ships and re-parses every table row and re-aggregates the whole
-/// hierarchy; `DERIVE` ships only the delta CSV and re-aggregates
-/// only the touched root-to-leaf paths, so it must come in at ≥5×
-/// faster (in practice far more — no entity row ever crosses the
-/// wire).
-fn bench_engine_derive(c: &mut Criterion) {
-    use std::sync::Arc;
-
-    use hcc_data::{Dataset, DatasetDelta, DatasetKind};
-    use hcc_engine::{serve, Engine, EngineConfig, MuxClient};
-
-    let mut g = c.benchmark_group("engine_derive");
-    g.sample_size(10);
-
-    let ds = Dataset::generate(DatasetKind::Housing, 1.0, 6);
-    let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
-
-    // A delta touching ~1% of all groups (shared builder with the
-    // tier-1 derive-vs-prepare perf smoke).
-    let delta = DatasetDelta::resize_sample(&ds, 100);
-    let post = ds.apply_delta(&delta).unwrap();
-    let (post_hierarchy_csv, post_groups_csv, post_entities_csv) = post.to_csv_tables();
-
-    let engine = Engine::start(EngineConfig::default().with_workers(2));
-    let server = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
-    let mut client = MuxClient::connect(server.addr()).unwrap();
-    let parent = client
-        .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
-        .unwrap()
-        .unwrap();
-
-    g.bench_function("derive_1pct", |b| {
-        b.iter(|| black_box(client.derive(parent, &delta).unwrap().unwrap()))
-    });
-    g.bench_function("cold_prepare_post_delta", |b| {
-        b.iter(|| {
-            black_box(
-                client
-                    .prepare(&post_hierarchy_csv, &post_groups_csv, &post_entities_csv)
-                    .unwrap()
-                    .unwrap(),
-            )
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_isotonic,
@@ -462,9 +265,6 @@ criterion_group!(
     bench_noise,
     bench_noise_fill,
     bench_hc_stage,
-    bench_end_to_end,
-    bench_engine,
-    bench_engine_sweep,
-    bench_engine_derive
+    bench_engine
 );
 criterion_main!(benches);

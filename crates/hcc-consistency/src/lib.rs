@@ -15,7 +15,9 @@
 //!    structure (Section 5.1, computed in [`hcc_estimators`]);
 //! 3. finds an **optimal least-cost matching** between the groups of a
 //!    parent and the pooled groups of its children (Section 5.2,
-//!    [`matching`]);
+//!    [`matching`]). The paper states Algorithm 2 over dense
+//!    one-entry-per-group histograms; this crate runs it on size runs
+//!    only, and the dense form appears solely as a test oracle;
 //! 4. **merges** each matched pair's two size estimates by
 //!    inverse-variance weighting (Section 5.3, [`merge`]);
 //! 5. recurses top-down, then back-substitutes leaf histograms upward
@@ -33,7 +35,6 @@ pub mod bottom_up;
 pub mod counts;
 pub mod export;
 pub mod matching;
-pub mod matching_dense;
 pub mod mean_consistency;
 pub mod merge;
 pub mod omniscient;
@@ -44,7 +45,6 @@ pub use bottom_up::bottom_up_release;
 pub use counts::{ConsistencyError, HierarchicalCounts, LeafEdit, MAX_EDIT_SIZE};
 pub use export::{from_csv, to_csv, ExportError};
 pub use matching::{match_groups, MatchSegment};
-pub use matching_dense::{match_groups_dense, DensePair};
 pub use mean_consistency::{mean_consistency_release, MeanConsistencyReport};
 pub use merge::MergeStrategy;
 pub use omniscient::{omniscient_expected_error, omniscient_release};

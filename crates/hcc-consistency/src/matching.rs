@@ -205,10 +205,10 @@ pub fn match_groups(
 /// equals) any matching cost. Used to cross-check [`match_groups`].
 ///
 /// Runs entirely on run-length encodings — `O(R log R)` in the number
-/// of runs `R` and `O(R)` memory. The seed implementation expanded
-/// every run into a dense per-group `Vec<u64>`, which made this
-/// *diagnostic* allocate `O(G)` — gigabytes at census scale; the
-/// dense form survives only as the regression oracle in the tests.
+/// of runs `R` and `O(R)` memory. Expanding every run into a dense
+/// per-group `Vec<u64>` would allocate `O(G)`, gigabytes at census
+/// scale; that expansion survives only as the `dense_sorted_order_cost`
+/// oracle in this module's tests.
 /// As before, `parent` must arrive sorted by size (it does by
 /// construction); extra groups on the longer side are ignored, like
 /// the dense zip truncating at the shorter sequence.
@@ -586,6 +586,11 @@ mod tests {
             }
             let segs = match_groups(&parent, &children).unwrap();
             prop_assert_eq!(total_cost(&segs), sorted_order_cost(&parent, &children));
+            let per_child = matched_per_child(&segs, nchild);
+            for (c, runs) in children.iter().enumerate() {
+                let expect: u64 = runs.iter().map(|r| r.count).sum();
+                prop_assert_eq!(per_child[c], expect);
+            }
         }
     }
 }

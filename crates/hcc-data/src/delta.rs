@@ -337,8 +337,9 @@ impl DatasetDelta {
     /// resizes roughly one in `one_in` of `dataset`'s groups (size
     /// `s` → `s + 1`), walking leaves in order until the budget is
     /// spent. Always valid against `dataset` by construction. Used by
-    /// the `engine_derive` benchmark and the tier-1 derive-vs-prepare
-    /// perf smoke, which must exercise the same delta shape.
+    /// the `ledger_churn` benchmark workload and the tier-1
+    /// derive-vs-prepare perf smoke, so both exercise the same delta
+    /// shape.
     pub fn resize_sample(dataset: &crate::dataset::Dataset, one_in: u64) -> DatasetDelta {
         let total = dataset.data.node(Hierarchy::ROOT).num_groups();
         let mut budget = (total / one_in.max(1)).max(1);

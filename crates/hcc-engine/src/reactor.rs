@@ -189,8 +189,6 @@ pub struct ReactorConfig {
     /// Most concurrent connections; beyond this, new clients get one
     /// `E_REJECTED` "server busy" error frame and are dropped.
     pub max_connections: usize,
-    /// Largest frame payload accepted from a client.
-    pub max_frame: u32,
     /// Interactive-lane (default) in-flight job quota per connection.
     pub interactive_inflight: usize,
     /// Bulk-lane ([`FLAG_BULK`]) in-flight job quota per connection.
@@ -205,7 +203,6 @@ impl Default for ReactorConfig {
         Self {
             read_timeout: Some(Duration::from_secs(30)),
             max_connections: 1024,
-            max_frame: frame::DEFAULT_MAX_FRAME,
             interactive_inflight: 256,
             bulk_inflight: 64,
             park_capacity: 64,
@@ -224,12 +221,6 @@ impl ReactorConfig {
     pub fn with_max_connections(mut self, max: usize) -> Self {
         assert!(max >= 1, "need at least one connection slot");
         self.max_connections = max;
-        self
-    }
-
-    /// Sets the largest accepted frame payload.
-    pub fn with_max_frame(mut self, max: u32) -> Self {
-        self.max_frame = max;
         self
     }
 
@@ -570,17 +561,16 @@ impl Reactor {
     /// buffered on `token`.
     fn process_conn(&mut self, token: u64) {
         loop {
-            let max_frame = self.cfg.max_frame;
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
             if conn.close_after_flush {
                 return;
             }
-            // The decoder rejects a declared length above `max_frame`
-            // before buffering it, so `inbuf` stays bounded by one
-            // frame plus one read chunk.
-            match decode_frame(&conn.inbuf, max_frame) {
+            // The decoder rejects a declared length above
+            // `DEFAULT_MAX_FRAME` before buffering it, so `inbuf` stays
+            // bounded by one frame plus one read chunk.
+            match decode_frame(&conn.inbuf, frame::DEFAULT_MAX_FRAME) {
                 Ok(None) => return,
                 Ok(Some((frame, used))) => {
                     conn.inbuf.drain(..used);
@@ -631,7 +621,7 @@ impl Reactor {
                 conn.hello_done = true;
             }
             let limits = HelloLimits {
-                max_frame: self.cfg.max_frame,
+                max_frame: frame::DEFAULT_MAX_FRAME,
                 interactive_inflight: clamp_u16(self.cfg.interactive_inflight),
                 bulk_inflight: clamp_u16(self.cfg.bulk_inflight),
                 park_capacity: clamp_u16(self.cfg.park_capacity),

@@ -7,7 +7,7 @@
 //! * [`isotonic_l2`] / [`isotonic_l2_weighted`] — pool-adjacent-
 //!   violators (PAV) for `min ‖x − y‖₂² s.t. x non-decreasing`, `O(n)`.
 //!   Used by the `Hg` method and the L2 variant of the `Hc` method.
-//! * [`isotonic_l1`] — L1 isotonic regression for
+//! * [`isotonic_l1`] — unweighted L1 isotonic regression for
 //!   `min ‖x − y‖₁ s.t. x non-decreasing` by the slope trick: a
 //!   forward pass over a max-heap of cost breakpoints and a backward
 //!   running minimum, `O(n + span)` with a counting heap for inputs of
@@ -35,7 +35,6 @@
 pub mod anchored;
 pub mod fit;
 pub mod pav_l1;
-pub mod pav_l1_weighted;
 pub mod pav_l2;
 pub mod rounding;
 pub mod simplex;
@@ -43,7 +42,6 @@ pub mod simplex;
 pub use anchored::{anchored_cumulative, anchored_cumulative_into, CumulativeLoss};
 pub use fit::{Block, IsotonicFit};
 pub use pav_l1::{isotonic_l1, isotonic_l1_heap, isotonic_l1_with, L1Fit, L1Pass, PavL1Workspace};
-pub use pav_l1_weighted::isotonic_l1_weighted;
 pub use pav_l2::{isotonic_l2, isotonic_l2_weighted};
 pub use rounding::{apportion, round_preserving_sum};
 pub use simplex::project_simplex;

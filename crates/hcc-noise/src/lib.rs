@@ -17,11 +17,9 @@
 #![warn(missing_docs)]
 
 pub mod budget;
-pub mod gaussian;
 pub mod geometric;
 pub mod laplace;
 
 pub use budget::{BudgetError, PrivacyBudget};
-pub use gaussian::{DiscreteGaussian, GaussianMechanism, ZCdpBudget};
 pub use geometric::{DoubleGeometric, GeometricMechanism};
 pub use laplace::LaplaceMechanism;

@@ -1,34 +1,42 @@
 #!/usr/bin/env bash
-# Runs the criterion benches with a pinned noise seed and emits
-# BENCH_<n>.json — one "median ns/iter" entry per bench label — so
-# the perf trajectory across PRs is machine-readable.
+# Runs the criterion kernel benches with a pinned noise seed and emits
+# BENCH_<n>.json — one "median ns/iter" entry per bench label, plus
+# each label's [min, max] and the host's core count — so the kernel
+# trajectory across PRs is machine-readable. End-to-end serving
+# numbers (releases, ε-sweeps, dataset derivation, the store) come
+# from the perfbench package (BENCHMARK.json), not from this script.
 #
 # Usage:
-#   scripts/bench.sh              # run benches, write BENCH_10.json
+#   PR=<n> scripts/bench.sh       # run benches, write BENCH_<n>.json
 #   scripts/bench.sh --smoke      # CI mode: compile benches, run a
 #                                 # fast scaling curve + wire sweep,
 #                                 # write nothing
-#   PR=9 scripts/bench.sh         # write BENCH_9.json instead
-#   REPS=5 scripts/bench.sh       # more release_hot_path repetitions
+#   REPS=5 PR=<n> scripts/bench.sh  # more release_hot_path repetitions
 #
 # The cheap release_hot_path bench runs REPS times (median per label);
-# the broader micro suite, the engine scaling curve (8-job batch
-# wall time at 1/2/4/8 workers, `engine_scaling/jobs_batch8/<w>`),
-# the wire-path curve (`wire_path/sweep100/framed`,
-# `wire_path/submit_*/c{1,64,1000}`), and the durable-store curve
-# (`store_path/{cold_prepare,warm_reload,wal_append}` — the fsync
-# cost of crash safety) run once. HCC_SEED pins the RNG
+# the micro suite (isotonic, matching, EMD, noise, the Hc kernel, the
+# engine's cache hit), the engine scaling curve (8-job batch wall
+# time at 1/2/4/8 workers, `engine_scaling/jobs_batch8/<w>`) and the
+# wire-path curve (`wire_path/sweep100/framed`,
+# `wire_path/submit_*/c{1,64,1000}`) run once. HCC_SEED pins the RNG
 # stream the release_hot_path bench draws from (default 0). The
 # scaling run also dumps each point's engine telemetry snapshot
 # (stage latency quantiles, steal/gate counters), embedded under a
-# "telemetry" key in BENCH_N.json so a scaling regression names the
+# "telemetry" key in BENCH_<n>.json so a scaling regression names the
 # stage it grew in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+SMOKE=0
+if [[ "${1:-}" == "--smoke" ]]; then
+  SMOKE=1
+elif [[ -n "${1:-}" || ! "${PR:-}" =~ ^[0-9]+$ ]]; then
+  echo "usage: PR=<n> scripts/bench.sh    (writes BENCH_<n>.json)" >&2
+  echo "       scripts/bench.sh --smoke   (compile + tiny curves, writes nothing)" >&2
+  exit 2
+fi
+
 export HCC_SEED="${HCC_SEED:-0}"
-PR="${PR:-10}"
-OUT="BENCH_${PR}.json"
 REPS="${REPS:-3}"
 
 # A scoreboard entry from a tree that violates the workspace
@@ -36,7 +44,7 @@ REPS="${REPS:-3}"
 # refuse to emit one. Smoke mode runs the same gate so CI fails fast.
 cargo run --release -q -p hcc-lint -- --deny all
 
-if [[ "${1:-}" == "--smoke" ]]; then
+if (( SMOKE )); then
   cargo bench -p hcc-bench --no-run
   # Tiny scaling curve: proves the harness runs end-to-end without
   # paying for the full measurement workload.
@@ -46,14 +54,11 @@ if [[ "${1:-}" == "--smoke" ]]; then
   # loopback, without the full 1000-connection measurement.
   HCC_WIRE_SWEEP=8 HCC_WIRE_CONNS=1,8 HCC_WIRE_OPS=2 \
     cargo run --release -q -p hcc-bench --bin engine_wire
-  # Tiny store curve: WAL append + checkpoint + warm reload on real
-  # files, without the full dataset count.
-  HCC_STORE_DATASETS=2 HCC_STORE_NODES=32 HCC_STORE_CHARGES=8 HCC_STORE_RELOADS=2 \
-    cargo run --release -q -p hcc-bench --bin store_path
-  echo "bench smoke OK (benches compile; scaling + wire + store curves ran)"
+  echo "bench smoke OK (benches compile; scaling + wire curves ran)"
   exit 0
 fi
 
+OUT="BENCH_${PR}.json"
 RAW=$(mktemp)
 METRICS=$(mktemp)
 trap 'rm -f "$RAW" "$METRICS"' EXIT
@@ -65,9 +70,8 @@ cargo bench -p hcc-bench --bench micro | tee -a "$RAW"
 HCC_SCALING_METRICS="$METRICS" \
   cargo run --release -q -p hcc-bench --bin scaling | tee -a "$RAW"
 cargo run --release -q -p hcc-bench --bin engine_wire | tee -a "$RAW"
-cargo run --release -q -p hcc-bench --bin store_path | tee -a "$RAW"
 
-python3 - "$RAW" "$OUT" "$HCC_SEED" "$REPS" "$METRICS" <<'EOF'
+python3 - "$RAW" "$OUT" "$HCC_SEED" "$REPS" "$METRICS" "$(nproc)" <<'EOF'
 import json
 import re
 import statistics
@@ -82,11 +86,15 @@ with open(sys.argv[1]) as fh:
 if not samples:
     sys.exit("no bench output parsed — did the harness format change?")
 doc = {
+    "nproc": int(sys.argv[6]),
     "seed": int(sys.argv[3]),
     "reps_release_hot_path": int(sys.argv[4]),
     "unit": "ns/iter",
     "stat": "median",
     "benches": {k: int(statistics.median(v)) for k, v in sorted(samples.items())},
+    # Spread per label over its runs; `benches` stays median-only so
+    # earlier BENCH files remain comparable.
+    "range": {k: [min(v), max(v)] for k, v in sorted(samples.items())},
 }
 # Per-worker-count engine telemetry from the scaling run: stage
 # latency attribution for the jobs_batch8 curve, keyed "scaling

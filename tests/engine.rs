@@ -447,18 +447,17 @@ fn derive_and_append_over_loopback() {
     handle.shutdown();
 }
 
-/// Acceptance smoke for the O(delta) win (the full measurement is the
-/// `engine_derive` criterion bench, which shows ~29×): deriving a
-/// 1%-changed dataset over the wire must beat a cold `PREPARE` of the
-/// post-delta tables by a conservative 4× — the derive ships a
-/// few-line delta and re-aggregates touched paths, the cold prepare
-/// re-ships and re-parses one CSV row per entity.
+/// Acceptance smoke for the O(delta) win: deriving a 1%-changed
+/// dataset over the wire must beat a cold `PREPARE` of the post-delta
+/// tables by a conservative 4× — the derive ships a few-line delta and
+/// re-aggregates touched paths, the cold prepare re-ships and
+/// re-parses one CSV row per entity.
 #[test]
 fn derive_beats_cold_prepare_by_a_wide_margin() {
     let ds = Dataset::generate(DatasetKind::Housing, 0.3, 6);
     let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
-    // Resize ~1% of all groups (same delta shape as the
-    // `engine_derive` bench, via the shared builder).
+    // Resize ~1% of all groups (the shared builder the `ledger_churn`
+    // benchmark workload also uses).
     let delta = DatasetDelta::resize_sample(&ds, 100);
     let post = ds.apply_delta(&delta).unwrap();
     let (post_h, post_g, post_e) = post.to_csv_tables();

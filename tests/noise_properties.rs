@@ -2,10 +2,7 @@
 //! privacy guarantees lean on.
 
 use hcc_bench::hotpath::seed_sample_one_sided;
-use hccount::noise::{
-    DiscreteGaussian, DoubleGeometric, GaussianMechanism, GeometricMechanism, LaplaceMechanism,
-    ZCdpBudget,
-};
+use hccount::noise::{DoubleGeometric, GeometricMechanism, LaplaceMechanism};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -54,44 +51,71 @@ fn geometric_variance_below_laplace() {
     }
 }
 
-/// The discrete Gaussian's tails are sub-Gaussian: essentially no mass
-/// beyond 6σ in a large sample (a Laplace of equal variance would put
-/// noticeable mass there).
-#[test]
-fn discrete_gaussian_tails() {
-    let sigma = 3.0;
-    let d = DiscreteGaussian::new(sigma);
-    let mut rng = StdRng::seed_from_u64(302);
-    let n = 300_000;
-    let beyond = (0..n)
-        .filter(|_| (d.sample(&mut rng) as f64).abs() > 6.0 * sigma)
-        .count();
-    assert!(beyond <= 2, "{beyond} of {n} samples beyond 6σ");
-}
-
-/// zCDP composition: two mechanisms of ρ/2 each equal one of ρ, and
-/// the (ε, δ) conversion is monotone in ρ.
-#[test]
-fn zcdp_composition_and_conversion() {
-    let m_half = GaussianMechanism::with_rho(0.05, 1.0);
-    assert!((2.0 * m_half.rho() - 0.1).abs() < 1e-12);
-    let small = ZCdpBudget::new(0.05).epsilon(1e-9);
-    let large = ZCdpBudget::new(0.1).epsilon(1e-9);
-    assert!(small < large);
-}
-
 /// Mechanism noise is integer-valued end to end — the integrality
 /// desideratum starts at the noise layer.
 #[test]
 fn outputs_are_integers_by_construction() {
     let mut rng = StdRng::seed_from_u64(303);
     let g = GeometricMechanism::new(0.5, 2.0);
-    let gauss = GaussianMechanism::with_rho(0.1, 1.0);
     for v in [0u64, 1, 1_000_000] {
         // i64 return types make this a compile-time fact; spot-check
         // values round-trip.
         let _a: i64 = g.privatize(v, &mut rng);
-        let _b: i64 = gauss.privatize(v, &mut rng);
+    }
+}
+
+/// Two-sided draws follow the double-geometric pmf
+/// `P(0) = (1−α)/(1+α)`, `P(±k) = (1−α)α^k/(1+α)`: a fixed-seed
+/// chi-square over 10⁶ draws, binned by sign and magnitude. Each
+/// magnitude gets its own bin while it and the tail beyond it both
+/// expect at least 5 draws; the rest pool into one tail bin per sign.
+/// The table-mass test above pins each one-sided draw; this one
+/// checks how two of them combine into `z`, sign included.
+#[test]
+fn two_sided_draws_pass_a_chi_square_against_the_pmf() {
+    const N: u64 = 1_000_000;
+    for eps in [1.0 / 3.0, 1.0] {
+        let d = DoubleGeometric::new(eps, 1.0);
+        let alpha = d.alpha();
+        let n = N as f64;
+        let pmf = |k: u64| (1.0 - alpha) * alpha.powi(k as i32) / (1.0 + alpha);
+        // P(z ≥ k) on one side.
+        let tail = |k: u64| alpha.powi(k as i32) / (1.0 + alpha);
+        let mut last = 0u64;
+        while n * pmf(last + 1) >= 5.0 && n * tail(last + 2) >= 5.0 {
+            last += 1;
+        }
+        // Bin 0 holds z = 0; bins 2k−1 and 2k hold z = +k and z = −k,
+        // with k = last + 1 standing for the pooled tail.
+        let bin = |z: i64| match z.unsigned_abs().min(last + 1) {
+            0 => 0,
+            k if z > 0 => 2 * k as usize - 1,
+            k => 2 * k as usize,
+        };
+        let mut expected = vec![n * pmf(0)];
+        for k in 1..=last + 1 {
+            let p = if k > last { tail(k) } else { pmf(k) };
+            expected.extend([n * p, n * p]);
+        }
+        let mut observed = vec![0u64; expected.len()];
+        let mut rng = StdRng::seed_from_u64(305);
+        for _ in 0..N {
+            observed[bin(d.sample(&mut rng))] += 1;
+        }
+        let stat: f64 = observed
+            .iter()
+            .zip(&expected)
+            .map(|(&o, &e)| (o as f64 - e).powi(2) / e)
+            .sum();
+        // The 0.999 quantile of χ²(df) by the Wilson–Hilferty
+        // approximation, within 0.5% of the exact value for df ≥ 20.
+        let df = (expected.len() - 1) as f64;
+        let h = 2.0 / (9.0 * df);
+        let q999 = df * (1.0 - h + 3.090_232 * h.sqrt()).powi(3);
+        assert!(
+            df >= 20.0 && stat < q999,
+            "ε {eps}: χ² = {stat:.1} over {df} df, 0.999 quantile {q999:.1}"
+        );
     }
 }
 
