@@ -37,14 +37,14 @@ use hcc_consistency::{
     estimate_node, to_csv, top_down_from_estimates, ConsistencyError, HierarchicalCounts,
     TopDownConfig,
 };
-use hcc_core::CountOfCounts;
 use hcc_estimators::EstimatorWorkspace;
-use hcc_hierarchy::{Hierarchy, HierarchyBuilder};
-use hcc_store::{DatasetRecord, Store};
+use hcc_hierarchy::Hierarchy;
+use hcc_store::Store;
 
 use crate::cache::ResultCache;
 use crate::fingerprint::{dataset_fingerprint, request_fingerprint, Fingerprint};
 use crate::job::{EngineError, JobId, JobStatus, ReleaseRequest, ReleaseResult};
+use crate::ledger::Ledger;
 use crate::locks::{Rank, RankedGuard, RankedMutex};
 use crate::registry::{DatasetHandle, DatasetRegistry};
 use crate::scheduler::{ActiveJob, ComputeGate, NodeTask, TaskDeques};
@@ -90,9 +90,9 @@ pub struct EngineConfig {
     /// Per-dataset privacy-budget cap: a submission whose cumulative
     /// ε charge against its dataset would exceed this is rejected
     /// with [`EngineError::BudgetExhausted`] *before* any budget is
-    /// charged or noise drawn. `None` (the default) disables cap
-    /// enforcement; the ledger still accumulates when a durable
-    /// store is attached ([`Engine::start_with_store`]).
+    /// charged or noise drawn. A cap needs the durable store of
+    /// [`Engine::start_with_store`]. `None` (the default) disables
+    /// enforcement; a store still records every charge.
     pub budget_cap: Option<f64>,
 }
 
@@ -239,27 +239,6 @@ struct Counters {
 /// with the terminal status of its job.
 type FinishWatcher = Box<dyn FnOnce(JobId, JobStatus) + Send>;
 
-/// The engine's durable half: the per-dataset privacy-budget ledger
-/// and, optionally, the on-disk store backing it. One mutex (rank
-/// `store` in the lock order) covers both so a cap check, the WAL'd
-/// charge, and the in-memory mirror update are a single atomic step.
-///
-/// The in-memory `ledger` is always authoritative for cap checks —
-/// it equals the store's ledger when one is attached (rebuilt from it
-/// at boot, updated in lockstep after every fsynced charge) and it is
-/// the *only* ledger when the engine runs with a cap but no store.
-struct Durable {
-    /// Per-dataset ε cap, `None` = unlimited (ledger still records).
-    cap: Option<f64>,
-    /// Cumulative ε charged per dataset fingerprint. Entries are
-    /// never removed: budget is spent against the data, so it
-    /// survives `UNPREPARE`, eviction, and re-`PREPARE` of the same
-    /// content.
-    ledger: BTreeMap<u128, f64>,
-    /// The WAL'd on-disk store, when the engine was booted with one.
-    store: Option<Store>,
-}
-
 struct State {
     queue: VecDeque<QueuedJob>,
     /// Ordered map so any future iteration (logging, admin listings)
@@ -320,10 +299,10 @@ struct Shared {
     /// Prepared datasets. Its own lock for the same reason — handle
     /// resolution at submission never contends with running tasks.
     registry: RankedMutex<DatasetRegistry>,
-    /// Budget ledger + durable store; `None` when the engine runs
-    /// without a cap and without a store, so the common ephemeral
-    /// configuration pays nothing on the submit path.
-    durable: Option<RankedMutex<Durable>>,
+    /// Budget ledger over the durable store; `None` without a store,
+    /// so the common ephemeral configuration pays nothing on the
+    /// submit path.
+    ledger: Option<RankedMutex<Ledger>>,
     /// The engine-wide work-stealing task pool.
     deques: TaskDeques,
     /// Caps simultaneous compute (see [`EngineConfig::active_limit`]).
@@ -366,18 +345,19 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Boots the worker pool. With [`EngineConfig::budget_cap`] set,
-    /// the budget ledger is enforced in memory only; attach a durable
-    /// store with [`Engine::start_with_store`] to make it survive
-    /// restarts.
+    /// Boots the worker pool without a durable store.
+    ///
+    /// # Panics
+    ///
+    /// If [`EngineConfig::budget_cap`] is set: a cap that a restart
+    /// resets does not bound ε, so it needs [`Engine::start_with_store`].
     pub fn start(config: EngineConfig) -> Self {
+        assert!(
+            config.budget_cap.is_none(),
+            "a budget cap needs a durable store: boot with Engine::start_with_store"
+        );
         let registry = DatasetRegistry::new(config.prepared_capacity);
-        let durable = config.budget_cap.map(|cap| Durable {
-            cap: Some(cap),
-            ledger: BTreeMap::new(),
-            store: None,
-        });
-        Self::boot(config, registry, durable)
+        Self::boot(config, registry, None)
     }
 
     /// Boots the worker pool on top of an already-opened durable
@@ -390,43 +370,13 @@ impl Engine {
     /// a mismatch means the snapshot or WAL replay did not reproduce
     /// the acknowledged data byte-identically, and boot fails rather
     /// than serving silently different data under an old handle.
-    pub fn start_with_store(config: EngineConfig, mut store: Store) -> Result<Self, EngineError> {
+    pub fn start_with_store(config: EngineConfig, store: Store) -> Result<Self, EngineError> {
         let mut registry = DatasetRegistry::new(config.prepared_capacity);
-        for rec in store.datasets().values().cloned().collect::<Vec<_>>() {
-            let (hierarchy, data) = rebuild_dataset(&rec).map_err(EngineError::StoreFailed)?;
-            let recomputed = dataset_fingerprint(&hierarchy, &data);
-            if recomputed.0 != rec.handle {
-                return Err(EngineError::StoreFailed(format!(
-                    "dataset ds-{:032x} reloaded with fingerprint {recomputed} — \
-                     the recovered bytes do not reproduce the acknowledged handle",
-                    rec.handle
-                )));
-            }
-            let (_, evicted) = registry.insert_with_refs(
-                DatasetHandle(recomputed),
-                Arc::new(hierarchy),
-                Arc::new(data),
-                rec.refs,
-            )?;
-            // More durable datasets than registry capacity: the LRU
-            // bound wins, and the drop is persisted like any runtime
-            // eviction (the budget ledger is untouched).
-            for ev in evicted {
-                store
-                    .set_refs(ev.0 .0, 0)
-                    .map_err(|e| EngineError::StoreFailed(e.to_string()))?;
-            }
-        }
-        let ledger = store.ledger().iter().map(|(&h, &eps)| (h, eps)).collect();
-        let durable = Some(Durable {
-            cap: config.budget_cap,
-            ledger,
-            store: Some(store),
-        });
-        Ok(Self::boot(config, registry, durable))
+        let ledger = Ledger::recover(config.budget_cap, store, &mut registry)?;
+        Ok(Self::boot(config, registry, Some(ledger)))
     }
 
-    fn boot(config: EngineConfig, registry: DatasetRegistry, durable: Option<Durable>) -> Self {
+    fn boot(config: EngineConfig, registry: DatasetRegistry, ledger: Option<Ledger>) -> Self {
         assert!(config.workers >= 1, "need at least one worker");
         let shared = Arc::new(Shared {
             state: RankedMutex::new(
@@ -448,7 +398,7 @@ impl Engine {
             done: Condvar::new(),
             cache: RankedMutex::new(Rank::Cache, ResultCache::new(config.cache_capacity)),
             registry: RankedMutex::new(Rank::Registry, registry),
-            durable: durable.map(|d| RankedMutex::new(Rank::Store, d)),
+            ledger: ledger.map(|l| RankedMutex::new(Rank::Store, l)),
             deques: TaskDeques::new(config.workers),
             gate: ComputeGate::new(config.effective_active_limit()),
             shutting_down: AtomicBool::new(false),
@@ -482,17 +432,16 @@ impl Engine {
         // it with config + seed, and the budget ledger charges
         // against it — so an inline submission of the same tables a
         // client PREPAREd draws from the same budget line.
-        let dataset = (self.shared.config.cache_capacity > 0 || self.shared.durable.is_some())
+        let dataset = (self.shared.config.cache_capacity > 0)
             .then(|| dataset_fingerprint(&request.hierarchy, &request.data));
-        let key = match dataset {
-            Some(ds) if self.shared.config.cache_capacity > 0 => Some(request_fingerprint(
+        let key = dataset.map(|ds| {
+            request_fingerprint(
                 ds,
                 request.hierarchy.num_levels(),
                 &request.config,
                 request.seed,
-            )),
-            _ => None,
-        };
+            )
+        });
         self.admit(request, key, dataset)
     }
 
@@ -540,43 +489,12 @@ impl Engine {
     ) -> Result<(), EngineError> {
         let mut registry = self.lock_registry();
         let (refs, evicted) = registry.insert(handle, Arc::clone(&hierarchy), Arc::clone(&data))?;
-        let persisted = self.persist_dataset(handle, refs, &hierarchy, &data, &evicted);
+        let persisted = self.lock_ledger().map_or(Ok(()), |mut ledger| {
+            ledger.persist_dataset(handle, refs, &hierarchy, &data, &evicted)
+        });
         if let Err(e) = persisted {
             let _ = registry.release(handle);
             return Err(e);
-        }
-        Ok(())
-    }
-
-    /// The store half of [`Engine::register_dataset`]: a no-op
-    /// without a durable store. Evicted handles are dropped from the
-    /// store (their budget-ledger entries survive — budget is spent
-    /// against the data, not the registry slot).
-    fn persist_dataset(
-        &self,
-        handle: DatasetHandle,
-        refs: u64,
-        hierarchy: &Hierarchy,
-        data: &HierarchicalCounts,
-        evicted: &[DatasetHandle],
-    ) -> Result<(), EngineError> {
-        let Some(durable) = &self.shared.durable else {
-            return Ok(());
-        };
-        let mut d = durable.lock();
-        let Some(store) = d.store.as_mut() else {
-            return Ok(());
-        };
-        let written = if refs == 1 {
-            store.put_dataset(&dataset_record(handle.0 .0, hierarchy, data, refs))
-        } else {
-            store.set_refs(handle.0 .0, refs)
-        };
-        written.map_err(|e| EngineError::StoreFailed(e.to_string()))?;
-        for ev in evicted {
-            store
-                .set_refs(ev.0 .0, 0)
-                .map_err(|e| EngineError::StoreFailed(e.to_string()))?;
         }
         Ok(())
     }
@@ -585,21 +503,17 @@ impl Engine {
     /// references remain. Returns the number of references still
     /// held. In-flight jobs keep their `Arc`s, so unpreparing never
     /// invalidates running work. With a durable store attached the
-    /// new reference count is persisted before the acknowledgment
-    /// (dropping the dataset record entirely at zero — the budget
-    /// ledger entry survives).
+    /// new reference count is persisted first (dropping the dataset
+    /// record entirely at zero — its budget account survives), so a
+    /// failed write leaves the reference held: retrying a failed
+    /// `UNPREPARE` can never release a reference another client holds.
     pub fn unprepare(&self, handle: DatasetHandle) -> Result<u64, EngineError> {
         let mut registry = self.lock_registry();
-        let remaining = registry.release(handle)?;
-        if let Some(durable) = &self.shared.durable {
-            let mut d = durable.lock();
-            if let Some(store) = d.store.as_mut() {
-                store
-                    .set_refs(handle.0 .0, remaining)
-                    .map_err(|e| EngineError::StoreFailed(e.to_string()))?;
-            }
+        let remaining = registry.refs(handle)? - 1;
+        if let Some(mut ledger) = self.lock_ledger() {
+            ledger.set_refs(handle, remaining)?;
         }
-        Ok(remaining)
+        registry.release(handle)
     }
 
     /// Registers the dataset obtained by applying `delta` to the
@@ -702,8 +616,16 @@ impl Engine {
         )
     }
 
-    /// The shared back half of submission: consult the cache, charge
-    /// the budget ledger, then enqueue.
+    /// The shared back half of submission, in this order: consult the
+    /// cache, check queue capacity, charge the budget ledger, enqueue.
+    ///
+    /// The capacity check runs before the charge, so a `QueueFull`
+    /// rejection — the retryable error clients loop on — never burns
+    /// budget. The charge (an fsync) runs outside the state lock, and
+    /// the enqueue after it is unconditional: a racing burst can
+    /// overshoot the queue bound by the number of in-flight charges,
+    /// which is bounded by the submitter count and strictly better
+    /// than charging for work that is then rejected.
     fn admit(
         &self,
         request: ReleaseRequest,
@@ -738,12 +660,18 @@ impl Engine {
             self.shared.done.notify_all();
             return Ok(id);
         }
-        let charged = self.charge_budget(&request, dataset)?;
         let mut state = self.lock_state();
-        if !charged && state.queue.len() >= self.shared.config.queue_capacity {
+        if state.queue.len() >= self.shared.config.queue_capacity {
             return Err(EngineError::QueueFull {
                 capacity: self.shared.config.queue_capacity,
             });
+        }
+        if let Some(ledger) = &self.shared.ledger {
+            drop(state);
+            let account =
+                dataset.unwrap_or_else(|| dataset_fingerprint(&request.hierarchy, &request.data));
+            ledger.lock().charge(account, request.config.epsilon())?;
+            state = self.lock_state();
         }
         let id = JobId(state.next_id);
         state.next_id += 1;
@@ -760,79 +688,12 @@ impl Engine {
         Ok(id)
     }
 
-    /// Charge-then-release: records the request's ε against its
-    /// dataset's cumulative spend *before* the job is enqueued (and
-    /// so before any noise is drawn), WAL-appending and fsyncing the
-    /// charge when a durable store is attached. Returns whether a
-    /// charge happened (`false` when the engine has no durable half).
-    ///
-    /// A charge is never refunded: a crash (or job failure) after the
-    /// charge but before the release over-counts spent budget, which
-    /// is the safe direction — the ledger can only ever claim *more*
-    /// privacy loss than actually occurred.
-    ///
-    /// Ordering: the queue-capacity pre-check runs first, under the
-    /// state lock, so a `QueueFull` rejection — the retryable error
-    /// clients loop on — can never burn budget. The enqueue after a
-    /// successful charge is then unconditional; a racing burst can
-    /// overshoot the queue bound by the number of in-flight charges,
-    /// which is bounded by the submitter count and strictly better
-    /// than charging for work that is then rejected.
-    fn charge_budget(
-        &self,
-        request: &ReleaseRequest,
-        dataset: Option<Fingerprint>,
-    ) -> Result<bool, EngineError> {
-        let Some(durable) = &self.shared.durable else {
-            return Ok(false);
-        };
-        {
-            let state = self.lock_state();
-            if state.queue.len() >= self.shared.config.queue_capacity {
-                return Err(EngineError::QueueFull {
-                    capacity: self.shared.config.queue_capacity,
-                });
-            }
-        }
-        let ds = match dataset {
-            Some(ds) => ds,
-            None => dataset_fingerprint(&request.hierarchy, &request.data),
-        };
-        let requested = request.config.epsilon();
-        let mut d = durable.lock();
-        let spent = d.ledger.get(&ds.0).copied().unwrap_or(0.0);
-        if let Some(cap) = d.cap {
-            if spent + requested > cap {
-                return Err(EngineError::BudgetExhausted {
-                    handle: DatasetHandle(ds),
-                    spent,
-                    cap,
-                    requested,
-                });
-            }
-        }
-        if let Some(store) = d.store.as_mut() {
-            store
-                .charge(ds.0, requested)
-                .map_err(|e| EngineError::StoreFailed(e.to_string()))?;
-        }
-        *d.ledger.entry(ds.0).or_insert(0.0) += requested;
-        Ok(true)
-    }
-
     /// Cumulative ε charged against a dataset, or `None` when the
-    /// engine runs without a budget ledger. Spend survives
+    /// engine runs without a durable store. Spend survives
     /// `UNPREPARE` and eviction — it is keyed by content, not by
     /// registry slot.
     pub fn budget_spent(&self, handle: DatasetHandle) -> Option<f64> {
-        let durable = self.shared.durable.as_ref()?;
-        let d = durable.lock();
-        Some(d.ledger.get(&handle.0 .0).copied().unwrap_or(0.0))
-    }
-
-    /// The configured per-dataset budget cap, if any.
-    pub fn budget_cap(&self) -> Option<f64> {
-        self.shared.config.budget_cap
+        Some(self.lock_ledger()?.spent(handle.0))
     }
 
     /// Snapshot of a job's current status (`None` for unknown ids).
@@ -986,14 +847,9 @@ impl Engine {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // Best-effort checkpoint so a clean shutdown leaves a short
-        // WAL. Purely an optimization: recovery replays the WAL
-        // regardless, so a failure here loses nothing.
-        if let Some(durable) = &self.shared.durable {
-            let mut d = durable.lock();
-            if let Some(store) = d.store.as_mut() {
-                let _ = store.checkpoint();
-            }
+        // A clean shutdown leaves a short WAL.
+        if let Some(mut ledger) = self.lock_ledger() {
+            ledger.checkpoint();
         }
     }
 
@@ -1008,104 +864,16 @@ impl Engine {
     fn lock_registry(&self) -> RankedGuard<'_, DatasetRegistry> {
         self.shared.registry.lock()
     }
+
+    fn lock_ledger(&self) -> Option<RankedGuard<'_, Ledger>> {
+        self.shared.ledger.as_ref().map(RankedMutex::lock)
+    }
 }
 
 impl Drop for Engine {
     fn drop(&mut self) {
         self.shutdown_inner();
     }
-}
-
-/// Serializes a prepared dataset for the durable store: node names
-/// and parent indices in node-id order, plus each node's histogram
-/// run-length encoded as ascending `(size, count)` pairs.
-fn dataset_record(
-    handle: u128,
-    hierarchy: &Hierarchy,
-    data: &HierarchicalCounts,
-    refs: u64,
-) -> DatasetRecord {
-    let n = hierarchy.num_nodes();
-    let mut names = Vec::with_capacity(n);
-    let mut parents = Vec::with_capacity(n);
-    let mut histograms = Vec::with_capacity(n);
-    for node in hierarchy.iter() {
-        names.push(hierarchy.name(node).to_string());
-        parents.push(match hierarchy.parent(node) {
-            Some(p) => p.index() as u64,
-            None => u64::MAX,
-        });
-        histograms.push(
-            data.node(node)
-                .as_slice()
-                .iter()
-                .enumerate()
-                .filter(|&(_, &count)| count > 0)
-                .map(|(size, &count)| (size as u64, count))
-                .collect(),
-        );
-    }
-    DatasetRecord {
-        handle,
-        names,
-        parents,
-        histograms,
-        refs,
-    }
-}
-
-/// Rebuilds the in-memory dataset a [`dataset_record`] was taken
-/// from. The inverse is exact — the caller verifies that by
-/// recomputing the content fingerprint and comparing it to the
-/// stored handle.
-fn rebuild_dataset(rec: &DatasetRecord) -> Result<(Hierarchy, HierarchicalCounts), String> {
-    let n = rec.names.len();
-    if n == 0 {
-        return Err("dataset record has no nodes".to_string());
-    }
-    if rec.parents.len() != n || rec.histograms.len() != n {
-        return Err(format!(
-            "dataset record is ragged: {n} names, {} parents, {} histograms",
-            rec.parents.len(),
-            rec.histograms.len()
-        ));
-    }
-    if rec.parents.first() != Some(&u64::MAX) {
-        return Err("dataset record node 0 is not a root".to_string());
-    }
-    let Some(root_name) = rec.names.first() else {
-        return Err("dataset record has no nodes".to_string());
-    };
-    // The builder assigns sequential node ids (root = 0), so pushing
-    // children in record order reproduces the original ids exactly.
-    let mut builder = HierarchyBuilder::new(root_name.clone());
-    let mut nodes = vec![Hierarchy::ROOT];
-    for (off, (name, &parent)) in rec.names.iter().zip(rec.parents.iter()).skip(1).enumerate() {
-        let i = off + 1;
-        let parent_node = usize::try_from(parent)
-            .ok()
-            .filter(|&p| p < i)
-            .and_then(|p| nodes.get(p).copied())
-            .ok_or_else(|| {
-                format!("dataset record node {i}: parent {parent} does not precede it")
-            })?;
-        nodes.push(builder.add_child(parent_node, name.clone()));
-    }
-    let hierarchy = builder.build();
-    let hists = rec
-        .histograms
-        .iter()
-        .map(|pairs| {
-            let mut h = CountOfCounts::new();
-            for &(size, count) in pairs {
-                h.add_groups(size, count);
-            }
-            h
-        })
-        .collect();
-    let data = HierarchicalCounts::from_node_histograms(&hierarchy, hists)
-        .map_err(|e| format!("dataset record histograms are inconsistent: {e}"))?;
-    Ok((hierarchy, data))
 }
 
 fn worker_loop(shared: &Shared, me: usize) {
@@ -1920,11 +1688,27 @@ mod tests {
         dir
     }
 
+    /// A capped engine over a fresh store in `dir`.
+    fn capped(dir: &std::path::Path, config: EngineConfig) -> Engine {
+        let store = hcc_store::Store::open(dir.join("engine.hcc")).unwrap();
+        Engine::start_with_store(config, store).unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "a budget cap needs a durable store")]
+    fn a_cap_without_a_store_fails_at_boot() {
+        Engine::start(EngineConfig::default().with_budget_cap(1.0));
+    }
+
     #[test]
     fn budget_cap_charges_per_dataset_and_rejects_over_cap() {
         // request() carries ε=1.0; a 2.5 cap admits two charged
         // releases and refuses the third before any noise is drawn.
-        let engine = Engine::start(EngineConfig::default().with_workers(1).with_budget_cap(2.5));
+        let dir = store_dir("cap");
+        let engine = capped(
+            &dir,
+            EngineConfig::default().with_workers(1).with_budget_cap(2.5),
+        );
         let req = request(1);
         let handle = engine
             .prepare(Arc::clone(&req.hierarchy), Arc::clone(&req.data))
@@ -1971,11 +1755,15 @@ mod tests {
             engine.submit(inline),
             Err(EngineError::BudgetExhausted { .. })
         ));
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn queue_overflow_never_burns_budget() {
-        let engine = Engine::start(
+        let dir = store_dir("overflow");
+        let engine = capped(
+            &dir,
             EngineConfig::default()
                 .with_workers(1)
                 .with_queue_capacity(1)
@@ -2005,6 +1793,31 @@ mod tests {
         // QueueFull bounce charged nothing, so a BUSY retry loop
         // never drains the budget.
         assert_eq!(engine.budget_spent(handle), Some(f64::from(accepted)));
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_unprepare_keeps_the_reference() {
+        let dir = store_dir("unprepare");
+        let policy = hcc_store::FailPolicy::new().with_crash_point("append.refs");
+        let store = hcc_store::Store::open_with(dir.join("engine.hcc"), policy).unwrap();
+        let engine = Engine::start_with_store(EngineConfig::default(), store).unwrap();
+        let req = request(1);
+        // A first PREPARE is a put, so the armed crash point stays quiet.
+        let handle = engine.prepare(req.hierarchy, req.data).unwrap();
+        // The first write wedges the store, the retry meets the wedge;
+        // neither may drop the reference in memory.
+        for _ in 0..2 {
+            assert!(matches!(
+                engine.unprepare(handle),
+                Err(EngineError::StoreFailed(_))
+            ));
+        }
+        assert!(engine.lock_registry().get(handle).is_ok());
+        assert_eq!(engine.prepared_len(), 1);
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

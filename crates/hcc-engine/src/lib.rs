@@ -65,8 +65,8 @@
 //!   ([`Engine::take_trace`], the `TRACE` frame, `hcc trace`) render
 //!   as Chrome-trace JSON ([`chrome_trace_json`]).
 //! * **[`locks`]** — every engine mutex is a rank-ordered
-//!   `RankedMutex` (state < cache < registry < lanes < gate < job <
-//!   telemetry < wire); `debug_assertions` builds panic on any
+//!   `RankedMutex` (state < cache < registry < store < lanes < gate <
+//!   job < telemetry < wire); `debug_assertions` builds panic on any
 //!   misordered acquisition, and the `hcc-lint` static `lock-order`
 //!   rule checks the same order over the extracted acquisition graph.
 //!
@@ -83,6 +83,7 @@ mod client;
 mod engine;
 pub mod fingerprint;
 mod job;
+mod ledger;
 pub mod locks;
 pub mod protocol;
 mod reactor;

@@ -187,10 +187,23 @@ impl DatasetRegistry {
             self.touch(handle);
             return Ok(out);
         }
+        Err(self.missing(handle))
+    }
+
+    /// The reference count `handle` holds, without touching recency.
+    pub(crate) fn refs(&self, handle: DatasetHandle) -> Result<u64, EngineError> {
+        self.entries
+            .get(&handle)
+            .map(|entry| entry.refs)
+            .ok_or_else(|| self.missing(handle))
+    }
+
+    /// The error for a handle with no entry.
+    fn missing(&self, handle: DatasetHandle) -> EngineError {
         if self.tombstones.contains(&handle) {
-            Err(EngineError::DatasetEvicted(handle))
+            EngineError::DatasetEvicted(handle)
         } else {
-            Err(EngineError::UnknownDataset(handle))
+            EngineError::UnknownDataset(handle)
         }
     }
 
@@ -198,11 +211,7 @@ impl DatasetRegistry {
     /// Returns the number of references still held.
     pub fn release(&mut self, handle: DatasetHandle) -> Result<u64, EngineError> {
         let Some(entry) = self.entries.get_mut(&handle) else {
-            return if self.tombstones.contains(&handle) {
-                Err(EngineError::DatasetEvicted(handle))
-            } else {
-                Err(EngineError::UnknownDataset(handle))
-            };
+            return Err(self.missing(handle));
         };
         entry.refs -= 1;
         let remaining = entry.refs;

@@ -45,11 +45,13 @@ const SCOPED_CRATES: [&str; 6] = [
     "crates/hcc-store/src/",
 ];
 
-/// Task-execution files of hcc-engine (the scheduler and everything a worker
-/// touches while computing a release). Telemetry, server and protocol code
-/// never feed released bytes and are exempt.
-const SCOPED_ENGINE_FILES: [&str; 7] = [
+/// Task-execution files of hcc-engine (the scheduler, everything a worker
+/// touches while computing a release, and the ledger that admits it).
+/// Telemetry, server and protocol code never feed released bytes and are
+/// exempt.
+const SCOPED_ENGINE_FILES: [&str; 8] = [
     "crates/hcc-engine/src/engine.rs",
+    "crates/hcc-engine/src/ledger.rs",
     "crates/hcc-engine/src/scheduler.rs",
     "crates/hcc-engine/src/job.rs",
     "crates/hcc-engine/src/cache.rs",

@@ -53,7 +53,7 @@ fn rank_of_receiver(name: &str) -> Option<&'static str> {
         "state" => Some("state"),
         "cache" => Some("cache"),
         "registry" => Some("registry"),
-        "durable" => Some("store"),
+        "ledger" => Some("store"),
         "lanes" | "lane" => Some("lanes"),
         "permits" => Some("gate"),
         "estimates" | "failure" | "slots" => Some("job"),

@@ -17,12 +17,13 @@ use crate::lexer::TokKind;
 use crate::rules::Finding;
 use crate::syntax::SourceFile;
 
-/// Server-connection and worker-task path files.
-const SCOPED_FILES: [&str; 7] = [
+/// Server-connection, worker-task and budget-ledger path files.
+const SCOPED_FILES: [&str; 8] = [
     "crates/hcc-engine/src/server.rs",
     "crates/hcc-engine/src/reactor.rs",
     "crates/hcc-engine/src/protocol.rs",
     "crates/hcc-engine/src/engine.rs",
+    "crates/hcc-engine/src/ledger.rs",
     "crates/hcc-engine/src/scheduler.rs",
     "crates/hcc-engine/src/telemetry.rs",
     "crates/hcc-engine/src/locks.rs",

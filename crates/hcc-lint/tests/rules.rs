@@ -169,6 +169,15 @@ fn panic_policy_true_positives() {
 }
 
 #[test]
+fn panic_policy_covers_the_budget_ledger() {
+    let (findings, _) = lint_as(
+        "crates/hcc-engine/src/ledger.rs",
+        "fn spent(store: Option<f64>) -> f64 { store.unwrap() }\n",
+    );
+    assert_eq!(rules_of(&findings), vec!["panic-policy"], "{findings:?}");
+}
+
+#[test]
 fn panic_policy_false_positives() {
     let (findings, waived) = lint_as(
         "crates/hcc-engine/src/server.rs",

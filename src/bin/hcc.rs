@@ -130,7 +130,7 @@ const USAGE: &str = "usage:
                [--trace N (span-recorder capacity per worker, default 0 = off)]
                [--connections N] [--inflight N] [--bulk-inflight N] [--park N]
                [--store F.hcc (durable dataset store + WAL'd budget ledger)]
-               [--budget-cap EPS (per-dataset cumulative ε ceiling)]
+               [--budget-cap EPS (per-dataset cumulative ε ceiling; needs --store)]
   hcc submit   --addr HOST:PORT --hierarchy F --groups F --entities F --epsilon F
                [--method hc|hc-l2|hg|naive|adaptive] [--bound N] [--seed N] [--out F]
                [--no-retry (fail on the first BUSY shed instead of backing off)]
@@ -582,6 +582,11 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         }
         None => None,
     };
+    if budget_cap.is_some() && !opts.contains_key("store") {
+        return Err(
+            "--budget-cap needs --store: a cap that a restart resets does not bound ε".into(),
+        );
+    }
     let mut engine_cfg = EngineConfig::default()
         .with_workers(workers)
         .with_queue_capacity(queue.max(1))

@@ -527,6 +527,21 @@ fn helpful_errors() {
     assert!(stderr.contains("nope.csv"), "stderr: {stderr}");
 }
 
+/// A cap that a restart resets does not bound ε, so `--budget-cap`
+/// without `--store` is refused before the server binds.
+#[test]
+fn serve_refuses_a_budget_cap_without_a_store() {
+    let out = hcc()
+        .args(["serve", "--addr", "127.0.0.1:0", "--budget-cap", "2.0"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
+    assert!(stderr.contains("--store"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "must refuse before binding");
+}
+
 /// Worker-count plumbing: `--threads`/`HCC_THREADS` size the one
 /// engine-wide work-stealing pool. Zero is rejected everywhere, and
 /// the removed per-job `--job-threads` knob fails loudly instead of

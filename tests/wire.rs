@@ -26,6 +26,7 @@ use hccount::engine::{
     protocol::{SubmitParams, MAX_BOUND},
     serve_reactor, Engine, EngineConfig, MuxClient, ReactorConfig, RetryPolicy,
 };
+use hccount::store::Store;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -39,6 +40,17 @@ fn engine(workers: usize) -> Arc<Engine> {
             .with_workers(workers)
             .with_queue_capacity(64),
     ))
+}
+
+/// A one-worker engine capped at `cap`, over a fresh store (a cap
+/// needs one).
+fn capped_engine(tag: &str, cap: f64) -> Arc<Engine> {
+    let dir = std::env::temp_dir().join("hcc_wire_tests").join(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = Store::open(dir.join("engine.hcc")).unwrap();
+    let config = EngineConfig::default().with_workers(1).with_budget_cap(cap);
+    Arc::new(Engine::start_with_store(config, store).unwrap())
 }
 
 /// Acceptance criterion: a 32-point ε sweep pipelined on one framed
@@ -344,9 +356,7 @@ fn busy_sheds_are_retried_with_bounded_backoff() {
 fn budget_cap_refusal_is_typed_for_inline_and_handle_submits() {
     let ds = dataset();
     let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
-    let engine = Arc::new(Engine::start(
-        EngineConfig::default().with_workers(1).with_budget_cap(2.5),
-    ));
+    let engine = capped_engine("budget_cap_refusal", 2.5);
     let reactor = serve_reactor(engine, "127.0.0.1:0", ReactorConfig::default()).unwrap();
     let base = SubmitParams {
         bound: 500,
@@ -429,9 +439,7 @@ fn budget_cap_refusal_is_typed_for_inline_and_handle_submits() {
 fn out_of_range_bound_is_refused_before_any_budget_is_spent() {
     let ds = dataset();
     let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
-    let engine = Arc::new(Engine::start(
-        EngineConfig::default().with_workers(1).with_budget_cap(1.5),
-    ));
+    let engine = capped_engine("out_of_range_bound", 1.5);
     let reactor = serve_reactor(engine, "127.0.0.1:0", ReactorConfig::default()).unwrap();
     let mut mux = MuxClient::connect(reactor.addr()).unwrap();
     let handle = mux
