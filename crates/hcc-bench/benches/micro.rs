@@ -219,9 +219,9 @@ fn bench_hc_stage(c: &mut Criterion) {
     g.finish();
 }
 
-/// The engine's cache-hit fast path through the full job API. (The
-/// multi-worker batch curve is `engine_scaling/jobs_batch8/*`, from
-/// the `scaling` binary.)
+/// The engine's cache-hit fast path through the full job API. (How
+/// the engine scales across workers is checked by the tier-1
+/// `scaling_smoke` test, not timed here.)
 fn bench_engine(c: &mut Criterion) {
     use std::sync::Arc;
 

@@ -2,17 +2,11 @@
 //! function of engine worker count.
 //!
 //! The paper's census deployment is many *independent* releases over
-//! shared prepared data, so the serving-scale scoreboard is the wall
-//! time of an 8-job batch at 1/2/4/8 engine workers. One harness
-//! feeds three consumers that must agree on the workload:
-//!
-//! * the `scaling` binary, which `scripts/bench.sh` runs to emit the
-//!   `engine_scaling/jobs_batch8/<workers>` curve into BENCH_N.json;
-//! * the tier-1 smoke (`tests/scaling_smoke.rs`), which asserts the
-//!   work-stealing scheduler actually scales (≥1.5× at 4 workers on
-//!   a ≥4-core host) and never *regresses* with extra workers;
-//! * ad-hoc profiling (`cargo run --release -p hcc-bench --bin
-//!   scaling`) while tuning the scheduler.
+//! shared prepared data, so the serving-scale check is the wall time
+//! of an 8-job batch at several engine worker counts. Its consumer is
+//! the tier-1 smoke (`tests/scaling_smoke.rs`), which asserts the
+//! work-stealing scheduler actually scales (≥1.5× at 4 workers on a
+//! ≥4-core host) and never *regresses* with extra workers.
 //!
 //! Wall-clock methodology follows DDIA's scalability framing: hold
 //! the load constant (the batch), vary the resource (workers), and
@@ -47,9 +41,7 @@ pub struct ScalingWorkload {
 
 impl ScalingWorkload {
     /// The benchmark workload: the housing dataset at `scale` with the
-    /// `Hc` estimator under public bound `K = bound` — the same shape
-    /// as the `engine_throughput/jobs_batch8` criterion bench, so the
-    /// curve is comparable across BENCH_N.json generations.
+    /// `Hc` estimator under public bound `K = bound`.
     pub fn census(scale: f64, bound: u64) -> Self {
         let ds = housing(&HousingConfig {
             scale,
@@ -95,22 +87,6 @@ impl ScalingWorkload {
     /// Best-of-`reps` burst wall time at each worker count, each point
     /// on a freshly booted engine with the result cache disabled.
     pub fn curve(&mut self, workers: &[usize], reps: usize) -> Vec<(usize, Duration)> {
-        self.curve_detailed(workers, reps)
-            .into_iter()
-            .map(|(w, dt, _)| (w, dt))
-            .collect()
-    }
-
-    /// Like [`ScalingWorkload::curve`], but also returns each point's
-    /// end-of-run telemetry snapshot as a compact JSON blob
-    /// ([`hcc_engine::TelemetrySnapshot::to_json`]) covering the
-    /// warm-up and all timed bursts — stage-level latency attribution
-    /// for the scaling scoreboard, at zero extra measurement cost.
-    pub fn curve_detailed(
-        &mut self,
-        workers: &[usize],
-        reps: usize,
-    ) -> Vec<(usize, Duration, String)> {
         workers
             .iter()
             .map(|&w| {
@@ -126,7 +102,7 @@ impl ScalingWorkload {
                     .map(|_| self.time_batch(&engine))
                     .min()
                     .expect("reps >= 1");
-                (w, best, engine.telemetry().to_json())
+                (w, best)
             })
             .collect()
     }

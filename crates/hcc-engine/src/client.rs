@@ -11,7 +11,7 @@ use std::time::Duration;
 use crate::protocol::frame::{
     self, parse_busy, parse_error, parse_hello_ok, parse_result, read_frame, Frame, HelloLimits,
     T_BUSY, T_ERROR, T_GOODBYE, T_HELLO, T_HELLO_OK, T_METRICS, T_OK_TEXT, T_PING, T_PONG,
-    T_RESULT, T_STATS, T_TRACE,
+    T_RESULT, T_TRACE,
 };
 use crate::protocol::SubmitParams;
 use crate::registry::DatasetHandle;
@@ -250,12 +250,6 @@ impl MuxClient {
     pub fn ping(&mut self) -> io::Result<bool> {
         let rid = self.send(|rid| Frame::empty(T_PING, rid))?;
         Ok(self.recv_for(rid)?.ftype == T_PONG)
-    }
-
-    /// The server's `STATS` line (workers, queue depth, counters).
-    pub fn stats(&mut self) -> io::Result<String> {
-        self.rpc_text(|rid| Frame::empty(T_STATS, rid))?
-            .map_err(io::Error::other)
     }
 
     /// The server's Prometheus-style metrics text, wire counters

@@ -820,11 +820,6 @@ impl Engine {
         self.shared.telemetry.take_spans()
     }
 
-    /// Jobs currently waiting in the queue.
-    pub fn queue_len(&self) -> usize {
-        self.lock_state().queue.len()
-    }
-
     /// The configuration the engine was started with.
     pub fn config(&self) -> &EngineConfig {
         &self.shared.config

@@ -3,8 +3,8 @@
 //! and out-of-order responses; spoken by
 //! [`MuxClient`](crate::MuxClient); full specification in
 //! `docs/protocol.md`), plus the pieces its payloads share — the
-//! [`SubmitParams`] `key=value` line, the [`format_stats`] reply, and
-//! the [`level_method`] name table.
+//! [`SubmitParams`] `key=value` line and the [`level_method`] name
+//! table.
 //!
 //! `PREPARE` registers a dataset under a content-addressed handle
 //! (see [`crate::registry`]); an ε-sweep then submits by handle on
@@ -27,64 +27,14 @@
 //! set renders to Chrome-trace JSON with
 //! [`chrome_trace_json`](crate::telemetry::chrome_trace_json).
 
-use hcc_consistency::LevelMethod;
+use hcc_consistency::{LevelMethod, TopDownConfig};
 
-use crate::engine::EngineStats;
 use crate::registry::DatasetHandle;
 
 /// Stable machine-readable marker leading the failure text of a
 /// request whose `BUSY` sheds outlasted the client's retry policy;
 /// callers key on this token, never on the prose after it.
 pub const BUSY: &str = "busy:";
-
-/// Renders the one-line `STATS` reply — the single source of truth
-/// for its format, called by the server and pinned (field by field)
-/// by this doctest, so the module documentation above can never drift
-/// from what the wire actually carries again:
-///
-/// ```
-/// use hcc_engine::protocol::format_stats;
-/// use hcc_engine::EngineStats;
-///
-/// let stats = EngineStats {
-///     submitted: 3,
-///     completed: 2,
-///     failed: 1,
-///     cache_hits: 1,
-///     cache_misses: 2,
-///     prepared: 1,
-///     derived: 1,
-///     tasks_executed: 8,
-///     tasks_stolen: 4,
-/// };
-/// assert_eq!(
-///     format_stats(2, 0, 1, &stats),
-///     "STATS workers=2 queued=0 submitted=3 completed=2 failed=1 \
-///      cache_hits=1 cache_misses=2 prepared=1 derived=1 \
-///      prepared_datasets=1 tasks_executed=8 tasks_stolen=4"
-/// );
-/// ```
-pub fn format_stats(
-    workers: usize,
-    queued: usize,
-    prepared_datasets: usize,
-    stats: &EngineStats,
-) -> String {
-    format!(
-        "STATS workers={workers} queued={queued} submitted={} completed={} failed={} \
-         cache_hits={} cache_misses={} prepared={} derived={} \
-         prepared_datasets={prepared_datasets} tasks_executed={} tasks_stolen={}",
-        stats.submitted,
-        stats.completed,
-        stats.failed,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.prepared,
-        stats.derived,
-        stats.tasks_executed,
-        stats.tasks_stolen
-    )
-}
 
 /// Maps a wire method name + bound to the estimator selection — the
 /// single source of truth for which method names the protocol admits.
@@ -191,15 +141,34 @@ impl SubmitParams {
         if !saw_epsilon {
             return Err("missing required parameter epsilon".to_string());
         }
-        if !(params.epsilon.is_finite() && params.epsilon > 0.0) {
-            // The noise mechanisms assert this; reject at the wire so a
-            // bad request cannot panic an engine worker.
-            return Err(format!(
-                "epsilon must be positive and finite, got {}",
-                params.epsilon
-            ));
-        }
+        check_epsilon(params.epsilon)?;
         Ok(params)
+    }
+
+    /// Builds the release configuration these parameters describe,
+    /// refusing an ε that is not positive and finite and a bound
+    /// outside `1..=`[`MAX_BOUND`]. The server runs it before
+    /// admission, so a refused request is never charged; `hcc release`
+    /// runs it before starting its one-shot engine.
+    pub fn config(&self) -> Result<TopDownConfig, String> {
+        check_epsilon(self.epsilon)?;
+        if !(1..=MAX_BOUND).contains(&self.bound) {
+            return Err(format!("bound {} is outside 1..={MAX_BOUND}", self.bound));
+        }
+        let method = level_method(&self.method, self.bound)?;
+        Ok(TopDownConfig::new(self.epsilon).with_method(method))
+    }
+}
+
+/// The noise mechanisms assert a positive, finite ε; refusing any
+/// other up front keeps a bad request from panicking an engine worker.
+fn check_epsilon(epsilon: f64) -> Result<(), String> {
+    if epsilon.is_finite() && epsilon > 0.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "epsilon must be positive and finite, got {epsilon}"
+        ))
     }
 }
 
@@ -265,8 +234,9 @@ pub mod frame {
     pub const T_HELLO: u8 = 0x01;
     /// Request: health check. Empty payload.
     pub const T_PING: u8 = 0x02;
-    /// Request: the one-line engine stats summary. Empty payload.
-    pub const T_STATS: u8 = 0x03;
+    // 0x03 is retired and reserved: an older client may still send
+    // it, so it is never reused, and a server answers it as an
+    // unknown frame type.
     /// Request: Prometheus text exposition. Empty payload.
     pub const T_METRICS: u8 = 0x04;
     /// Request: submit a release job (inline tables or by handle).
@@ -289,7 +259,7 @@ pub mod frame {
     pub const T_HELLO_OK: u8 = 0x81;
     /// Response to [`T_PING`].
     pub const T_PONG: u8 = 0x82;
-    /// Response carrying text (stats, metrics, trace, handles).
+    /// Response carrying text (metrics, trace, handles).
     pub const T_OK_TEXT: u8 = 0x83;
     /// Response carrying a finished release.
     pub const T_RESULT: u8 = 0x84;

@@ -49,11 +49,11 @@ use crate::protocol::frame::{
     parse_derive, parse_prepare, parse_submit, parse_unprepare, result_frame, Frame, FrameError,
     HelloLimits, B_QUEUE, B_QUOTA, E_BUDGET, E_FAILED, E_PROTO, E_REJECTED, E_TIMEOUT, E_VERSION,
     FLAG_BULK, T_APPEND, T_DERIVE, T_GOODBYE, T_HELLO, T_METRICS, T_PING, T_PONG, T_PREPARE,
-    T_STATS, T_SUBMIT, T_TRACE, T_UNPREPARE,
+    T_SUBMIT, T_TRACE, T_UNPREPARE,
 };
-use crate::protocol::{format_stats, one_line};
+use crate::protocol::one_line;
 use crate::registry::DatasetHandle;
-use crate::server::{load_dataset, submit_config, ServerHandle};
+use crate::server::{load_dataset, ServerHandle};
 use crate::telemetry::WireStats;
 use crate::Engine;
 
@@ -632,15 +632,6 @@ impl Reactor {
         match f.ftype {
             T_HELLO => self.push_frame(token, error_frame(rid, E_PROTO, "duplicate HELLO")),
             T_PING => self.push_frame(token, Frame::empty(T_PONG, rid)),
-            T_STATS => {
-                let line = format_stats(
-                    engine.config().workers,
-                    engine.queue_len(),
-                    engine.prepared_len(),
-                    &engine.stats(),
-                );
-                self.push_frame(token, ok_text_frame(rid, &line));
-            }
             T_METRICS => {
                 let mut text = engine.telemetry().to_prometheus();
                 text.push_str(&self.wire.snapshot().to_prometheus());
@@ -732,7 +723,7 @@ impl Reactor {
                 return;
             }
         };
-        let config = match submit_config(&params) {
+        let config = match params.config() {
             Ok(config) => config,
             Err(e) => {
                 self.push_frame(token, error_frame(rid, E_PROTO, &one_line(&e)));

@@ -13,11 +13,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use hcc_consistency::{HierarchicalCounts, TopDownConfig};
+use hcc_consistency::HierarchicalCounts;
 use hcc_hierarchy::{hierarchy_from_csv, Hierarchy};
 use hcc_tables::CsvLoader;
 
-use crate::protocol::{level_method, SubmitParams, MAX_BOUND};
 use crate::reactor::ReactorConfig;
 use crate::telemetry::{WireSnapshot, WireStats};
 use crate::Engine;
@@ -107,14 +106,4 @@ pub(crate) fn load_dataset(
     let data = HierarchicalCounts::from_node_histograms(&hierarchy, db.node_histograms(&hierarchy))
         .map_err(|e| e.to_string())?;
     Ok((Arc::new(hierarchy), Arc::new(data)))
-}
-
-/// Builds the release configuration a request's parameters describe.
-/// Runs before admission, so a refused request is never charged.
-pub(crate) fn submit_config(params: &SubmitParams) -> Result<TopDownConfig, String> {
-    if !(1..=MAX_BOUND).contains(&params.bound) {
-        return Err(format!("bound {} is outside 1..={MAX_BOUND}", params.bound));
-    }
-    let method = level_method(&params.method, params.bound)?;
-    Ok(TopDownConfig::new(params.epsilon).with_method(method))
 }

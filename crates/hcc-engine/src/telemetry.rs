@@ -1,10 +1,10 @@
 //! Engine telemetry: per-worker counters, log-bucketed latency
 //! histograms, and a bounded span recorder.
 //!
-//! The eight-counter `STATS` line says *what* the engine did; this
-//! module says *where the time went* — the prerequisite for closing
-//! the remaining multi-core scaling gap (steal granularity, gate
-//! hand-off latency, queue wait) without guessing. Three layers:
+//! The job counters say *what* the engine did; this module also says
+//! *where the time went* — the prerequisite for closing the remaining
+//! multi-core scaling gap (steal granularity, gate hand-off latency,
+//! queue wait) without guessing. Three layers:
 //!
 //! * **`WorkerMetrics`** (crate-private) — one cache-line-aligned
 //!   block of relaxed atomics per worker, written only by the owning
@@ -20,9 +20,7 @@
 //!   blocks on demand (the *reader* pays, never the workers) and
 //!   renders Prometheus-style text exposition ([`TelemetrySnapshot::
 //!   to_prometheus`], served by the `METRICS` wire verb) with
-//!   p50/p95/p99 derived from the histogram buckets, or a compact
-//!   JSON attribution blob ([`TelemetrySnapshot::to_json`], embedded
-//!   into `BENCH_N.json` by `scripts/bench.sh`).
+//!   p50/p95/p99 derived from the histogram buckets.
 //! * **Span recorder** — when enabled (per-server flag; off by
 //!   default), each worker appends [`SpanEvent`]s (worker, job, task,
 //!   start, end, kind) to its own bounded ring buffer, overwriting
@@ -173,11 +171,6 @@ impl HistogramSnapshot {
             }
         }
         self.max_ns
-    }
-
-    /// Mean recorded duration in nanoseconds (`0` when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 }
 
@@ -615,8 +608,7 @@ impl Telemetry {
 /// A structured, internally consistent point-in-time view of the
 /// whole engine: job counters, per-worker scheduler metrics, and
 /// latency histograms. Produced by `Engine::telemetry`; rendered for
-/// the wire by [`TelemetrySnapshot::to_prometheus`] and for
-/// BENCH_N.json by [`TelemetrySnapshot::to_json`].
+/// the wire by [`TelemetrySnapshot::to_prometheus`].
 #[derive(Clone, Debug)]
 pub struct TelemetrySnapshot {
     /// The job-level counters (same numbers as `Engine::stats`).
@@ -817,57 +809,6 @@ impl TelemetrySnapshot {
             );
         }
         out
-    }
-
-    /// Renders a compact JSON attribution blob (job counters plus
-    /// p50/p95/p99/mean/count per lifecycle stage) for embedding in
-    /// `BENCH_N.json` — small enough to diff across PRs, detailed
-    /// enough to say *which* stage a scaling regression grew in.
-    pub fn to_json(&self) -> String {
-        let totals = self.totals();
-        let hist = |h: &HistogramSnapshot| {
-            format!(
-                "{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-                h.count,
-                h.mean_ns(),
-                h.quantile_ns(0.50),
-                h.quantile_ns(0.95),
-                h.quantile_ns(0.99),
-                h.max_ns
-            )
-        };
-        let estimates: Vec<String> = MethodKind::ALL
-            .iter()
-            .filter(|k| totals.estimate_for(**k).count > 0)
-            .map(|k| format!("\"{}\":{}", k.label(), hist(totals.estimate_for(*k))))
-            .collect();
-        format!(
-            "{{\"workers\":{},\"queued\":{},\"jobs\":{{\"submitted\":{},\"completed\":{},\"failed\":{},\
-             \"cache_hits\":{},\"cache_misses\":{}}},\
-             \"tasks\":{{\"executed\":{},\"stolen\":{},\"steal_attempts\":{},\"steal_successes\":{},\
-             \"steal_failed_probes\":{}}},\
-             \"latency\":{{\"queue_wait\":{},\"expand\":{},\"gate_wait\":{},\"task\":{},\
-             \"finalize\":{},\"idle\":{},\"estimate\":{{{}}}}}}}",
-            self.workers,
-            self.queued,
-            self.stats.submitted,
-            self.stats.completed,
-            self.stats.failed,
-            self.stats.cache_hits,
-            self.stats.cache_misses,
-            totals.tasks_executed,
-            totals.tasks_stolen,
-            totals.steal_attempts,
-            totals.steal_successes,
-            totals.steal_failed_probes,
-            hist(&totals.queue_wait),
-            hist(&totals.expand),
-            hist(&totals.gate_wait),
-            hist(&totals.task_run),
-            hist(&totals.finalize),
-            hist(&totals.idle),
-            estimates.join(",")
-        )
     }
 }
 

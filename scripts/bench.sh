@@ -8,22 +8,17 @@
 #
 # Usage:
 #   PR=<n> scripts/bench.sh       # run benches, write BENCH_<n>.json
-#   scripts/bench.sh --smoke      # CI mode: compile benches, run a
-#                                 # fast scaling curve + wire sweep,
-#                                 # write nothing
+#   scripts/bench.sh --smoke      # CI mode: lint, compile benches, run
+#                                 # a tiny wire curve, write nothing
 #   REPS=5 PR=<n> scripts/bench.sh  # more release_hot_path repetitions
 #
 # The cheap release_hot_path bench runs REPS times (median per label);
 # the micro suite (isotonic, matching, EMD, noise, the Hc kernel, the
-# engine's cache hit), the engine scaling curve (8-job batch wall
-# time at 1/2/4/8 workers, `engine_scaling/jobs_batch8/<w>`) and the
-# wire-path curve (`wire_path/sweep100/framed`,
-# `wire_path/submit_*/c{1,64,1000}`) run once. HCC_SEED pins the RNG
-# stream the release_hot_path bench draws from (default 0). The
-# scaling run also dumps each point's engine telemetry snapshot
-# (stage latency quantiles, steal/gate counters), embedded under a
-# "telemetry" key in BENCH_<n>.json so a scaling regression names the
-# stage it grew in.
+# engine's cache hit) and the wire-path curve
+# (`wire_path/sweep100/framed`, `wire_path/submit_*/c{1,64,1000}`) run
+# once. HCC_SEED pins the RNG stream the release_hot_path bench draws
+# from (default 0). How the engine scales across workers is checked by
+# the tier-1 `scaling_smoke` test, not recorded here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,7 +27,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
   SMOKE=1
 elif [[ -n "${1:-}" || ! "${PR:-}" =~ ^[0-9]+$ ]]; then
   echo "usage: PR=<n> scripts/bench.sh    (writes BENCH_<n>.json)" >&2
-  echo "       scripts/bench.sh --smoke   (compile + tiny curves, writes nothing)" >&2
+  echo "       scripts/bench.sh --smoke   (lint + compile + tiny wire curve, writes nothing)" >&2
   exit 2
 fi
 
@@ -46,32 +41,25 @@ cargo run --release -q -p hcc-lint -- --deny all
 
 if (( SMOKE )); then
   cargo bench -p hcc-bench --no-run
-  # Tiny scaling curve: proves the harness runs end-to-end without
-  # paying for the full measurement workload.
-  HCC_SCALING_SCALE=2e-6 HCC_SCALING_BOUND=500 HCC_SCALING_REPS=1 \
-    cargo run --release -q -p hcc-bench --bin scaling
   # Tiny wire curve: reactor + framed protocol end-to-end over
   # loopback, without the full 1000-connection measurement.
   HCC_WIRE_SWEEP=8 HCC_WIRE_CONNS=1,8 HCC_WIRE_OPS=2 \
     cargo run --release -q -p hcc-bench --bin engine_wire
-  echo "bench smoke OK (benches compile; scaling + wire curves ran)"
+  echo "bench smoke OK (benches compile; wire curve ran)"
   exit 0
 fi
 
 OUT="BENCH_${PR}.json"
 RAW=$(mktemp)
-METRICS=$(mktemp)
-trap 'rm -f "$RAW" "$METRICS"' EXIT
+trap 'rm -f "$RAW"' EXIT
 
 for _ in $(seq "$REPS"); do
   cargo bench -p hcc-bench --bench release_hot_path | tee -a "$RAW"
 done
 cargo bench -p hcc-bench --bench micro | tee -a "$RAW"
-HCC_SCALING_METRICS="$METRICS" \
-  cargo run --release -q -p hcc-bench --bin scaling | tee -a "$RAW"
 cargo run --release -q -p hcc-bench --bin engine_wire | tee -a "$RAW"
 
-python3 - "$RAW" "$OUT" "$HCC_SEED" "$REPS" "$METRICS" "$(nproc)" <<'EOF'
+python3 - "$RAW" "$OUT" "$HCC_SEED" "$REPS" "$(nproc)" <<'EOF'
 import json
 import re
 import statistics
@@ -86,7 +74,7 @@ with open(sys.argv[1]) as fh:
 if not samples:
     sys.exit("no bench output parsed — did the harness format change?")
 doc = {
-    "nproc": int(sys.argv[6]),
+    "nproc": int(sys.argv[5]),
     "seed": int(sys.argv[3]),
     "reps_release_hot_path": int(sys.argv[4]),
     "unit": "ns/iter",
@@ -96,14 +84,6 @@ doc = {
     # earlier BENCH files remain comparable.
     "range": {k: [min(v), max(v)] for k, v in sorted(samples.items())},
 }
-# Per-worker-count engine telemetry from the scaling run: stage
-# latency attribution for the jobs_batch8 curve, keyed "scaling
-# workers" -> snapshot.
-try:
-    with open(sys.argv[5]) as fh:
-        doc["telemetry"] = {"engine_scaling/jobs_batch8": json.load(fh)}
-except (OSError, ValueError):
-    print("warning: no telemetry snapshot captured", file=sys.stderr)
 with open(sys.argv[2], "w") as fh:
     json.dump(doc, fh, indent=2)
     fh.write("\n")

@@ -68,8 +68,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use hccount::consistency::{from_csv as release_from_csv, HierarchicalCounts, TopDownConfig};
-use hccount::core::{emd, size_stats};
+use hccount::consistency::{from_csv as release_from_csv, HierarchicalCounts};
+use hccount::core::size_stats;
 use hccount::data::{Dataset, DatasetKind};
 use hccount::engine::{
     level_method, protocol::SubmitParams, serve_reactor, DatasetHandle, Engine, EngineConfig,
@@ -284,30 +284,33 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_release(opts: &Opts) -> Result<(), String> {
+    let params = SubmitParams {
+        epsilon: required(opts, "epsilon")?
+            .parse()
+            .map_err(|_| "--epsilon: not a number".to_string())?,
+        method: opts.get("method").cloned().unwrap_or_else(|| "hc".into()),
+        bound: parsed(opts, "bound", 100_000)?,
+        seed: parsed(opts, "seed", 42)?,
+        handle: None,
+    };
+    // The checks `hcc serve` makes before admission, so a bad ε or
+    // bound is one error line rather than a worker panic.
+    let cfg = params.config()?;
     let (hierarchy, data) = load_all(opts)?;
-    let epsilon: f64 = required(opts, "epsilon")?
-        .parse()
-        .map_err(|_| "--epsilon: not a number".to_string())?;
-    let bound: u64 = parsed(opts, "bound", 100_000)?;
-    let seed: u64 = parsed(opts, "seed", 42)?;
-    let method = level_method(
-        opts.get("method").map(String::as_str).unwrap_or("hc"),
-        bound,
-    )?;
     let threads = threads_opt(opts, 1)?;
-    let cfg = TopDownConfig::new(epsilon).with_method(method);
     // A one-shot engine: the scheduler is the only parallel executor,
     // and its output is byte-identical at every worker count.
     let regions = hierarchy.num_nodes();
     let engine = Engine::start(EngineConfig::default().with_workers(threads));
-    let request = ReleaseRequest::new(Arc::new(hierarchy), Arc::new(data), cfg, seed);
+    let method = cfg.method_for_level(0).name();
+    let request = ReleaseRequest::new(Arc::new(hierarchy), Arc::new(data), cfg, params.seed);
     let id = engine.submit(request).map_err(|e| e.to_string())?;
     let (result, _) = engine.wait(id).map_err(|e| e.to_string())?;
     let out = PathBuf::from(required(opts, "out")?);
     write(&out, &result.csv)?;
     println!(
-        "released {regions} regions under ε = {epsilon} ({}) to {}",
-        method.name(),
+        "released {regions} regions under ε = {} ({method}) to {}",
+        params.epsilon,
         out.display()
     );
     Ok(())
@@ -896,6 +899,5 @@ fn cmd_evaluate(opts: &Opts) -> Result<(), String> {
             total as f64 / nodes.len() as f64
         );
     }
-    let _ = emd; // re-exported for doc completeness
     Ok(())
 }

@@ -525,6 +525,37 @@ fn helpful_errors() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(stderr.contains("nope.csv"), "stderr: {stderr}");
+
+    // Out-of-range parameters get the checks `hcc serve` makes before
+    // admission: exit 1 with one error line, never a worker panic or an
+    // allocation abort, even over valid tables.
+    std::fs::write(dir.join("good_groups.csv"), "g1,va\n").unwrap();
+    let cases: [(&[&str], &str); 6] = [
+        (
+            &["--epsilon", "1", "--bound", "100000000000"],
+            "outside 1..=",
+        ),
+        (&["--epsilon", "1", "--bound", "0"], "outside 1..="),
+        (&["--epsilon", "0"], "positive and finite"),
+        (&["--epsilon", "-1"], "positive and finite"),
+        (&["--epsilon", "nan"], "positive and finite"),
+        (&["--epsilon", "inf"], "positive and finite"),
+    ];
+    for (args, needle) in cases {
+        let out = hcc()
+            .args(["release"])
+            .args(["--hierarchy", dir.join("hierarchy.csv").to_str().unwrap()])
+            .args(["--groups", dir.join("good_groups.csv").to_str().unwrap()])
+            .args(["--entities", dir.join("entities.csv").to_str().unwrap()])
+            .args(["--out", dir.join("r.csv").to_str().unwrap()])
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
 }
 
 /// A cap that a restart resets does not bound ε, so `--budget-cap`

@@ -10,8 +10,8 @@ use hccount::consistency::{to_csv, top_down_release, LevelMethod, TopDownConfig}
 use hccount::data::{Dataset, DatasetKind};
 use hccount::data::{DatasetDelta, DeltaOp};
 use hccount::engine::protocol::frame::{
-    self, parse_error, read_frame, Frame, DEFAULT_MAX_FRAME, E_REJECTED, E_TIMEOUT, T_ERROR,
-    T_HELLO, T_HELLO_OK, T_PING, T_PONG,
+    self, parse_error, read_frame, Frame, DEFAULT_MAX_FRAME, E_PROTO, E_REJECTED, E_TIMEOUT,
+    T_ERROR, T_HELLO, T_HELLO_OK, T_PING, T_PONG,
 };
 use hccount::engine::{
     protocol::SubmitParams, serve, serve_reactor, DatasetHandle, Engine, EngineConfig, EngineError,
@@ -81,18 +81,36 @@ fn raw_framed(addr: std::net::SocketAddr) -> std::net::TcpStream {
 
 /// Sends `request` then a `PING` on a raw framed connection and
 /// asserts the request is refused with an error frame naming `needle`
-/// while the `PONG` still arrives: the connection survives.
-fn assert_refused_then_pong(addr: std::net::SocketAddr, request: Frame, needle: &str) {
+/// while the `PONG` still arrives: the connection survives. Returns
+/// the refusal's error code.
+fn assert_refused_then_pong(addr: std::net::SocketAddr, request: Frame, needle: &str) -> u8 {
     let mut stream = raw_framed(addr);
     let rid = request.request_id;
     frame::write_frame(&mut stream, &request).unwrap();
     frame::write_frame(&mut stream, &Frame::empty(T_PING, rid + 1)).unwrap();
     let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
     assert_eq!((reply.ftype, reply.request_id), (T_ERROR, rid));
-    let (_, msg) = parse_error(&reply.payload);
+    let (code, msg) = parse_error(&reply.payload);
     assert!(msg.contains(needle), "{msg}");
     let pong = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
     assert_eq!((pong.ftype, pong.request_id), (T_PONG, rid + 1));
+    code
+}
+
+/// Frame type `0x03` is retired and reserved: the server refuses it
+/// like any unknown frame type, with a typed `E_PROTO` error, and the
+/// connection keeps serving.
+#[test]
+fn retired_frame_type_0x03_is_refused_cleanly() {
+    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
+    let code = assert_refused_then_pong(
+        handle.addr(),
+        Frame::empty(0x03, 2),
+        "unknown frame type 0x03",
+    );
+    assert_eq!(code, E_PROTO);
+    handle.shutdown();
 }
 
 /// Acceptance criterion: submit → result over a real loopback TCP
@@ -139,9 +157,12 @@ fn serve_end_to_end_over_loopback() {
     assert_eq!(again.csv, expected);
     assert!(again.from_cache);
 
-    let stats = client.stats().unwrap();
-    assert!(stats.contains("cache_hits=1"), "{stats}");
-    assert!(stats.contains("submitted=2"), "{stats}");
+    let metrics = client.metrics().unwrap();
+    assert!(metrics.contains("hcc_cache_hits_total 1\n"), "{metrics}");
+    assert!(
+        metrics.contains("hcc_jobs_submitted_total 2\n"),
+        "{metrics}"
+    );
 
     client.quit().unwrap();
     handle.shutdown();
@@ -170,13 +191,16 @@ fn prepare_sweep_unprepare_over_loopback() {
         .unwrap()
         .unwrap();
     assert_eq!(ds_handle, again);
-    let stats = client.stats().unwrap();
-    // `prepared=` counts PREPARE calls accepted (mirrors
-    // `EngineStats::prepared`); `prepared_datasets=` is the live
-    // registry size — two preparations of identical content are one
-    // dataset.
-    assert!(stats.contains("prepared=2"), "{stats}");
-    assert!(stats.contains("prepared_datasets=1"), "{stats}");
+    let metrics = client.metrics().unwrap();
+    // `hcc_datasets_prepared_total` counts PREPARE calls accepted
+    // (mirrors `EngineStats::prepared`); `hcc_prepared_datasets` is the
+    // live registry size — two preparations of identical content are
+    // one dataset.
+    assert!(
+        metrics.contains("hcc_datasets_prepared_total 2\n"),
+        "{metrics}"
+    );
+    assert!(metrics.contains("hcc_prepared_datasets 1\n"), "{metrics}");
 
     // Inline and by-handle submissions of the same request must be
     // byte-identical — and share one cache entry.
@@ -397,8 +421,11 @@ fn derive_and_append_over_loopback() {
     };
     assert_eq!(release.csv, direct);
 
-    let stats = client.stats().unwrap();
-    assert!(stats.contains("derived=1"), "{stats}");
+    let metrics = client.metrics().unwrap();
+    assert!(
+        metrics.contains("hcc_datasets_derived_total 1\n"),
+        "{metrics}"
+    );
 
     // APPEND: derives and drops one reference on the parent. The
     // parent held one reference, so it disappears.
@@ -566,12 +593,14 @@ fn idle_client_no_longer_blocks_a_subsequent_submit() {
     handle.shutdown();
 }
 
-/// Runs `sweep` over `ds_handle` on its own connection and, once the
-/// server reports the first completed job, calls `sabotage` from a
-/// second connection while the rest of the grid is still parked.
-/// Returns the sweep's per-point outcomes in grid order.
+/// Runs `sweep` over `ds_handle` on its own connection to the server
+/// at `addr` and, once `engine` (the one serving it) reports the first
+/// completed job, calls `sabotage` from a second connection while the
+/// rest of the grid is still parked. Returns the sweep's per-point
+/// outcomes in grid order.
 fn sweep_with_sabotage(
     addr: std::net::SocketAddr,
+    engine: &Engine,
     ds_handle: DatasetHandle,
     params: &SubmitParams,
     epsilons: &[f64],
@@ -589,14 +618,7 @@ fn sweep_with_sabotage(
         })
     };
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    let completed = |stats: String| -> u64 {
-        stats
-            .split_whitespace()
-            .find_map(|kv| kv.strip_prefix("completed="))
-            .and_then(|n| n.parse().ok())
-            .unwrap()
-    };
-    while completed(saboteur.stats().unwrap()) == 0 {
+    while engine.stats().completed == 0 {
         assert!(std::time::Instant::now() < deadline, "no point completed");
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -640,15 +662,17 @@ fn unprepare_and_eviction_mid_sweep_fail_cleanly() {
 
     // Scenario 1: UNPREPARE to zero references mid-sweep.
     {
-        let handle = serve(Arc::new(engine(16)), "127.0.0.1:0").unwrap();
+        let engine = Arc::new(engine(16));
+        let handle = serve(Arc::clone(&engine), "127.0.0.1:0").unwrap();
         let ds_handle = MuxClient::connect(handle.addr())
             .unwrap()
             .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
             .unwrap()
             .unwrap();
-        let outcomes = sweep_with_sabotage(handle.addr(), ds_handle, &params, &epsilons, |c| {
-            assert_eq!(c.unprepare(ds_handle).unwrap().unwrap(), 0);
-        });
+        let outcomes =
+            sweep_with_sabotage(handle.addr(), &engine, ds_handle, &params, &epsilons, |c| {
+                assert_eq!(c.unprepare(ds_handle).unwrap().unwrap(), 0);
+            });
         // Grid order and length are preserved even through failures.
         let seen: Vec<f64> = outcomes.iter().map(|(e, _)| *e).collect();
         assert_eq!(seen, epsilons);
@@ -672,7 +696,8 @@ fn unprepare_and_eviction_mid_sweep_fail_cleanly() {
     // saboteur prepares a different dataset) — the distinguishable
     // "re-prepare" error, not "unknown".
     {
-        let handle = serve(Arc::new(engine(1)), "127.0.0.1:0").unwrap();
+        let engine = Arc::new(engine(1));
+        let handle = serve(Arc::clone(&engine), "127.0.0.1:0").unwrap();
         let ds_handle = MuxClient::connect(handle.addr())
             .unwrap()
             .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
@@ -680,9 +705,10 @@ fn unprepare_and_eviction_mid_sweep_fail_cleanly() {
             .unwrap();
         let other = Dataset::generate(DatasetKind::Housing, 0.001, 6);
         let (h2, g2, e2) = other.to_csv_tables();
-        let outcomes = sweep_with_sabotage(handle.addr(), ds_handle, &params, &epsilons, |c| {
-            c.prepare(&h2, &g2, &e2).unwrap().unwrap();
-        });
+        let outcomes =
+            sweep_with_sabotage(handle.addr(), &engine, ds_handle, &params, &epsilons, |c| {
+                c.prepare(&h2, &g2, &e2).unwrap().unwrap();
+            });
         let failures: Vec<&String> = outcomes
             .iter()
             .filter_map(|(_, r)| r.as_ref().err())

@@ -277,9 +277,10 @@ fn trace_spans_cover_at_least_90_percent_of_worker_wallclock() {
         .all(|s| matches!(s.kind, SpanKind::Sched | SpanKind::Idle)));
 }
 
-/// `Engine::stats` must never expose an in-flight job as both
-/// unsubmitted and completed: concurrent readers hammering the
-/// snapshot while 32 jobs run always observe
+/// `Engine::stats` and the counters `METRICS` renders
+/// (`Engine::telemetry().stats`) must never expose an in-flight job as
+/// both unsubmitted and completed: concurrent readers hammering both
+/// snapshots while 32 jobs run always observe
 /// `completed + failed ≤ submitted` and
 /// `cache_hits + cache_misses ≤ submitted`, with `submitted`
 /// monotonically non-decreasing per reader.
@@ -294,27 +295,28 @@ fn stats_snapshot_stays_consistent_under_concurrent_load() {
             scope.spawn(|| {
                 let mut last_submitted = 0;
                 while !done.load(Ordering::Relaxed) {
-                    let s = engine.stats();
-                    assert!(
-                        s.completed + s.failed <= s.submitted,
-                        "snapshot tore: {} completed + {} failed > {} submitted",
-                        s.completed,
-                        s.failed,
-                        s.submitted
-                    );
-                    assert!(
-                        s.cache_hits + s.cache_misses <= s.submitted,
-                        "snapshot tore: {} hits + {} misses > {} submitted",
-                        s.cache_hits,
-                        s.cache_misses,
-                        s.submitted
-                    );
-                    assert!(
-                        s.submitted >= last_submitted,
-                        "submitted went backwards: {} < {last_submitted}",
-                        s.submitted
-                    );
-                    last_submitted = s.submitted;
+                    for s in [engine.stats(), engine.telemetry().stats] {
+                        assert!(
+                            s.completed + s.failed <= s.submitted,
+                            "snapshot tore: {} completed + {} failed > {} submitted",
+                            s.completed,
+                            s.failed,
+                            s.submitted
+                        );
+                        assert!(
+                            s.cache_hits + s.cache_misses <= s.submitted,
+                            "snapshot tore: {} hits + {} misses > {} submitted",
+                            s.cache_hits,
+                            s.cache_misses,
+                            s.submitted
+                        );
+                        assert!(
+                            s.submitted >= last_submitted,
+                            "submitted went backwards: {} < {last_submitted}",
+                            s.submitted
+                        );
+                        last_submitted = s.submitted;
+                    }
                 }
             });
         }
@@ -341,4 +343,5 @@ fn stats_snapshot_stays_consistent_under_concurrent_load() {
     assert_eq!(s.submitted, 32);
     assert_eq!((s.completed, s.failed), (32, 0));
     assert_eq!((s.cache_hits, s.cache_misses), (20, 12));
+    assert_eq!(engine.telemetry().stats, s);
 }
