@@ -15,9 +15,8 @@
 //!   more than a noise-tolerance factor over the 1-worker burst —
 //!   exactly the regression the old engine failed.
 //!
-//! Workload: best-of-2 8-job bursts per point via the shared
-//! [`hcc_bench::scaling::ScalingWorkload`] harness (the same shape
-//! `scripts/bench.sh` writes into BENCH_N.json), scaled down so the
+//! Workload: best-of-2 8-job bursts per point via the
+//! [`hcc_bench::scaling::ScalingWorkload`] harness, scaled down so the
 //! test stays cheap in debug builds.
 
 use hcc_bench::scaling::ScalingWorkload;

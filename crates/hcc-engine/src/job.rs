@@ -1,5 +1,4 @@
-//! Job types: what a client submits, what the engine returns, and the
-//! lifecycle states in between.
+//! Job types: what a client submits and what the engine hands back.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,17 +13,6 @@ pub struct JobId(pub u64);
 impl std::fmt::Display for JobId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "job-{}", self.0)
-    }
-}
-
-impl std::str::FromStr for JobId {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        s.strip_prefix("job-")
-            .and_then(|n| n.parse().ok())
-            .map(JobId)
-            .ok_or_else(|| format!("malformed job id {s:?}"))
     }
 }
 
@@ -77,13 +65,9 @@ pub struct ReleaseResult {
     pub compute_time: Duration,
 }
 
-/// Lifecycle of a submitted job.
+/// How a submitted job ended, as handed to its one consumer.
 #[derive(Clone, Debug)]
 pub enum JobStatus {
-    /// Waiting in the bounded queue.
-    Queued,
-    /// A worker is computing it.
-    Running,
     /// Finished; `from_cache` tells whether the result was served
     /// from the result cache instead of recomputed.
     Done {
@@ -96,18 +80,6 @@ pub enum JobStatus {
     Failed(String),
 }
 
-impl JobStatus {
-    /// Short wire/display name of the state.
-    pub fn name(&self) -> &'static str {
-        match self {
-            JobStatus::Queued => "queued",
-            JobStatus::Running => "running",
-            JobStatus::Done { .. } => "done",
-            JobStatus::Failed(_) => "failed",
-        }
-    }
-}
-
 /// Errors surfaced by the engine's job API.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EngineError {
@@ -118,7 +90,8 @@ pub enum EngineError {
     },
     /// The engine is shutting down and accepts no new jobs.
     ShuttingDown,
-    /// No job with the given id was ever submitted.
+    /// No job with the given id is waiting for a consumer: it was
+    /// never submitted, or its outcome was already handed over.
     UnknownJob(JobId),
     /// The job ran and failed.
     JobFailed(String),

@@ -23,7 +23,8 @@
 //!   ([`hcc_consistency::node_seeds`]), so the released bytes are
 //!   **identical for every worker count** — parallelism is purely an
 //!   execution concern, never a statistical one.
-//!   [`Engine::status`] polls, [`Engine::wait`] blocks.
+//!   Each job's outcome goes to one consumer: a watcher registered
+//!   with [`Engine::on_finish`], or [`Engine::wait`], which blocks.
 //! * **[`cache`]** — an LRU result cache keyed by a 128-bit
 //!   fingerprint of (hierarchy, data, config, seed), with hit/miss
 //!   counters. A release is a pure function of its fingerprint, so

@@ -7,10 +7,10 @@
 //! - **One reactor thread.** A level-triggered epoll instance watches
 //!   the listener, a wake pipe, and every client socket; accept, read,
 //!   decode, dispatch, and write all happen on this thread. Job
-//!   execution stays on the engine's worker pool — the reactor
-//!   subscribes to results with [`crate::Engine::on_finish`] and never
-//!   blocks on a job, so reactor threads stay at `1` no matter how
-//!   many connections or jobs are open.
+//!   execution stays on the engine's worker pool — the reactor is
+//!   each job's one consumer through [`crate::Engine::on_finish`] and
+//!   never blocks on a job, so reactor threads stay at `1` no matter
+//!   how many connections or jobs are open.
 //! - **Pipelining.** Requests carry client-chosen ids and responses
 //!   echo them, so one connection can keep many requests in flight
 //!   and receive answers out of order. A connection whose first byte
@@ -899,8 +899,9 @@ impl Reactor {
         }
         for c in drained {
             if self.untrack(c.token, c.request_id).is_none() {
-                // Connection closed while the job ran; the result
-                // stays queryable via the engine.
+                // Connection closed while the job ran. This watcher
+                // was the outcome's one consumer, so it is dropped
+                // here; a repeat request is served by the result cache.
                 continue;
             }
             let reply = match c.status {
@@ -909,8 +910,6 @@ impl Reactor {
                     result_frame(c.request_id, from_cache, rows, &result.csv)
                 }
                 JobStatus::Failed(msg) => error_frame(c.request_id, E_FAILED, &one_line(&msg)),
-                // Watchers only fire on terminal states.
-                JobStatus::Queued | JobStatus::Running => continue,
             };
             self.push_frame(c.token, reply);
         }
@@ -1132,8 +1131,9 @@ impl Reactor {
     }
 
     /// Tears down one connection. In-flight jobs keep running; their
-    /// completions find the connection gone and are dropped (results
-    /// stay queryable through the engine).
+    /// completions find the connection gone and are dropped, and the
+    /// engine keeps nothing of them past that hand-over (a repeat
+    /// request is served by the result cache).
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             self.epoll.delete(conn.stream.as_raw_fd());

@@ -84,32 +84,22 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let opts = match parse_opts(rest) {
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(&(_, run, known)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        eprintln!("error: unknown subcommand {cmd:?}");
+        return ExitCode::FAILURE;
+    };
+    let opts = match parse_opts(rest, known) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e} for `hcc {cmd}`\n\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(&opts),
-        "release" => cmd_release(&opts),
-        "stats" => cmd_stats(&opts),
-        "evaluate" => cmd_evaluate(&opts),
-        "serve" => cmd_serve(&opts),
-        "submit" => cmd_submit(&opts),
-        "prepare" => cmd_prepare(&opts),
-        "sweep" => cmd_sweep(&opts),
-        "derive" => cmd_derive(&opts),
-        "unprepare" => cmd_unprepare(&opts),
-        "trace" => cmd_trace(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        other => Err(format!("unknown subcommand {other:?}")),
-    };
-    match result {
+    match run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -151,17 +141,66 @@ environment:
 
 type Opts = HashMap<String, String>;
 
+type Command = fn(&Opts) -> Result<(), String>;
+
+/// Each subcommand, its entry point, and the options it reads
+/// (space-separated); any other option is refused before it runs.
+const COMMANDS: &[(&str, Command, &str)] = &[
+    ("generate", cmd_generate, "kind scale seed out-dir"),
+    (
+        "release",
+        cmd_release,
+        "hierarchy groups entities epsilon method bound seed threads out",
+    ),
+    (
+        "stats",
+        cmd_stats,
+        "hierarchy release region addr watch raw no-retry",
+    ),
+    ("evaluate", cmd_evaluate, "hierarchy release truth"),
+    (
+        "serve",
+        cmd_serve,
+        "addr threads queue cache prepared read-timeout trace \
+        connections inflight bulk-inflight park store budget-cap",
+    ),
+    (
+        "submit",
+        cmd_submit,
+        "addr hierarchy groups entities epsilon method bound seed out no-retry",
+    ),
+    (
+        "prepare",
+        cmd_prepare,
+        "addr hierarchy groups entities no-retry",
+    ),
+    (
+        "sweep",
+        cmd_sweep,
+        "addr eps handle hierarchy groups entities method bound seed out-dir \
+        no-retry",
+    ),
+    ("derive", cmd_derive, "addr handle delta append no-retry"),
+    ("unprepare", cmd_unprepare, "addr handle no-retry"),
+    ("trace", cmd_trace, "addr out no-retry"),
+];
+
 /// Options that are bare flags (present/absent) rather than
 /// `--key value` pairs.
 const FLAGS: &[&str] = &["append", "raw", "no-retry"];
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+/// Parses `--key value` pairs and bare flags, refusing any option not
+/// in the space-separated `known`.
+fn parse_opts(args: &[String], known: &str) -> Result<Opts, String> {
     let mut opts = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
         let key = key
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --option, got {key:?}"))?;
+        if !known.split_whitespace().any(|k| k == key) {
+            return Err(format!("unknown option --{key}"));
+        }
         if FLAGS.contains(&key) {
             opts.insert(key.to_string(), "true".to_string());
             continue;
@@ -186,6 +225,15 @@ fn parsed<T: std::str::FromStr>(opts: &Opts, key: &str, default: T) -> Result<T,
         Some(v) => v
             .parse()
             .map_err(|_| format!("--{key}: cannot parse {v:?}")),
+    }
+}
+
+/// A count option that must be at least 1, like `--threads`: a zero
+/// would leave the server unable to take any work.
+fn at_least_one(opts: &Opts, key: &str, default: usize) -> Result<usize, String> {
+    match parsed(opts, key, default)? {
+        0 => Err(format!("--{key} must be at least 1")),
+        n => Ok(n),
     }
 }
 
@@ -555,24 +603,15 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let addr = required(opts, "addr")?;
     let default_workers = std::thread::available_parallelism().map_or(2, |n| n.get());
     let workers = threads_opt(opts, default_workers)?;
-    if opts.contains_key("job-threads") {
-        // The engine runs one work-stealing pool; there is no hidden
-        // per-job thread spawn left to size.
-        return Err(
-            "--job-threads was removed: the engine runs a single work-stealing pool \
-             sized by --threads/HCC_THREADS"
-                .into(),
-        );
-    }
-    let queue: usize = parsed(opts, "queue", 64)?;
+    let queue = at_least_one(opts, "queue", 64)?;
     let cache: usize = parsed(opts, "cache", 32)?;
     let prepared: usize = parsed(opts, "prepared", 16)?;
     let read_timeout_secs: u64 = parsed(opts, "read-timeout", 30)?;
     let trace: usize = parsed(opts, "trace", 0)?;
-    let inflight: usize = parsed(opts, "inflight", 256)?;
-    let bulk_inflight: usize = parsed(opts, "bulk-inflight", 64)?;
+    let inflight = at_least_one(opts, "inflight", 256)?;
+    let bulk_inflight = at_least_one(opts, "bulk-inflight", 64)?;
     let park: usize = parsed(opts, "park", 64)?;
-    let connections: usize = parsed(opts, "connections", 1024)?;
+    let connections = at_least_one(opts, "connections", 1024)?;
     let budget_cap: Option<f64> = match opts.get("budget-cap") {
         Some(v) => {
             let cap: f64 = v
@@ -592,7 +631,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     }
     let mut engine_cfg = EngineConfig::default()
         .with_workers(workers)
-        .with_queue_capacity(queue.max(1))
+        .with_queue_capacity(queue)
         .with_cache_capacity(cache)
         .with_prepared_capacity(prepared)
         .with_trace_capacity(trace);
@@ -623,9 +662,9 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         (read_timeout_secs > 0).then(|| std::time::Duration::from_secs(read_timeout_secs));
     let reactor_cfg = ReactorConfig::default()
         .with_read_timeout(read_timeout)
-        .with_max_connections(connections.max(1))
-        .with_interactive_inflight(inflight.max(1))
-        .with_bulk_inflight(bulk_inflight.max(1))
+        .with_max_connections(connections)
+        .with_interactive_inflight(inflight)
+        .with_bulk_inflight(bulk_inflight)
         .with_park_capacity(park);
     let handle = serve_reactor(Arc::new(engine), addr, reactor_cfg)
         .map_err(|e| format!("binding {addr}: {e}"))?;

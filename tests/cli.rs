@@ -2,10 +2,35 @@
 //! binary through generate → release → stats → evaluate.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn hcc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_hcc"))
+}
+
+/// Runs a command that must exit on its own, killing it and failing
+/// the test if it still runs after 30 s: a `serve` that should have
+/// refused its options would otherwise serve forever.
+fn output_exiting(cmd: &mut Command) -> Output {
+    let mut child = cmd
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let out = child.wait_with_output().unwrap();
+            panic!(
+                "still running after 30 s; stdout: {}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().unwrap()
 }
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -575,8 +600,8 @@ fn serve_refuses_a_budget_cap_without_a_store() {
 
 /// Worker-count plumbing: `--threads`/`HCC_THREADS` size the one
 /// engine-wide work-stealing pool. Zero is rejected everywhere, and
-/// the removed per-job `--job-threads` knob fails loudly instead of
-/// being silently ignored.
+/// the removed per-job `--job-threads` knob is refused like any other
+/// option `serve` does not read.
 #[test]
 fn thread_plumbing_rejects_zero_and_removed_job_threads() {
     // serve: a zero-sized pool can make no progress.
@@ -598,18 +623,16 @@ fn thread_plumbing_rejects_zero_and_removed_job_threads() {
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(stderr.contains("at least 1"), "stderr: {stderr}");
 
-    // serve: --job-threads is gone (the engine runs ONE pool); the
-    // error says what replaced it.
-    let out = hcc()
-        .args(["serve", "--addr", "127.0.0.1:0", "--job-threads", "2"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
+    // serve: --job-threads is gone (the engine runs ONE pool), so it
+    // is an unknown option.
+    let out = output_exiting(hcc().args(["serve", "--addr", "127.0.0.1:0", "--job-threads", "2"]));
+    assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(
-        stderr.contains("--job-threads was removed") && stderr.contains("work-stealing"),
+        stderr.contains("unknown option --job-threads"),
         "stderr: {stderr}"
     );
+    assert!(out.stdout.is_empty(), "must refuse before binding");
 
     // release: the estimator-parallelism knob rejects zero too (the
     // tables must parse first, so give it a minimal valid dataset).
@@ -629,6 +652,80 @@ fn thread_plumbing_rejects_zero_and_removed_job_threads() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(stderr.contains("at least 1"), "stderr: {stderr}");
+}
+
+/// An option a subcommand does not read is refused with exit 2 and a
+/// message naming it, before anything is bound or written: a typo
+/// such as `--budget_cap` must not serve without the cap it meant.
+#[test]
+fn unknown_options_are_refused_before_anything_runs() {
+    let out = output_exiting(
+        hcc()
+            .args(["serve", "--addr", "127.0.0.1:0", "--budget_cap", "0.5"])
+            .args(["--treads", "64"]),
+    );
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(
+        stderr.contains("unknown option --budget_cap"),
+        "stderr: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "must refuse before binding");
+
+    // release: over valid tables, a misspelt option writes nothing.
+    let dir = tmp_dir("unknown_option");
+    std::fs::write(dir.join("hierarchy.csv"), "region,parent\nroot,\nva,root\n").unwrap();
+    std::fs::write(dir.join("groups.csv"), "g1,va\n").unwrap();
+    std::fs::write(dir.join("entities.csv"), "e1,g1\n").unwrap();
+    let release = |extra: &[&str]| {
+        hcc()
+            .args(["release"])
+            .args(["--hierarchy", dir.join("hierarchy.csv").to_str().unwrap()])
+            .args(["--groups", dir.join("groups.csv").to_str().unwrap()])
+            .args(["--entities", dir.join("entities.csv").to_str().unwrap()])
+            .args(["--epsilon", "1"])
+            .args(["--out", dir.join("r.csv").to_str().unwrap()])
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+    let out = release(&["--treads", "4"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(
+        stderr.contains("unknown option --treads"),
+        "stderr: {stderr}"
+    );
+    assert!(out.stdout.is_empty());
+    assert!(!dir.join("r.csv").exists(), "nothing may be written");
+    // The same command without the typo runs.
+    assert!(release(&["--threads", "4"]).status.success());
+    assert!(dir.join("r.csv").exists());
+
+    // An option another subcommand reads is still unknown here.
+    let out = hcc()
+        .args(["generate", "--kind", "taxi", "--addr", "127.0.0.1:0"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --addr"));
+}
+
+/// The server's queue and lane sizes are what the banner prints, so a
+/// zero is refused like `--threads 0` instead of being raised to 1
+/// behind the banner's back.
+#[test]
+fn serve_refuses_zero_queue_and_lane_sizes() {
+    for key in ["--queue", "--inflight", "--bulk-inflight", "--connections"] {
+        let out = output_exiting(hcc().args(["serve", "--addr", "127.0.0.1:0", key, "0"]));
+        assert_eq!(out.status.code(), Some(1), "{key}");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(
+            stderr.contains(&format!("{key} must be at least 1")),
+            "{key}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{key}: must refuse before binding");
+    }
 }
 
 /// `--threads` changes only the execution schedule, never the bytes.

@@ -770,25 +770,28 @@ fn server_reports_errors_and_survives_them() {
 
 /// The completion-watcher API behind the reactor's event-driven
 /// result delivery: a watcher registered on a live job fires exactly
-/// once with the terminal status, a watcher registered after the job
-/// finished fires immediately, and an id the engine never saw is a
-/// typed error.
+/// once with the terminal status and is its one consumer, a watcher
+/// registered after the job finished fires immediately, and an id the
+/// engine never saw is a typed error.
 #[test]
 fn on_finish_fires_once_with_the_terminal_status() {
     let ds = dataset();
     let engine = Engine::start(EngineConfig::default().with_workers(1));
     let hierarchy = Arc::new(ds.hierarchy);
     let data = Arc::new(ds.data);
+    let submit = || {
+        engine
+            .submit(ReleaseRequest::new(
+                Arc::clone(&hierarchy),
+                Arc::clone(&data),
+                config(),
+                11,
+            ))
+            .unwrap()
+    };
 
     // Deferred path: register while the job is (likely) still live.
-    let id = engine
-        .submit(ReleaseRequest::new(
-            Arc::clone(&hierarchy),
-            Arc::clone(&data),
-            config(),
-            11,
-        ))
-        .unwrap();
+    let id = submit();
     let (tx, rx) = std::sync::mpsc::channel();
     engine
         .on_finish(id, move |job, status| tx.send((job, status)).unwrap())
@@ -796,13 +799,18 @@ fn on_finish_fires_once_with_the_terminal_status() {
     let (seen_id, status) = rx.recv_timeout(Duration::from_secs(30)).unwrap();
     assert_eq!(seen_id, id);
     let JobStatus::Done { result, .. } = status else {
-        panic!("watcher saw non-terminal status");
+        panic!("watcher saw a failed job");
     };
-    let (direct, _) = engine.wait(id).unwrap();
-    assert_eq!(result.csv, direct.csv);
+    // The watcher took the outcome: a second consumer finds nothing.
+    match engine.wait(id) {
+        Err(EngineError::UnknownJob(e)) => assert_eq!(e, id),
+        other => panic!("expected UnknownJob, got {other:?}"),
+    }
 
-    // Immediate path: the job above is terminal, so a fresh watcher
-    // runs on the calling thread before `on_finish` returns.
+    // Immediate path: the same request again is a cache hit, terminal
+    // at submission, so a watcher runs on the calling thread before
+    // `on_finish` returns.
+    let id = submit();
     let (tx, rx) = std::sync::mpsc::channel();
     engine
         .on_finish(id, move |job, status| tx.send((job, status)).unwrap())
@@ -811,7 +819,15 @@ fn on_finish_fires_once_with_the_terminal_status() {
         .try_recv()
         .expect("terminal-job watcher must run synchronously");
     assert_eq!(seen_id, id);
-    assert!(matches!(status, JobStatus::Done { .. }));
+    let JobStatus::Done {
+        result: cached,
+        from_cache,
+    } = status
+    else {
+        panic!("watcher saw a failed job");
+    };
+    assert!(from_cache);
+    assert_eq!(cached.csv, result.csv);
 
     // Unknown id: an engine that never issued the id reports it.
     let other = Engine::start(EngineConfig::default().with_workers(1));

@@ -24,7 +24,7 @@ use hccount::engine::protocol::frame::{
 };
 use hccount::engine::{
     protocol::{SubmitParams, MAX_BOUND},
-    serve_reactor, Engine, EngineConfig, MuxClient, ReactorConfig, RetryPolicy,
+    serve_reactor, Engine, EngineConfig, EngineError, JobId, MuxClient, ReactorConfig, RetryPolicy,
 };
 use hccount::store::Store;
 use rand::rngs::StdRng;
@@ -502,6 +502,35 @@ fn out_of_range_bound_is_refused_before_any_budget_is_spent() {
         over.unwrap_err().contains("privacy budget exhausted"),
         "the second ε = 1 must exceed the 1.5 cap"
     );
+    mux.quit().unwrap();
+    reactor.shutdown();
+}
+
+/// The reactor's completion watcher is a served job's one consumer:
+/// once the release has reached the client, the engine keeps nothing
+/// of the job, so a later `wait` on its id finds no such job.
+#[test]
+fn served_release_leaves_no_outcome_in_the_engine() {
+    let ds = dataset();
+    let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
+    let engine = engine(1);
+    let reactor =
+        serve_reactor(Arc::clone(&engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
+    let mut mux = MuxClient::connect(reactor.addr()).unwrap();
+    let params = SubmitParams {
+        bound: 500,
+        ..SubmitParams::default()
+    };
+    let release = mux
+        .submit_release(&params, &hierarchy_csv, &groups_csv, &entities_csv)
+        .unwrap()
+        .unwrap();
+    assert!(release.csv.starts_with("region,level,size,count"));
+    assert_eq!(engine.stats().submitted, 1, "one job, so its id is 0");
+    match engine.wait(JobId(0)) {
+        Err(EngineError::UnknownJob(id)) => assert_eq!(id, JobId(0)),
+        other => panic!("the served job's outcome must be consumed, got {other:?}"),
+    }
     mux.quit().unwrap();
     reactor.shutdown();
 }
