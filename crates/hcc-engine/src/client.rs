@@ -375,23 +375,22 @@ impl MuxClient {
         let mut attempt = 0u32;
         loop {
             let rid = self.send(|rid| frame::submit_frame(rid, params, tables, false))?;
-            match self.await_submit(rid)? {
+            let reply = self.recv_for(rid)?;
+            match self.submit_outcome(&reply, attempt)? {
                 SubmitOutcome::Done(outcome) => return Ok(outcome),
-                SubmitOutcome::Busy(retry_ms) => {
-                    if attempt >= self.retry.max_attempts {
-                        return Ok(Err(self.retry.exhausted(&format!("retry in {retry_ms}ms"))));
-                    }
-                    let delay = self.retry.delay_ms(attempt, retry_ms);
+                SubmitOutcome::Retry { delay_ms } => {
                     attempt += 1;
-                    std::thread::sleep(Duration::from_millis(u64::from(delay)));
+                    std::thread::sleep(Duration::from_millis(u64::from(delay_ms)));
                 }
             }
         }
     }
 
-    /// Resolves one in-flight submit's response frame.
-    fn await_submit(&mut self, rid: u64) -> io::Result<SubmitOutcome> {
-        let reply = self.recv_for(rid)?;
+    /// Resolves one submit's reply frame, given how many times the
+    /// request was already shed: a `RESULT` or `ERROR` ends it, and a
+    /// `BUSY` shed asks for a resubmit after a backoff — or ends it
+    /// with the server's `busy:` text once the retry budget is spent.
+    fn submit_outcome(&self, reply: &Frame, attempt: u32) -> io::Result<SubmitOutcome> {
         Ok(match reply.ftype {
             T_RESULT => {
                 let parsed = parse_result(&reply.payload)
@@ -408,7 +407,14 @@ impl MuxClient {
             T_BUSY => {
                 let busy = parse_busy(&reply.payload)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                SubmitOutcome::Busy(busy.retry_ms)
+                if attempt >= self.retry.max_attempts {
+                    let last = format!("retry in {}ms", busy.retry_ms);
+                    SubmitOutcome::Done(Err(self.retry.exhausted(&last)))
+                } else {
+                    SubmitOutcome::Retry {
+                        delay_ms: self.retry.delay_ms(attempt, busy.retry_ms),
+                    }
+                }
             }
             other => return Err(unexpected_frame(other)),
         })
@@ -452,43 +458,19 @@ impl MuxClient {
                 return Err(unexpected_frame(reply.ftype));
             };
             let (_, idx) = pending.swap_remove(pos);
-            match reply.ftype {
-                T_RESULT => {
-                    let parsed = parse_result(&reply.payload)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            let attempt = attempts.get(idx).copied().unwrap_or(0);
+            match self.submit_outcome(&reply, attempt)? {
+                SubmitOutcome::Done(outcome) => {
                     if let Some(slot) = outcomes.get_mut(idx) {
-                        *slot = Some(Ok(FetchedRelease {
-                            csv: parsed.csv,
-                            from_cache: parsed.from_cache,
-                        }));
+                        *slot = Some(outcome);
                     }
                     done += 1;
                 }
-                T_ERROR => {
-                    let (_, msg) = parse_error(&reply.payload);
-                    if let Some(slot) = outcomes.get_mut(idx) {
-                        *slot = Some(Err(msg));
-                    }
-                    done += 1;
-                }
-                T_BUSY => {
-                    let busy = parse_busy(&reply.payload)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                    let attempt = attempts.get(idx).copied().unwrap_or(0);
-                    if attempt >= self.retry.max_attempts {
-                        if let Some(slot) = outcomes.get_mut(idx) {
-                            *slot = Some(Err(self
-                                .retry
-                                .exhausted(&format!("retry in {}ms", busy.retry_ms))));
-                        }
-                        done += 1;
-                        continue;
-                    }
+                SubmitOutcome::Retry { delay_ms } => {
                     if let Some(a) = attempts.get_mut(idx) {
                         *a += 1;
                     }
-                    let delay = self.retry.delay_ms(attempt, busy.retry_ms);
-                    std::thread::sleep(Duration::from_millis(u64::from(delay)));
+                    std::thread::sleep(Duration::from_millis(u64::from(delay_ms)));
                     let params = SubmitParams {
                         epsilon: epsilons.get(idx).copied().unwrap_or(base.epsilon),
                         handle: Some(handle),
@@ -497,7 +479,6 @@ impl MuxClient {
                     let rid = self.send(|rid| frame::submit_frame(rid, &params, None, idx > 0))?;
                     pending.push((rid, idx));
                 }
-                other => return Err(unexpected_frame(other)),
             }
         }
         Ok(epsilons
@@ -518,10 +499,12 @@ impl MuxClient {
     }
 }
 
-/// A submit's response frame, resolved.
+/// A submit's reply frame, resolved.
 enum SubmitOutcome {
+    /// The request is over: its release, or the server's error text.
     Done(Result<FetchedRelease, String>),
-    Busy(u32),
+    /// Shed with retries left: resubmit after this backoff.
+    Retry { delay_ms: u32 },
 }
 
 fn unexpected_frame(ftype: u8) -> io::Error {

@@ -4,18 +4,20 @@
 //! Lifecycle of a job:
 //!
 //! ```text
-//! submit(request) ─▶ queued ─▶ running ─▶ Done { result, from_cache }
-//!        │                        └─────▶ Failed(message)
+//! submit_with(submission, on_done) ─▶ queued ─▶ running ─▶ Done { result, from_cache }
+//!        │                                        └─────▶ Failed(message)
 //!        ├─▶ Done { from_cache: true } instantly on a cache hit
 //!        └─▶ Err(QueueFull) when the bounded queue is at capacity
 //! ```
 //!
-//! The terminal status goes to exactly one consumer — a watcher
-//! registered with [`Engine::on_finish`], or [`Engine::wait`], which
-//! is one — and the engine then forgets the job. Repeat requests are
-//! served by the result cache.
+//! The consumer is part of the submission: the queued job, and then
+//! the running one, carries `on_done` until the terminal status is
+//! handed to it, so the engine keeps no table of jobs and never looks
+//! one up. [`Engine::submit`] binds a channel whose receiving end is
+//! the returned [`Ticket`], which [`Engine::wait`] redeems. Repeat
+//! requests are served by the result cache.
 //!
-//! [`Engine::submit`] consults the [`ResultCache`] by request
+//! Admission consults the [`ResultCache`] by request
 //! fingerprint first, so hits complete at submission without touching
 //! the queue. Execution is a single level of parallelism: a worker
 //! with nothing to run pops the next queued job, re-checks the cache
@@ -32,7 +34,7 @@
 //! the queue depth. Dropping the engine finishes every queued job,
 //! then joins the pool.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar};
 use std::thread::JoinHandle;
@@ -48,7 +50,9 @@ use hcc_store::Store;
 
 use crate::cache::ResultCache;
 use crate::fingerprint::{dataset_fingerprint, request_fingerprint, Fingerprint};
-use crate::job::{EngineError, JobId, JobStatus, ReleaseRequest, ReleaseResult};
+use crate::job::{
+    EngineError, JobId, JobStatus, OnDone, ReleaseRequest, ReleaseResult, Submission, Ticket,
+};
 use crate::ledger::Ledger;
 use crate::locks::{Rank, RankedGuard, RankedMutex};
 use crate::registry::{DatasetHandle, DatasetRegistry};
@@ -180,7 +184,7 @@ impl EngineConfig {
 /// so `completed + failed ≤ submitted` always holds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Jobs accepted by [`Engine::submit`].
+    /// Jobs admitted by [`Engine::submit_with`] (cache hits included).
     pub submitted: u64,
     /// Jobs finished successfully (cache hits included).
     pub completed: u64,
@@ -208,9 +212,11 @@ struct QueuedJob {
     /// Precomputed at submission (None when caching is disabled) so
     /// workers never re-hash the request.
     key: Option<Fingerprint>,
-    /// When [`Engine::submit`] accepted the job; queue-wait telemetry
-    /// measures from here to expansion.
+    /// When [`Engine::submit_with`] accepted the job; queue-wait
+    /// telemetry measures from here to expansion.
     submitted_at: Instant,
+    /// The job's one consumer.
+    on_done: OnDone,
 }
 
 /// Counters with no cross-field invariant, updated off the job
@@ -226,30 +232,8 @@ struct Counters {
     derived: AtomicU64,
 }
 
-/// Callback registered by [`Engine::on_finish`], invoked exactly once
-/// with the terminal status of its job.
-type FinishWatcher = Box<dyn FnOnce(JobId, JobStatus) + Send>;
-
-/// A job's entry in [`State::jobs`], from admission until its terminal
-/// status is handed to its one consumer.
-enum Slot {
-    /// Queued or running, with no consumer yet.
-    Unclaimed,
-    /// Queued or running; `finish_job` hands the status to this
-    /// watcher and drops the entry.
-    Watched(FinishWatcher),
-    /// Finished before any consumer came; [`Engine::on_finish`] hands
-    /// the status over and drops the entry.
-    Finished(JobStatus),
-}
-
 struct State {
     queue: VecDeque<QueuedJob>,
-    /// Every job whose outcome has not yet reached its consumer.
-    /// Ordered map so any future iteration (logging, admin listings)
-    /// is deterministic by job id — `HashMap` order would leak the
-    /// per-process hasher seed into output.
-    jobs: BTreeMap<JobId, Slot>,
     next_id: u64,
     /// Job-lifecycle counters (see [`Counters`] for why they live
     /// under the lock). Every writer already holds the lock at the
@@ -297,8 +281,8 @@ struct Shared {
     config: EngineConfig,
 }
 
-/// A long-running release service: submit jobs, take each outcome
-/// once (by watcher or by blocking), share results through the cache.
+/// A long-running release service: submit jobs, each with its one
+/// consumer, and share results through the cache.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -317,8 +301,8 @@ struct Shared {
 ///
 /// let engine = Engine::start(EngineConfig::default());
 /// let req = ReleaseRequest::new(hierarchy, data, TopDownConfig::new(1.0), 7);
-/// let id = engine.submit(req).unwrap();
-/// let (result, _from_cache) = engine.wait(id).unwrap();
+/// let ticket = engine.submit(req).unwrap();
+/// let (result, _from_cache) = engine.wait(ticket).unwrap();
 /// assert!(result.csv.starts_with("region,level,size,count"));
 /// ```
 pub struct Engine {
@@ -365,7 +349,6 @@ impl Engine {
                 Rank::State,
                 State {
                     queue: VecDeque::new(),
-                    jobs: BTreeMap::new(),
                     next_id: 0,
                     submitted: 0,
                     completed: 0,
@@ -398,33 +381,90 @@ impl Engine {
         Self { shared, workers }
     }
 
-    /// Enqueues a release job, returning its handle immediately. A
-    /// request whose release is already cached completes at
-    /// submission — it consumes no queue slot and no worker dispatch,
-    /// so cache hits are never rejected by a full queue.
+    /// Enqueues a release job, returning the [`Ticket`] that
+    /// [`Engine::wait`] redeems: [`Engine::submit_with`] with a
+    /// channel as the consumer. Dropping the ticket drops the outcome
+    /// as soon as the job ends.
+    pub fn submit(&self, request: ReleaseRequest) -> Result<Ticket, EngineError> {
+        self.ticketed(Submission::Inline(request))
+    }
+
+    /// Admits a job together with its one consumer: `on_done` is
+    /// called exactly once with the job's terminal status. A request
+    /// whose release is already cached completes at submission — it
+    /// consumes no queue slot and no worker dispatch, so cache hits
+    /// are never rejected by a full queue.
+    ///
+    /// On such a cache hit `on_done` runs on the calling thread before
+    /// this returns; otherwise it runs on the worker thread that
+    /// finishes the job. Either way it is invoked *outside* every
+    /// engine lock, so it may call back into the engine (e.g. submit
+    /// a follow-up job) freely — but it must stay cheap, since on the
+    /// deferred path it borrows a pool worker. Its panics are caught
+    /// and discarded; they never take down a worker.
     ///
     /// Fails with [`EngineError::QueueFull`] when the bounded queue is
     /// at capacity — callers decide whether to retry, shed load, or
-    /// block.
-    ///
-    /// The engine holds the job's outcome until one consumer takes it
-    /// with [`Engine::on_finish`] or [`Engine::wait`].
-    pub fn submit(&self, request: ReleaseRequest) -> Result<JobId, EngineError> {
-        // The dataset digest serves double duty: the cache key folds
-        // it with config + seed, and the budget ledger charges
-        // against it — so an inline submission of the same tables a
-        // client PREPAREd draws from the same budget line.
-        let dataset = (self.shared.config.cache_capacity > 0)
-            .then(|| dataset_fingerprint(&request.hierarchy, &request.data));
-        let key = dataset.map(|ds| {
-            request_fingerprint(
-                ds,
-                request.hierarchy.num_levels(),
-                &request.config,
-                request.seed,
-            )
-        });
-        self.admit(request, key, dataset)
+    /// block. On any error the job was not admitted and `on_done` is
+    /// dropped uncalled.
+    pub fn submit_with(
+        &self,
+        submission: Submission,
+        on_done: impl FnOnce(JobStatus) + Send + 'static,
+    ) -> Result<(), EngineError> {
+        let on_done: OnDone = Box::new(on_done);
+        match submission {
+            Submission::Inline(request) => {
+                // The dataset digest serves double duty: the cache key
+                // folds it with config + seed, and the budget ledger
+                // charges against it — so an inline submission of the
+                // same tables a client PREPAREd draws from the same
+                // budget line.
+                let dataset = (self.shared.config.cache_capacity > 0)
+                    .then(|| dataset_fingerprint(&request.hierarchy, &request.data));
+                let key = dataset.map(|ds| {
+                    request_fingerprint(
+                        ds,
+                        request.hierarchy.num_levels(),
+                        &request.config,
+                        request.seed,
+                    )
+                });
+                self.admit(request, key, dataset, on_done)
+            }
+            Submission::Prepared {
+                handle,
+                config,
+                seed,
+            } => {
+                // Resolution holds only the registry lock; the job
+                // keeps its `Arc`s from here on, so a concurrent
+                // unprepare/eviction can't invalidate the submission
+                // being admitted. The cache key costs O(levels), not a
+                // data walk.
+                let (hierarchy, data) = self.lock_registry().get(handle)?;
+                let key = (self.shared.config.cache_capacity > 0)
+                    .then(|| request_fingerprint(handle.0, hierarchy.num_levels(), &config, seed));
+                self.admit(
+                    ReleaseRequest::new(hierarchy, data, config, seed),
+                    key,
+                    Some(handle.0),
+                    on_done,
+                )
+            }
+        }
+    }
+
+    /// [`Engine::submit_with`] whose consumer is a channel; the
+    /// ticket holds the receiving end.
+    fn ticketed(&self, submission: Submission) -> Result<Ticket, EngineError> {
+        let (tx, rx) = mpsc::channel();
+        self.submit_with(submission, move |status| {
+            // With the ticket dropped the send fails, and the status —
+            // the release in it — is dropped right here.
+            let _ = tx.send(status);
+        })?;
+        Ok(Ticket(rx))
     }
 
     /// Registers a dataset in the prepared registry, returning its
@@ -584,18 +624,12 @@ impl Engine {
         handle: DatasetHandle,
         config: TopDownConfig,
         seed: u64,
-    ) -> Result<JobId, EngineError> {
-        // Resolution holds only the registry lock; the job keeps its
-        // `Arc`s from here on, so a concurrent unprepare/eviction
-        // can't invalidate the submission being admitted.
-        let (hierarchy, data) = self.lock_registry().get(handle)?;
-        let key = (self.shared.config.cache_capacity > 0)
-            .then(|| request_fingerprint(handle.0, hierarchy.num_levels(), &config, seed));
-        self.admit(
-            ReleaseRequest::new(hierarchy, data, config, seed),
-            key,
-            Some(handle.0),
-        )
+    ) -> Result<Ticket, EngineError> {
+        self.ticketed(Submission::Prepared {
+            handle,
+            config,
+            seed,
+        })
     }
 
     /// The shared back half of submission, in this order: consult the
@@ -613,7 +647,8 @@ impl Engine {
         request: ReleaseRequest,
         key: Option<Fingerprint>,
         dataset: Option<Fingerprint>,
-    ) -> Result<JobId, EngineError> {
+        on_done: OnDone,
+    ) -> Result<(), EngineError> {
         if self.shared.shutting_down.load(Ordering::Acquire) {
             return Err(EngineError::ShuttingDown);
         }
@@ -625,19 +660,18 @@ impl Engine {
         let cached = key.and_then(|k| self.lock_cache().get(k));
         if let Some(result) = cached {
             let mut state = self.lock_state();
-            let id = JobId(state.next_id);
-            state.next_id += 1;
-            state.jobs.insert(
-                id,
-                Slot::Finished(JobStatus::Done {
+            state.submitted += 1;
+            state.cache_hits += 1;
+            drop(state);
+            finish_job(
+                &self.shared,
+                on_done,
+                Ok(JobStatus::Done {
                     result,
                     from_cache: true,
                 }),
             );
-            state.submitted += 1;
-            state.completed += 1;
-            state.cache_hits += 1;
-            return Ok(id);
+            return Ok(());
         }
         let mut state = self.lock_state();
         if state.queue.len() >= self.shared.config.queue_capacity {
@@ -654,17 +688,17 @@ impl Engine {
         }
         let id = JobId(state.next_id);
         state.next_id += 1;
-        state.jobs.insert(id, Slot::Unclaimed);
         state.queue.push_back(QueuedJob {
             id,
             request,
             key,
             submitted_at: Instant::now(),
+            on_done,
         });
         state.submitted += 1;
         drop(state);
         self.shared.work.notify_one();
-        Ok(id)
+        Ok(())
     }
 
     /// Cumulative ε charged against a dataset, or `None` when the
@@ -675,57 +709,15 @@ impl Engine {
         Some(self.lock_ledger()?.spent(handle.0))
     }
 
-    /// Blocks until the job finishes, returning the release and
-    /// whether the cache served it. This is [`Engine::on_finish`] with
-    /// a channel, so it consumes the outcome: a second `wait` (or
-    /// watcher) on the same id gets [`EngineError::UnknownJob`].
-    pub fn wait(&self, id: JobId) -> Result<(Arc<ReleaseResult>, bool), EngineError> {
-        let (tx, rx) = mpsc::channel();
-        self.on_finish(id, move |_, status| {
-            let _ = tx.send(status);
-        })?;
-        match rx.recv() {
+    /// Blocks until the ticket's job finishes, returning the release
+    /// and whether the cache served it. A failed job is
+    /// [`EngineError::JobFailed`]; one that can no longer finish is
+    /// [`EngineError::ShuttingDown`].
+    pub fn wait(&self, ticket: Ticket) -> Result<(Arc<ReleaseResult>, bool), EngineError> {
+        match ticket.0.recv() {
             Ok(JobStatus::Done { result, from_cache }) => Ok((result, from_cache)),
             Ok(JobStatus::Failed(msg)) => Err(EngineError::JobFailed(msg)),
             Err(mpsc::RecvError) => Err(EngineError::ShuttingDown),
-        }
-    }
-
-    /// Registers the one consumer of `id`'s terminal status. The
-    /// watcher is invoked exactly once, and the engine then forgets
-    /// the job.
-    ///
-    /// If the job is already terminal the watcher runs immediately on
-    /// the calling thread; otherwise it runs on the worker thread that
-    /// finishes the job. Either way it is invoked *outside* every
-    /// engine lock, so a watcher may call back into the engine (e.g.
-    /// submit a follow-up job) freely — but it must stay cheap, since
-    /// on the deferred path it borrows a pool worker. Watcher panics
-    /// are caught and discarded; they never take down a worker.
-    ///
-    /// Returns [`EngineError::UnknownJob`] for an id never issued and
-    /// for one that already has its consumer.
-    pub fn on_finish(
-        &self,
-        id: JobId,
-        watcher: impl FnOnce(JobId, JobStatus) + Send + 'static,
-    ) -> Result<(), EngineError> {
-        let mut state = self.lock_state();
-        match state.jobs.remove(&id) {
-            None => Err(EngineError::UnknownJob(id)),
-            Some(Slot::Unclaimed) => {
-                state.jobs.insert(id, Slot::Watched(Box::new(watcher)));
-                Ok(())
-            }
-            Some(watched @ Slot::Watched(_)) => {
-                state.jobs.insert(id, watched);
-                Err(EngineError::UnknownJob(id))
-            }
-            Some(Slot::Finished(status)) => {
-                drop(state);
-                invoke_watcher(Box::new(watcher), id, status);
-                Ok(())
-            }
         }
     }
 
@@ -798,9 +790,8 @@ impl Engine {
 
     /// Finishes all queued jobs, then stops the workers (idempotent;
     /// also runs on drop). Each finished job's outcome goes to its
-    /// watcher, or waits for one: a job nobody has consumed yet can
-    /// still be taken with [`Engine::on_finish`] or [`Engine::wait`]
-    /// afterwards. New submissions are rejected with
+    /// consumer, so a ticket can still be redeemed with
+    /// [`Engine::wait`] afterwards. New submissions are rejected with
     /// [`EngineError::ShuttingDown`].
     pub fn shutdown(&mut self) {
         self.shutdown_inner();
@@ -983,6 +974,7 @@ fn expand_job(shared: &Shared, me: usize, job: QueuedJob) {
         request,
         key,
         submitted_at,
+        on_done,
     } = job;
     shared
         .telemetry
@@ -997,7 +989,7 @@ fn expand_job(shared: &Shared, me: usize, job: QueuedJob) {
         shared.state.lock().cache_hits += 1;
         finish_job(
             shared,
-            id,
+            on_done,
             Ok(JobStatus::Done {
                 result,
                 from_cache: true,
@@ -1010,12 +1002,18 @@ fn expand_job(shared: &Shared, me: usize, job: QueuedJob) {
     if !request.hierarchy.is_uniform_depth() {
         finish_job(
             shared,
-            id,
+            on_done,
             Err(ConsistencyError::NotUniformDepth.to_string()),
         );
         return;
     }
-    let job = Arc::new(ActiveJob::new(id, request, key, shared.config.workers));
+    let job = Arc::new(ActiveJob::new(
+        id,
+        request,
+        key,
+        shared.config.workers,
+        on_done,
+    ));
     shared.deques.push_job(me, &job);
     // Lock-then-notify (see the `work` field docs) so sleepy workers
     // can't miss these tasks.
@@ -1096,7 +1094,9 @@ fn run_task(shared: &Shared, me: usize, task: &NodeTask, ws: &mut EstimatorWorks
         shared
             .telemetry
             .span(me, SpanKind::Finalize, Some(job.id), None, finalize_t0);
-        finish_job(shared, job.id, status);
+        if let Some(on_done) = job.take_on_done() {
+            finish_job(shared, on_done, status);
+        }
     }
 }
 
@@ -1135,36 +1135,25 @@ fn finalize_job(shared: &Shared, job: &ActiveJob) -> Result<JobStatus, String> {
     })
 }
 
-/// Hands a terminal status to the job's watcher registered through
-/// [`Engine::on_finish`], dropping the job's entry; with no watcher
-/// yet, parks the status in the entry for the first one to come.
-fn finish_job(shared: &Shared, id: JobId, status: Result<JobStatus, String>) {
-    let (status, failed) = match status {
-        Ok(status) => (status, false),
-        Err(msg) => (JobStatus::Failed(msg), true),
+/// Counts a job's terminal status, then hands it to the job's one
+/// consumer outside every engine lock, isolating panics: deferred
+/// consumers run on pool worker threads, and a panicking callback
+/// must not kill a worker.
+fn finish_job(shared: &Shared, on_done: OnDone, status: Result<JobStatus, String>) {
+    let status = {
+        let mut state = shared.state.lock();
+        match status {
+            Ok(status) => {
+                state.completed += 1;
+                status
+            }
+            Err(msg) => {
+                state.failed += 1;
+                JobStatus::Failed(msg)
+            }
+        }
     };
-    let mut state = shared.state.lock();
-    if failed {
-        state.failed += 1;
-    } else {
-        state.completed += 1;
-    }
-    match state.jobs.remove(&id) {
-        Some(Slot::Watched(watcher)) => {
-            drop(state);
-            invoke_watcher(watcher, id, status);
-        }
-        _ => {
-            state.jobs.insert(id, Slot::Finished(status));
-        }
-    }
-}
-
-/// Runs one completion watcher outside every engine lock, isolating
-/// panics: deferred watchers execute on pool worker threads, and a
-/// panicking callback must not kill a worker.
-fn invoke_watcher(watcher: FinishWatcher, id: JobId, status: JobStatus) {
-    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || watcher(id, status)));
+    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || on_done(status)));
 }
 
 fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
@@ -1183,7 +1172,6 @@ mod tests {
     use hcc_hierarchy::{Hierarchy, HierarchyBuilder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::time::Duration;
 
     fn request(seed: u64) -> ReleaseRequest {
         let mut b = HierarchyBuilder::new("root");
@@ -1255,11 +1243,11 @@ mod tests {
                 .with_workers(4)
                 .with_cache_capacity(0),
         );
-        let ids: Vec<JobId> = (0..16)
+        let tickets: Vec<Ticket> = (0..16)
             .map(|s| engine.submit(request(s)).unwrap())
             .collect();
-        for (seed, id) in ids.into_iter().enumerate() {
-            let (result, _) = engine.wait(id).unwrap();
+        for (seed, ticket) in tickets.into_iter().enumerate() {
+            let (result, _) = engine.wait(ticket).unwrap();
             let req = request(seed as u64);
             let mut rng = StdRng::seed_from_u64(seed as u64);
             let direct =
@@ -1303,107 +1291,43 @@ mod tests {
         assert!(rejected >= 1, "a 50-deep burst must overflow capacity 1");
     }
 
+    /// A dropped ticket leaves its release to the cache alone, whether
+    /// it is dropped before its job finishes or after.
     #[test]
-    fn unknown_job_and_status_lifecycle() {
-        let engine = Engine::start(EngineConfig::default());
-        assert!(matches!(
-            engine.wait(JobId(99)),
-            Err(EngineError::UnknownJob(JobId(99)))
-        ));
-        let id = engine.submit(request(1)).unwrap();
-        engine.wait(id).unwrap();
-        // The outcome had one consumer; a second one finds nothing.
-        assert!(matches!(
-            engine.wait(id),
-            Err(EngineError::UnknownJob(e)) if e == id
-        ));
-        assert!(matches!(
-            engine.on_finish(id, |_, _| {}),
-            Err(EngineError::UnknownJob(_))
-        ));
-    }
-
-    /// Every way a job's outcome can reach its consumer leaves the job
-    /// table empty: the engine keeps no finished job once its
-    /// consumer has it.
-    #[test]
-    fn job_table_is_empty_after_every_consumer_path() {
+    fn dropped_tickets_leave_each_release_to_the_cache() {
         // One worker behind a one-permit compute gate: while the test
         // holds the permit, no node task runs.
         let engine = Engine::start(EngineConfig::default().with_workers(1).with_active_limit(1));
-        let table_len = |engine: &Engine| engine.lock_state().jobs.len();
-
-        // wait.
-        let id = engine.submit(request(1)).unwrap();
-        assert!(!engine.wait(id).unwrap().1);
-        assert_eq!(table_len(&engine), 0, "after wait");
-
-        // A deferred watcher: registered while the job cannot finish.
         engine.shared.gate.acquire();
-        let id = engine.submit(request(2)).unwrap();
-        let (tx, rx) = mpsc::channel();
-        engine
-            .on_finish(id, move |_, status| tx.send(status).unwrap())
-            .unwrap();
-        assert!(rx.try_recv().is_err(), "the job cannot have finished");
-        assert_eq!(table_len(&engine), 1);
+        let mut tickets: Vec<Ticket> = (1..=4)
+            .map(|seed| engine.submit(request(seed)).unwrap())
+            .collect();
+        // Seeds 3 and 4 lose their tickets before their jobs can finish.
+        tickets.truncate(2);
         engine.shared.gate.release();
-        let status = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        assert!(matches!(
-            status,
-            JobStatus::Done {
-                from_cache: false,
-                ..
-            }
-        ));
-        assert_eq!(table_len(&engine), 0, "after a deferred watcher");
-
-        // An immediate watcher: registered after the job finished.
-        let completed = engine.stats().completed;
-        let id = engine.submit(request(3)).unwrap();
-        while engine.stats().completed == completed {
-            std::thread::yield_now();
+        // One worker runs jobs in order, and its consumer call returns
+        // before the next job starts: once a fifth job is done, every
+        // earlier consumer has run.
+        let fence = engine.submit(request(5)).unwrap();
+        assert!(!engine.wait(fence).unwrap().1);
+        assert_eq!(engine.stats().completed, 5);
+        // Seeds 1 and 2 lose theirs after.
+        drop(tickets);
+        for seed in 1..=4 {
+            let req = request(seed);
+            let key = request_fingerprint(
+                dataset_fingerprint(&req.hierarchy, &req.data),
+                req.hierarchy.num_levels(),
+                &req.config,
+                req.seed,
+            );
+            let release = engine.lock_cache().get(key).expect("the release is cached");
+            assert_eq!(
+                Arc::strong_count(&release),
+                2,
+                "seed {seed}: only the cache and this probe may hold the release"
+            );
         }
-        assert_eq!(
-            table_len(&engine),
-            1,
-            "a finished job waits for its consumer"
-        );
-        let (tx, rx) = mpsc::channel();
-        engine
-            .on_finish(id, move |_, status| tx.send(status).unwrap())
-            .unwrap();
-        assert!(matches!(rx.try_recv(), Ok(JobStatus::Done { .. })));
-        assert_eq!(table_len(&engine), 0, "after an immediate watcher");
-
-        // A cache hit at admission finishes at submission.
-        let id = engine.submit(request(1)).unwrap();
-        assert_eq!(table_len(&engine), 1);
-        assert!(engine.wait(id).unwrap().1);
-        assert_eq!(table_len(&engine), 0, "after an admission cache hit");
-
-        // A late cache hit at expansion: both copies of one request
-        // queue behind the held gate, and the second is served by the
-        // re-check once the first has computed.
-        engine.shared.gate.acquire();
-        let first = engine.submit(request(4)).unwrap();
-        let second = engine.submit(request(4)).unwrap();
-        engine.shared.gate.release();
-        assert!(!engine.wait(first).unwrap().1);
-        assert!(engine.wait(second).unwrap().1);
-        assert_eq!(
-            engine.telemetry().per_worker[0].queue_wait.count,
-            5,
-            "both copies went through the queue"
-        );
-        assert_eq!(table_len(&engine), 0, "after a late cache hit");
-
-        // A failed job.
-        let mut bad = request(5);
-        bad.config = TopDownConfig::new(-1.0);
-        let id = engine.submit(bad).unwrap();
-        assert!(matches!(engine.wait(id), Err(EngineError::JobFailed(_))));
-        assert_eq!(table_len(&engine), 0, "after a failed job");
     }
 
     #[test]
@@ -1660,12 +1584,11 @@ mod tests {
     #[test]
     fn shutdown_finishes_queued_work_then_rejects_new_jobs() {
         let mut engine = Engine::start(EngineConfig::default().with_workers(2));
-        let ids: Vec<JobId> = (0..6).map(|s| engine.submit(request(s)).unwrap()).collect();
+        let tickets: Vec<Ticket> = (0..6).map(|s| engine.submit(request(s)).unwrap()).collect();
         engine.shutdown();
-        // Nobody consumed these outcomes before the shutdown, so each
-        // is still there for its one consumer.
-        for id in ids {
-            assert!(engine.wait(id).is_ok());
+        // Every queued job finished, so each ticket holds its outcome.
+        for ticket in tickets {
+            assert!(engine.wait(ticket).is_ok());
         }
         assert_eq!(engine.stats().completed, 6);
         assert!(matches!(

@@ -1,20 +1,21 @@
 //! Job types: what a client submits and what the engine hands back.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use hcc_consistency::{HierarchicalCounts, TopDownConfig};
 use hcc_hierarchy::Hierarchy;
 
-/// Opaque handle for a submitted release job.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct JobId(pub u64);
+use crate::DatasetHandle;
 
-impl std::fmt::Display for JobId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job-{}", self.0)
-    }
-}
+/// The number the engine gives a queued job; it names the job in
+/// trace spans only.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct JobId(pub u64);
+
+/// A job's one consumer, bound at admission and called exactly once
+/// with the job's terminal status.
+pub(crate) type OnDone = Box<dyn FnOnce(JobStatus) + Send>;
 
 /// One release to compute: the hierarchy, the sensitive per-node
 /// histograms, the algorithm configuration, and the master RNG seed.
@@ -50,6 +51,29 @@ impl ReleaseRequest {
         }
     }
 }
+
+/// What [`crate::Engine::submit_with`] admits: a release over inline
+/// tables, or over a prepared dataset.
+#[derive(Clone, Debug)]
+pub enum Submission {
+    /// Inline tables, already parsed and aggregated.
+    Inline(ReleaseRequest),
+    /// A release of the dataset prepared under `handle`.
+    Prepared {
+        /// The prepared dataset.
+        handle: DatasetHandle,
+        /// Budget, per-level methods, and merge strategy.
+        config: TopDownConfig,
+        /// Master seed.
+        seed: u64,
+    },
+}
+
+/// The claim on one submitted job's outcome, redeemed by
+/// [`crate::Engine::wait`]. Dropping it drops the outcome, and the
+/// release in it, as soon as the job ends.
+#[derive(Debug)]
+pub struct Ticket(pub(crate) mpsc::Receiver<JobStatus>);
 
 /// A finished release.
 #[derive(Clone, Debug)]
@@ -90,9 +114,6 @@ pub enum EngineError {
     },
     /// The engine is shutting down and accepts no new jobs.
     ShuttingDown,
-    /// No job with the given id is waiting for a consumer: it was
-    /// never submitted, or its outcome was already handed over.
-    UnknownJob(JobId),
     /// The job ran and failed.
     JobFailed(String),
     /// No dataset with the given handle was ever prepared.
@@ -139,7 +160,6 @@ impl std::fmt::Display for EngineError {
                 write!(f, "job queue is full ({capacity} jobs)")
             }
             EngineError::ShuttingDown => write!(f, "engine is shutting down"),
-            EngineError::UnknownJob(id) => write!(f, "unknown job {id}"),
             EngineError::JobFailed(msg) => write!(f, "job failed: {msg}"),
             EngineError::UnknownDataset(handle) => {
                 write!(f, "unknown dataset handle {handle}")

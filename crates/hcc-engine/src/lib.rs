@@ -23,8 +23,10 @@
 //!   ([`hcc_consistency::node_seeds`]), so the released bytes are
 //!   **identical for every worker count** — parallelism is purely an
 //!   execution concern, never a statistical one.
-//!   Each job's outcome goes to one consumer: a watcher registered
-//!   with [`Engine::on_finish`], or [`Engine::wait`], which blocks.
+//!   Each job's outcome goes to the one consumer bound at admission:
+//!   the callback given to [`Engine::submit_with`], or the [`Ticket`]
+//!   that [`Engine::submit`] returns and [`Engine::wait`] redeems.
+//!   The engine keeps no table of jobs.
 //! * **[`cache`]** — an LRU result cache keyed by a 128-bit
 //!   fingerprint of (hierarchy, data, config, seed), with hit/miss
 //!   counters. A release is a pure function of its fingerprint, so
@@ -96,7 +98,7 @@ pub mod telemetry;
 pub use client::{FetchedRelease, MuxClient, RetryPolicy, SweepPoint};
 pub use engine::{Engine, EngineConfig, EngineStats};
 pub use fingerprint::{dataset_fingerprint, fingerprint, request_fingerprint, Fingerprint};
-pub use job::{EngineError, JobId, JobStatus, ReleaseRequest, ReleaseResult};
+pub use job::{EngineError, JobStatus, ReleaseRequest, ReleaseResult, Submission, Ticket};
 pub use protocol::level_method;
 pub use reactor::{serve_reactor, ReactorConfig};
 pub use registry::{DatasetHandle, DatasetRegistry};

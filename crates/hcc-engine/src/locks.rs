@@ -44,7 +44,7 @@ pub const RANK_NAMES: [&str; 9] = [
 /// together).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rank {
-    /// The engine `State` mutex (job queue, job table, counters).
+    /// The engine `State` mutex (job queue, counters).
     State,
     /// The fingerprint-keyed result cache.
     Cache,
@@ -61,7 +61,7 @@ pub enum Rank {
     Lanes,
     /// The compute-admission gate's permit count.
     Gate,
-    /// Job-internal locks (`estimates`, `failure`).
+    /// Job-internal locks (`estimates`, `failure`, `on_done`).
     Job,
     /// Telemetry span rings.
     Telemetry,

@@ -7,13 +7,16 @@
 //! - **One reactor thread.** A level-triggered epoll instance watches
 //!   the listener, a wake pipe, and every client socket; accept, read,
 //!   decode, dispatch, and write all happen on this thread. Job
-//!   execution stays on the engine's worker pool — the reactor is
-//!   each job's one consumer through [`crate::Engine::on_finish`] and
-//!   never blocks on a job, so reactor threads stay at `1` no matter
-//!   how many connections or jobs are open.
+//!   execution stays on the engine's worker pool: each SUBMIT goes in
+//!   through [`crate::Engine::submit_with`] with a watcher that
+//!   carries the connection token, the request id, and the lane, so
+//!   the reactor never blocks on a job and keeps no table of them.
+//!   Reactor threads stay at `1` no matter how many connections or
+//!   jobs are open.
 //! - **Pipelining.** Requests carry client-chosen ids and responses
 //!   echo them, so one connection can keep many requests in flight
-//!   and receive answers out of order. A connection whose first byte
+//!   and receive answers out of order. Ids may repeat: each request
+//!   gets its own response all the same. A connection whose first byte
 //!   is not [`frame::MAGIC`] gets one `E_PROTO` error frame and is
 //!   closed.
 //! - **Multi-tenant admission control.** Each connection has two
@@ -39,10 +42,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hcc_consistency::TopDownConfig;
 use hcc_data::DatasetDelta;
 
-use crate::job::{EngineError, JobId, JobStatus, ReleaseRequest};
+use crate::job::{EngineError, JobStatus, ReleaseRequest, Submission};
 use crate::locks::{Rank, RankedMutex};
 use crate::protocol::frame::{
     self, busy_frame, decode_frame, encode_frame, error_frame, hello_ok_frame, ok_text_frame,
@@ -244,6 +246,15 @@ impl ReactorConfig {
         self.park_capacity = capacity;
         self
     }
+
+    /// The in-flight quota of one lane.
+    fn quota(&self, bulk: bool) -> usize {
+        if bulk {
+            self.bulk_inflight
+        } else {
+            self.interactive_inflight
+        }
+    }
 }
 
 /// Token of the listening socket in the epoll interest set.
@@ -262,10 +273,12 @@ const OUTBUF_CAP: usize = 1 << 30;
 const SWEEP_EVERY: Duration = Duration::from_millis(500);
 
 /// A job completion crossing from a worker thread to the reactor; the
-/// response is a `RESULT`/`ERROR` frame keyed by request id.
+/// response is a `RESULT`/`ERROR` frame keyed by request id, and the
+/// job's lane gets its in-flight slot back.
 struct Completion {
     token: u64,
     request_id: u64,
+    bulk: bool,
     status: JobStatus,
 }
 
@@ -296,19 +309,7 @@ impl CompletionQueue {
 struct Pending {
     request_id: u64,
     bulk: bool,
-    work: PendingWork,
-}
-
-/// The submittable form of a parked request.
-enum PendingWork {
-    /// Inline tables, already parsed and aggregated.
-    Inline(ReleaseRequest),
-    /// A prepared-dataset submission.
-    Prepared {
-        handle: DatasetHandle,
-        config: TopDownConfig,
-        seed: u64,
-    },
+    work: Submission,
 }
 
 /// Per-connection state machine.
@@ -330,8 +331,7 @@ struct Conn {
     /// so a client that is merely starved for CPU (not gone) gets a
     /// full sweep period to show life after the first observation.
     idle_strikes: u8,
-    /// In-flight framed submits: request id → bulk lane?
-    inflight: BTreeMap<u64, bool>,
+    /// Submits in the engine, per lane.
     inflight_interactive: usize,
     inflight_bulk: usize,
     /// Requests parked for admission, oldest first.
@@ -350,23 +350,19 @@ impl Conn {
             wants_writable: false,
             hello_done: false,
             idle_strikes: 0,
-            inflight: BTreeMap::new(),
             inflight_interactive: 0,
             inflight_bulk: 0,
             parked: VecDeque::new(),
         }
     }
-}
 
-/// Submits (or resubmits) admitted work to the engine.
-fn try_submit(engine: &Engine, work: &PendingWork) -> Result<JobId, EngineError> {
-    match work {
-        PendingWork::Inline(request) => engine.submit(request.clone()),
-        PendingWork::Prepared {
-            handle,
-            config,
-            seed,
-        } => engine.submit_prepared(*handle, config.clone(), *seed),
+    /// The in-flight count of one lane.
+    fn inflight(&mut self, bulk: bool) -> &mut usize {
+        if bulk {
+            &mut self.inflight_bulk
+        } else {
+            &mut self.inflight_interactive
+        }
     }
 }
 
@@ -738,7 +734,7 @@ impl Reactor {
                 );
                 return;
             }
-            PendingWork::Prepared {
+            Submission::Prepared {
                 handle,
                 config,
                 seed: params.seed,
@@ -759,7 +755,7 @@ impl Reactor {
             // repeat traffic should PREPARE once and submit by handle.
             match load_dataset(&h, &g, &ent) {
                 Ok((hierarchy, data)) => {
-                    PendingWork::Inline(ReleaseRequest::new(hierarchy, data, config, params.seed))
+                    Submission::Inline(ReleaseRequest::new(hierarchy, data, config, params.seed))
                 }
                 Err(e) => {
                     self.push_frame(token, error_frame(rid, E_PROTO, &one_line(&e)));
@@ -780,16 +776,11 @@ impl Reactor {
     /// Admission control for one framed submit: lane quota → engine
     /// queue → park buffer → structured backpressure.
     fn admit(&mut self, token: u64, pending: Pending) {
-        let engine = Arc::clone(&self.engine);
         let (at_quota, park_room, queued) = {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            let at_quota = if pending.bulk {
-                conn.inflight_bulk >= self.cfg.bulk_inflight
-            } else {
-                conn.inflight_interactive >= self.cfg.interactive_inflight
-            };
+            let at_quota = *conn.inflight(pending.bulk) >= self.cfg.quota(pending.bulk);
             (
                 at_quota,
                 conn.parked.len() < self.cfg.park_capacity,
@@ -804,23 +795,12 @@ impl Reactor {
             }
             return;
         }
-        match try_submit(&engine, &pending.work) {
-            Ok(id) => self.track(token, id, pending),
-            Err(EngineError::QueueFull { .. }) => {
-                if park_room {
-                    self.park(token, pending);
-                } else {
-                    self.shed(token, &pending, B_QUEUE, queued);
-                }
+        if !self.submit(token, &pending) {
+            if park_room {
+                self.park(token, pending);
+            } else {
+                self.shed(token, &pending, B_QUEUE, queued);
             }
-            Err(e @ EngineError::BudgetExhausted { .. }) => self.push_frame(
-                token,
-                error_frame(pending.request_id, E_BUDGET, &one_line(&e.to_string())),
-            ),
-            Err(e) => self.push_frame(
-                token,
-                error_frame(pending.request_id, E_REJECTED, &one_line(&e.to_string())),
-            ),
         }
     }
 
@@ -844,50 +824,44 @@ impl Reactor {
         );
     }
 
-    /// Records a submitted job and subscribes its completion.
-    fn track(&mut self, token: u64, id: JobId, pending: Pending) {
-        let request_id = pending.request_id;
-        let bulk = pending.bulk;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            conn.inflight.insert(request_id, bulk);
-            if bulk {
-                conn.inflight_bulk += 1;
-            } else {
-                conn.inflight_interactive += 1;
+    /// Submits `pending` to the engine with a watcher that carries its
+    /// status back to this connection, and counts it against its lane.
+    /// Returns `false`, having sent nothing, when the engine queue is
+    /// full; any other refusal is answered with an error frame.
+    fn submit(&mut self, token: u64, pending: &Pending) -> bool {
+        let queue = Arc::clone(&self.completions);
+        let (request_id, bulk) = (pending.request_id, pending.bulk);
+        let submitted = self
+            .engine
+            .submit_with(pending.work.clone(), move |status| {
+                queue.push(Completion {
+                    token,
+                    request_id,
+                    bulk,
+                    status,
+                });
+            });
+        match submitted {
+            // A cache hit has already queued its completion, but the
+            // reactor drains completions only after this returns.
+            Ok(()) => {
+                if let Some(conn) = self.conns.get_mut(&token) {
+                    *conn.inflight(bulk) += 1;
+                }
+            }
+            Err(EngineError::QueueFull { .. }) => return false,
+            Err(e) => {
+                let code = match e {
+                    EngineError::BudgetExhausted { .. } => E_BUDGET,
+                    _ => E_REJECTED,
+                };
+                self.push_frame(
+                    token,
+                    error_frame(request_id, code, &one_line(&e.to_string())),
+                );
             }
         }
-        let queue = Arc::clone(&self.completions);
-        let subscribed = self.engine.on_finish(id, move |_, status| {
-            queue.push(Completion {
-                token,
-                request_id,
-                status,
-            });
-        });
-        if let Err(e) = subscribed {
-            // Unreachable right after a successful submit; keep the
-            // books straight anyway.
-            self.untrack(token, request_id);
-            self.push_frame(
-                token,
-                error_frame(request_id, E_REJECTED, &one_line(&e.to_string())),
-            );
-        }
-    }
-
-    /// Removes one in-flight entry, returning its lane.
-    fn untrack(&mut self, token: u64, request_id: u64) -> Option<bool> {
-        let conn = self.conns.get_mut(&token)?;
-        let bulk = conn.inflight.remove(&request_id)?;
-        if bulk {
-            conn.inflight_bulk = conn.inflight_bulk.saturating_sub(1);
-        } else {
-            conn.inflight_interactive = conn.inflight_interactive.saturating_sub(1);
-        }
-        Some(bulk)
+        true
     }
 
     /// Delivers finished jobs to their connections, then re-admits
@@ -898,12 +872,14 @@ impl Reactor {
             return;
         }
         for c in drained {
-            if self.untrack(c.token, c.request_id).is_none() {
-                // Connection closed while the job ran. This watcher
-                // was the outcome's one consumer, so it is dropped
-                // here; a repeat request is served by the result cache.
+            let Some(conn) = self.conns.get_mut(&c.token) else {
+                // Connection closed while the job ran: the status is
+                // dropped here; a repeat request is served by the
+                // result cache.
                 continue;
-            }
+            };
+            let inflight = conn.inflight(c.bulk);
+            *inflight = inflight.saturating_sub(1);
             let reply = match c.status {
                 JobStatus::Done { result, from_cache } => {
                     let rows = u32::try_from(result.rows).unwrap_or(u32::MAX);
@@ -920,7 +896,6 @@ impl Reactor {
     /// Interactive lanes drain before bulk lanes, round-robin across
     /// connections; a full engine queue stops the whole pass.
     fn drain_parked(&mut self) {
-        let engine = Arc::clone(&self.engine);
         for bulk_pass in [false, true] {
             let tokens: Vec<u64> = self
                 .conns
@@ -934,14 +909,7 @@ impl Reactor {
                         let Some(conn) = self.conns.get_mut(&token) else {
                             break;
                         };
-                        let headroom = if bulk_pass {
-                            self.cfg.bulk_inflight.saturating_sub(conn.inflight_bulk)
-                        } else {
-                            self.cfg
-                                .interactive_inflight
-                                .saturating_sub(conn.inflight_interactive)
-                        };
-                        if headroom == 0 {
+                        if *conn.inflight(bulk_pass) >= self.cfg.quota(bulk_pass) {
                             break;
                         }
                         let Some(pos) = conn.parked.iter().position(|p| p.bulk == bulk_pass) else {
@@ -953,31 +921,16 @@ impl Reactor {
                         }
                     };
                     self.wire.parked.fetch_sub(1, Ordering::Relaxed);
-                    match try_submit(&engine, &pending.work) {
-                        Ok(id) => {
-                            self.track(token, id, pending);
-                            self.touched.push(token);
+                    if !self.submit(token, &pending) {
+                        // Still no queue slot: put it back and stop the
+                        // whole drain until the next completion.
+                        self.wire.parked.fetch_add(1, Ordering::Relaxed);
+                        if let Some(conn) = self.conns.get_mut(&token) {
+                            conn.parked.push_front(pending);
                         }
-                        Err(EngineError::QueueFull { .. }) => {
-                            // Still no queue slot: put it back and stop
-                            // the whole drain until the next completion.
-                            self.wire.parked.fetch_add(1, Ordering::Relaxed);
-                            if let Some(conn) = self.conns.get_mut(&token) {
-                                conn.parked.push_front(pending);
-                            }
-                            return;
-                        }
-                        Err(e) => {
-                            let code = match e {
-                                EngineError::BudgetExhausted { .. } => E_BUDGET,
-                                _ => E_REJECTED,
-                            };
-                            self.push_frame(
-                                token,
-                                error_frame(pending.request_id, code, &one_line(&e.to_string())),
-                            );
-                        }
+                        return;
                     }
+                    self.touched.push(token);
                 }
             }
         }
@@ -993,7 +946,8 @@ impl Reactor {
         let mut idle: Vec<u64> = Vec::new();
         for (&token, conn) in self.conns.iter_mut() {
             let quiet = !conn.close_after_flush
-                && conn.inflight.is_empty()
+                && conn.inflight_interactive == 0
+                && conn.inflight_bulk == 0
                 && conn.parked.is_empty()
                 && conn.last_activity.elapsed() >= timeout;
             if !quiet {
@@ -1131,8 +1085,7 @@ impl Reactor {
     }
 
     /// Tears down one connection. In-flight jobs keep running; their
-    /// completions find the connection gone and are dropped, and the
-    /// engine keeps nothing of them past that hand-over (a repeat
+    /// completions find the connection gone and are dropped (a repeat
     /// request is served by the result cache).
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {

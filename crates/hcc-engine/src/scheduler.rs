@@ -34,17 +34,18 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::fingerprint::Fingerprint;
-use crate::job::{JobId, ReleaseRequest};
+use crate::job::{JobId, OnDone, ReleaseRequest};
 use crate::locks::{Rank, RankedMutex};
 
 /// A job whose subtree tasks are in (or entering) the task pool.
 ///
 /// All scheduling state lives here: which nodes each task estimates,
-/// the per-node RNG seeds, the estimate slots the tasks fill, and the
+/// the per-node RNG seeds, the estimate slots the tasks fill, the
 /// countdown that tells the worker finishing the last task to run the
-/// deterministic top-down phase.
+/// deterministic top-down phase, and the consumer that worker hands
+/// the outcome to.
 pub(crate) struct ActiveJob {
-    /// The engine-visible job handle.
+    /// The job's number in trace spans.
     pub id: JobId,
     /// The release being computed.
     pub request: ReleaseRequest,
@@ -72,6 +73,8 @@ pub(crate) struct ActiveJob {
     /// Quick-check flag for [`ActiveJob::failure`]: once set, tasks
     /// still in the pool skip their estimation work entirely.
     cancelled: AtomicBool,
+    /// The job's one consumer, taken by the worker that finalizes it.
+    on_done: RankedMutex<Option<OnDone>>,
 }
 
 impl ActiveJob {
@@ -85,6 +88,7 @@ impl ActiveJob {
         request: ReleaseRequest,
         key: Option<Fingerprint>,
         workers: usize,
+        on_done: OnDone,
     ) -> Self {
         let mut master = StdRng::seed_from_u64(request.seed);
         let seeds = node_seeds(&request.hierarchy, &mut master);
@@ -102,6 +106,7 @@ impl ActiveJob {
             estimates: RankedMutex::new(Rank::Job, vec![None; slots]),
             failure: RankedMutex::new(Rank::Job, None),
             cancelled: AtomicBool::new(false),
+            on_done: RankedMutex::new(Rank::Job, Some(on_done)),
             request,
         }
     }
@@ -150,6 +155,12 @@ impl ActiveJob {
             .drain(..)
             .map(|slot| slot.ok_or_else(|| "internal: node estimate missing".to_string()))
             .collect()
+    }
+
+    /// After the last task: the job's one consumer (`None` only on a
+    /// second call).
+    pub fn take_on_done(&self) -> Option<OnDone> {
+        self.on_done.lock().take()
     }
 }
 
@@ -297,7 +308,13 @@ mod tests {
             .unwrap(),
         );
         let request = ReleaseRequest::new(h, data, TopDownConfig::new(1.0), 7);
-        Arc::new(ActiveJob::new(JobId(0), request, None, workers))
+        Arc::new(ActiveJob::new(
+            JobId(0),
+            request,
+            None,
+            workers,
+            Box::new(|_| {}),
+        ))
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn rank_of_receiver(name: &str) -> Option<&'static str> {
         "ledger" => Some("store"),
         "lanes" | "lane" => Some("lanes"),
         "permits" => Some("gate"),
-        "estimates" | "failure" | "slots" => Some("job"),
+        "estimates" | "failure" | "on_done" => Some("job"),
         "rings" | "ring" => Some("telemetry"),
         "completions" => Some("wire"),
         _ => None,

@@ -107,6 +107,30 @@ fn lock_order_false_positives() {
     );
 }
 
+/// The job's consumer slot (`ActiveJob::on_done`) ranks as `job`:
+/// taken under the state lock it is clean, and holding it while taking
+/// the state lock is an inversion, not an unclassified receiver.
+#[test]
+fn lock_order_ranks_the_job_consumer_slot() {
+    let nest = |outer: &str, inner: &str| {
+        let src = format!(
+            "impl ActiveJob {{ fn nest(&self) {{ let a = self.{outer}.lock(); \
+             let b = self.{inner}.lock(); drop(b); drop(a); }} }}"
+        );
+        lint_as("crates/hcc-engine/src/fixture.rs", &src).0
+    };
+    let ordered = nest("state", "on_done");
+    assert!(ordered.is_empty(), "{ordered:?}");
+    let inverted = nest("on_done", "state");
+    assert_eq!(rules_of(&inverted), vec!["lock-order"], "{inverted:?}");
+    assert!(
+        inverted[0]
+            .message
+            .contains("`state` acquired while holding `job`"),
+        "{inverted:?}"
+    );
+}
+
 #[test]
 fn lock_order_ignores_non_engine_crates() {
     let (findings, _) = lint_as(

@@ -88,14 +88,20 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let Some(&(_, run, known)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+    // `stats` reads files, or with `--addr` a live server: one row
+    // each, so neither mode takes the other's options.
+    let mode = match cmd.as_str() {
+        "stats" if rest.iter().any(|a| a == "--addr") => "stats --addr",
+        cmd => cmd,
+    };
+    let Some(&(_, run, known)) = COMMANDS.iter().find(|(name, ..)| *name == mode) else {
         eprintln!("error: unknown subcommand {cmd:?}");
         return ExitCode::FAILURE;
     };
     let opts = match parse_opts(rest, known) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("error: {e} for `hcc {cmd}`\n\n{USAGE}");
+            eprintln!("error: {e} for `hcc {mode}`\n\n{USAGE}");
             return ExitCode::from(2);
         }
     };
@@ -113,7 +119,7 @@ const USAGE: &str = "usage:
   hcc release  --hierarchy F --groups F --entities F --epsilon F [--method hc|hc-l2|hg|naive|adaptive]
                [--bound N] [--seed N] [--threads N] --out F
   hcc stats    --hierarchy F --release F [--region NAME]
-  hcc stats    --addr HOST:PORT [--watch SECS] [--raw]
+  hcc stats    --addr HOST:PORT [--watch SECS] [--raw] [--no-retry]
   hcc evaluate --hierarchy F --release F --truth F
   hcc serve    --addr HOST:PORT [--threads N] [--queue N] [--cache N]
                [--prepared N] [--read-timeout SECS (0 disables, default 30)]
@@ -152,11 +158,8 @@ const COMMANDS: &[(&str, Command, &str)] = &[
         cmd_release,
         "hierarchy groups entities epsilon method bound seed threads out",
     ),
-    (
-        "stats",
-        cmd_stats,
-        "hierarchy release region addr watch raw no-retry",
-    ),
+    ("stats", cmd_stats, "hierarchy release region"),
+    ("stats --addr", cmd_stats_server, "addr watch raw no-retry"),
     ("evaluate", cmd_evaluate, "hierarchy release truth"),
     (
         "serve",
@@ -364,12 +367,8 @@ fn cmd_release(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// The group-size report of a release file.
 fn cmd_stats(opts: &Opts) -> Result<(), String> {
-    // `--addr` switches to live-server telemetry; without it this is
-    // the original file-based group-size report.
-    if opts.contains_key("addr") {
-        return cmd_stats_server(opts);
-    }
     let (hierarchy, _) =
         hierarchy_from_csv(&read(required(opts, "hierarchy")?)?).map_err(|e| e.to_string())?;
     let release = release_from_csv(&hierarchy, &read(required(opts, "release")?)?)
@@ -833,51 +832,6 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
     let out_dir = opts.get("out-dir").map(PathBuf::from);
     let io_err = |e: std::io::Error| format!("talking to {addr}: {e}");
 
-    let mut failures = 0usize;
-    let mut write_err: Option<String> = None;
-    let mut point = 0usize;
-    // Per-point reporting. The token is positional — value-matching would alias distinct tokens that
-    // parse equal (`--eps 1,1.0`) and silently skip an output file.
-    let mut on_point = |epsilon: f64, result: Result<hccount::engine::FetchedRelease, String>| {
-        let token = eps_tokens
-            .get(point)
-            .cloned()
-            .unwrap_or_else(|| epsilon.to_string());
-        point += 1;
-        match result {
-            Ok(release) => {
-                let rows = release.csv.lines().count().saturating_sub(1);
-                let source = if release.from_cache {
-                    "cache hit"
-                } else {
-                    "computed"
-                };
-                match &out_dir {
-                    Some(dir) => {
-                        let path = dir.join(format!("release-eps-{token}.csv"));
-                        match write(&path, &release.csv) {
-                            Ok(()) => {
-                                println!(
-                                    "eps={token}: {rows} rows ({source}) -> {}",
-                                    path.display()
-                                )
-                            }
-                            Err(e) => {
-                                failures += 1;
-                                write_err.get_or_insert(e);
-                            }
-                        }
-                    }
-                    None => println!("eps={token}: {rows} rows ({source})"),
-                }
-            }
-            Err(e) => {
-                failures += 1;
-                eprintln!("eps={token}: failed: {e}");
-            }
-        }
-    };
-
     let mut client = connect(addr, opts)?;
     let (handle, auto_prepared) = match opts.get("handle") {
         Some(h) => (h.parse::<DatasetHandle>()?, false),
@@ -894,8 +848,38 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
         }
     };
     let points = client.sweep(&base, handle, &epsilons).map_err(io_err)?;
-    for p in points {
-        on_point(p.epsilon, p.outcome);
+    let mut failures = 0usize;
+    let mut write_err: Option<String> = None;
+    // The token is positional: value-matching would alias distinct
+    // tokens that parse equal (`--eps 1,1.0`) and silently skip an
+    // output file.
+    for (token, point) in eps_tokens.iter().zip(points) {
+        let release = match point.outcome {
+            Ok(release) => release,
+            Err(e) => {
+                failures += 1;
+                eprintln!("eps={token}: failed: {e}");
+                continue;
+            }
+        };
+        let rows = release.csv.lines().count().saturating_sub(1);
+        let source = if release.from_cache {
+            "cache hit"
+        } else {
+            "computed"
+        };
+        let Some(dir) = &out_dir else {
+            println!("eps={token}: {rows} rows ({source})");
+            continue;
+        };
+        let path = dir.join(format!("release-eps-{token}.csv"));
+        match write(&path, &release.csv) {
+            Ok(()) => println!("eps={token}: {rows} rows ({source}) -> {}", path.display()),
+            Err(e) => {
+                failures += 1;
+                write_err.get_or_insert(e);
+            }
+        }
     }
     if auto_prepared {
         let _ = client.unprepare(handle);

@@ -711,6 +711,38 @@ fn unknown_options_are_refused_before_anything_runs() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --addr"));
 }
 
+/// `stats` has two modes with disjoint options: with `--addr` it reads
+/// a live server and refuses the file options before connecting;
+/// without it, it reads files and refuses the server options.
+#[test]
+fn stats_modes_refuse_each_others_options() {
+    // Nothing answers here: a run that connected would wait for a
+    // handshake, and would leave a connection behind.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = ["stats", "--addr", addr.as_str()];
+    let files = ["stats", "--hierarchy", "h.csv", "--release", "r.csv"];
+    for (mode, args, refused) in [
+        ("stats --addr", &server[..], &["--region", "x"][..]),
+        ("stats --addr", &server, &["--hierarchy", "h.csv"]),
+        ("stats --addr", &server, &["--release", "r.csv"]),
+        ("stats", &files, &["--watch", "1"]),
+        ("stats", &files, &["--raw"]),
+        ("stats", &files, &["--no-retry"]),
+    ] {
+        let out = output_exiting(hcc().args(args).args(refused));
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        let named = format!("unknown option {} for `hcc {mode}`", refused[0]);
+        assert!(stderr.contains(&named), "{stderr}");
+    }
+    assert!(
+        matches!(listener.accept(), Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "no stats run may connect"
+    );
+}
+
 /// The server's queue and lane sizes are what the banner prints, so a
 /// zero is refused like `--threads 0` instead of being raised to 1
 /// behind the banner's back.

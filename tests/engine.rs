@@ -15,7 +15,7 @@ use hccount::engine::protocol::frame::{
 };
 use hccount::engine::{
     protocol::SubmitParams, serve, serve_reactor, DatasetHandle, Engine, EngineConfig, EngineError,
-    JobStatus, MuxClient, ReactorConfig, ReleaseRequest,
+    Fingerprint, JobStatus, MuxClient, ReactorConfig, ReleaseRequest, Submission,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -768,71 +768,73 @@ fn server_reports_errors_and_survives_them() {
     handle.shutdown();
 }
 
-/// The completion-watcher API behind the reactor's event-driven
-/// result delivery: a watcher registered on a live job fires exactly
-/// once with the terminal status and is its one consumer, a watcher
-/// registered after the job finished fires immediately, and an id the
-/// engine never saw is a typed error.
+/// The consumer bound at admission, behind the reactor's event-driven
+/// result delivery: `submit_with`'s callback fires exactly once with
+/// the terminal status — on a worker for a job that computes, and on
+/// the calling thread before `submit_with` returns for a cache hit —
+/// and a refused submission drops it uncalled.
 #[test]
-fn on_finish_fires_once_with_the_terminal_status() {
+fn submit_with_fires_once_with_the_terminal_status() {
     let ds = dataset();
     let engine = Engine::start(EngineConfig::default().with_workers(1));
-    let hierarchy = Arc::new(ds.hierarchy);
-    let data = Arc::new(ds.data);
-    let submit = || {
-        engine
-            .submit(ReleaseRequest::new(
-                Arc::clone(&hierarchy),
-                Arc::clone(&data),
-                config(),
-                11,
-            ))
-            .unwrap()
+    let submission = Submission::Inline(ReleaseRequest::new(
+        Arc::new(ds.hierarchy),
+        Arc::new(ds.data),
+        config(),
+        11,
+    ));
+    let submitter = std::thread::current().id();
+    let submit = |submission: Submission| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let admitted = engine.submit_with(submission, move |status| {
+            tx.send((std::thread::current().id(), status)).unwrap()
+        });
+        (admitted, rx)
     };
 
-    // Deferred path: register while the job is (likely) still live.
-    let id = submit();
-    let (tx, rx) = std::sync::mpsc::channel();
-    engine
-        .on_finish(id, move |job, status| tx.send((job, status)).unwrap())
-        .unwrap();
-    let (seen_id, status) = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-    assert_eq!(seen_id, id);
-    let JobStatus::Done { result, .. } = status else {
-        panic!("watcher saw a failed job");
-    };
-    // The watcher took the outcome: a second consumer finds nothing.
-    match engine.wait(id) {
-        Err(EngineError::UnknownJob(e)) => assert_eq!(e, id),
-        other => panic!("expected UnknownJob, got {other:?}"),
-    }
-
-    // Immediate path: the same request again is a cache hit, terminal
-    // at submission, so a watcher runs on the calling thread before
-    // `on_finish` returns.
-    let id = submit();
-    let (tx, rx) = std::sync::mpsc::channel();
-    engine
-        .on_finish(id, move |job, status| tx.send((job, status)).unwrap())
-        .unwrap();
-    let (seen_id, status) = rx
-        .try_recv()
-        .expect("terminal-job watcher must run synchronously");
-    assert_eq!(seen_id, id);
+    // Deferred path: the job computes, and its worker calls back.
+    let (admitted, rx) = submit(submission.clone());
+    admitted.unwrap();
+    let (thread, status) = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+    assert_ne!(
+        thread, submitter,
+        "a computed job calls back from its worker"
+    );
     let JobStatus::Done {
-        result: cached,
-        from_cache,
+        result,
+        from_cache: false,
     } = status
     else {
-        panic!("watcher saw a failed job");
+        panic!("expected a computed release, got {status:?}");
     };
-    assert!(from_cache);
-    assert_eq!(cached.csv, result.csv);
+    assert!(rx.recv().is_err(), "the callback fires once, then is gone");
 
-    // Unknown id: an engine that never issued the id reports it.
-    let other = Engine::start(EngineConfig::default().with_workers(1));
-    match other.on_finish(id, |_, _| {}) {
-        Err(EngineError::UnknownJob(e)) => assert_eq!(e, id),
-        other => panic!("expected UnknownJob, got {other:?}"),
-    }
+    // Immediate path: the same request again is a cache hit, terminal
+    // at admission, so the callback has run before `submit_with`
+    // returns, on the calling thread.
+    let (admitted, rx) = submit(submission);
+    admitted.unwrap();
+    let (thread, status) = rx
+        .try_recv()
+        .expect("a cache hit calls back before submit_with returns");
+    assert_eq!(thread, submitter);
+    let JobStatus::Done {
+        result: cached,
+        from_cache: true,
+    } = status
+    else {
+        panic!("expected a cache hit, got {status:?}");
+    };
+    assert_eq!(cached.csv, result.csv);
+    assert!(rx.recv().is_err(), "the callback fires once, then is gone");
+
+    // Refused: an unknown handle is an error, and the callback is
+    // dropped without being called.
+    let (admitted, rx) = submit(Submission::Prepared {
+        handle: DatasetHandle(Fingerprint(42)),
+        config: config(),
+        seed: 1,
+    });
+    assert!(matches!(admitted, Err(EngineError::UnknownDataset(_))));
+    assert!(rx.recv().is_err(), "a refused submission never calls back");
 }

@@ -18,13 +18,13 @@ use std::time::Duration;
 use hccount::consistency::{to_csv, top_down_release, LevelMethod, TopDownConfig};
 use hccount::data::{Dataset, DatasetKind};
 use hccount::engine::protocol::frame::{
-    encode_frame, parse_busy, parse_error, read_frame, submit_frame, Frame, B_QUOTA,
+    encode_frame, parse_busy, parse_error, parse_result, read_frame, submit_frame, Frame, B_QUOTA,
     DEFAULT_MAX_FRAME, E_BUDGET, E_PROTO, E_VERSION, T_BUSY, T_ERROR, T_HELLO, T_HELLO_OK,
     T_RESULT,
 };
 use hccount::engine::{
     protocol::{SubmitParams, MAX_BOUND},
-    serve_reactor, Engine, EngineConfig, EngineError, JobId, MuxClient, ReactorConfig, RetryPolicy,
+    serve_reactor, Engine, EngineConfig, MuxClient, ReactorConfig, RetryPolicy,
 };
 use hccount::store::Store;
 use rand::rngs::StdRng;
@@ -506,31 +506,68 @@ fn out_of_range_bound_is_refused_before_any_budget_is_spent() {
     reactor.shutdown();
 }
 
-/// The reactor's completion watcher is a served job's one consumer:
-/// once the release has reached the client, the engine keeps nothing
-/// of the job, so a later `wait` on its id finds no such job.
+/// Request ids are the client's to choose, repeats included: two
+/// SUBMITs in flight under one id each get their own `RESULT`, and
+/// both give their lane slots back, so the connection's full quota is
+/// free for the next submits.
 #[test]
-fn served_release_leaves_no_outcome_in_the_engine() {
+fn repeated_request_ids_each_get_their_reply() {
     let ds = dataset();
     let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
-    let engine = engine(1);
-    let reactor =
-        serve_reactor(Arc::clone(&engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
-    let mut mux = MuxClient::connect(reactor.addr()).unwrap();
-    let params = SubmitParams {
+    let reactor = serve_reactor(
+        engine(1),
+        "127.0.0.1:0",
+        ReactorConfig::default()
+            .with_interactive_inflight(2)
+            .with_park_capacity(0),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(reactor.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut out = Vec::new();
+    encode_frame(&mut out, &Frame::empty(T_HELLO, 1));
+    stream.write_all(&out).unwrap();
+    assert_eq!(
+        read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap().ftype,
+        T_HELLO_OK
+    );
+    let tables = Some([
+        hierarchy_csv.as_str(),
+        groups_csv.as_str(),
+        entities_csv.as_str(),
+    ]);
+    let params = |seed| SubmitParams {
         bound: 500,
+        seed,
         ..SubmitParams::default()
     };
-    let release = mux
-        .submit_release(&params, &hierarchy_csv, &groups_csv, &entities_csv)
-        .unwrap()
-        .unwrap();
-    assert!(release.csv.starts_with("region,level,size,count"));
-    assert_eq!(engine.stats().submitted, 1, "one job, so its id is 0");
-    match engine.wait(JobId(0)) {
-        Err(EngineError::UnknownJob(id)) => assert_eq!(id, JobId(0)),
-        other => panic!("the served job's outcome must be consumed, got {other:?}"),
-    }
-    mux.quit().unwrap();
+    let mut submit_all = |submits: &[(u64, u64)]| {
+        let mut out = Vec::new();
+        for &(rid, seed) in submits {
+            encode_frame(&mut out, &submit_frame(rid, &params(seed), tables, false));
+        }
+        stream.write_all(&out).unwrap();
+        let mut replies: Vec<(u64, String)> = submits
+            .iter()
+            .map(|_| {
+                let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+                let text = String::from_utf8_lossy(&reply.payload).into_owned();
+                assert_eq!(reply.ftype, T_RESULT, "{text}");
+                let csv = parse_result(&reply.payload).unwrap().csv;
+                (reply.request_id, csv)
+            })
+            .collect();
+        replies.sort();
+        replies
+    };
+
+    let replies = submit_all(&[(7, 1), (7, 2)]);
+    assert_eq!(replies.iter().map(|r| r.0).collect::<Vec<_>>(), [7, 7]);
+    assert_ne!(replies[0].1, replies[1].1, "two seeds, two releases");
+    // Both lane slots came back: two more submits fit the quota of 2.
+    let replies = submit_all(&[(8, 3), (9, 4)]);
+    assert_eq!(replies.iter().map(|r| r.0).collect::<Vec<_>>(), [8, 9]);
     reactor.shutdown();
 }
