@@ -1,15 +1,18 @@
 //! Criterion micro-benchmarks for the performance-critical kernels:
 //! the isotonic solvers (both losses), Algorithm 2's run-length
-//! matching, EMD, the noise samplers, the per-node `Hc` kernel, and
-//! the engine's cache-hit path. End-to-end releases, ε-sweeps and
-//! dataset derivation are timed by the `perfbench` package
-//! (`national_hc`, `hg_sweep`, `ledger_churn`), not here.
+//! matching, EMD, the noise samplers, the per-node `Hc` and `Hg`
+//! kernels, and the engine's cache-hit path. End-to-end releases,
+//! ε-sweeps and dataset derivation are timed by the `perfbench`
+//! package (`national_hc`, `hg_sweep`, `ledger_churn`), not here.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hcc_consistency::{match_groups, LevelMethod, TopDownConfig};
 use hcc_core::{emd, CountOfCounts};
 use hcc_data::{housing, HousingConfig};
-use hcc_estimators::{CumulativeEstimator, Estimator, EstimatorWorkspace, VarianceRun};
+use hcc_estimators::{
+    CumulativeEstimator, Estimator, EstimatorWorkspace, UnattributedEstimator, VarianceRun,
+};
+use hcc_hierarchy::Hierarchy;
 use hcc_isotonic::{
     anchored_cumulative, isotonic_l1, isotonic_l2, project_simplex, CumulativeLoss,
 };
@@ -219,6 +222,37 @@ fn bench_hc_stage(c: &mut Criterion) {
     g.finish();
 }
 
+/// The `Hg` kernel on the housing fixture's root (about 120 000
+/// groups, sizes from 1 to the 10 000-entity outliers), per group: one
+/// streaming pass that draws each group's noisy size and pushes it
+/// into the L2 PAV pool stack, then the clamped read-out that rounds
+/// the blocks into the estimate's runs. ε is one level of four.
+fn bench_hg_stage(c: &mut Criterion) {
+    let ds = housing(&HousingConfig {
+        seed: 6,
+        ..Default::default()
+    });
+    let root = ds.data.node(Hierarchy::ROOT).clone();
+    let groups = root.num_groups();
+    let mut g = c.benchmark_group("hg_stage");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(groups));
+    let mut ws = EstimatorWorkspace::new();
+    let mut rng = StdRng::seed_from_u64(13);
+    g.bench_function("fused", |b| {
+        b.iter(|| {
+            UnattributedEstimator::new().estimate_in(
+                black_box(&root),
+                groups,
+                0.25,
+                &mut rng,
+                &mut ws,
+            )
+        })
+    });
+    g.finish();
+}
+
 /// The engine's cache-hit fast path through the full job API. (How
 /// the engine scales across workers is checked by the tier-1
 /// `scaling_smoke` test, not timed here.)
@@ -265,6 +299,7 @@ criterion_group!(
     bench_noise,
     bench_noise_fill,
     bench_hc_stage,
+    bench_hg_stage,
     bench_engine
 );
 criterion_main!(benches);

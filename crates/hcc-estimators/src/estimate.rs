@@ -1,7 +1,7 @@
 //! The output of a single-node estimator: a histogram plus per-group
 //! variance estimates.
 
-use hcc_core::{CountOfCounts, Run, Unattributed};
+use hcc_core::{CountOfCounts, Unattributed};
 
 /// A run of consecutive groups (in the sorted-by-size order of the
 /// unattributed histogram `Ĥg`) sharing one size and one variance
@@ -80,39 +80,30 @@ impl NodeEstimate {
     }
 
     /// Builds an estimate from explicit variance runs (used by the
-    /// consistency layer when reconstructing merged estimates).
-    pub fn from_variance_runs(runs: Vec<VarianceRun>) -> Self {
-        let ua = Unattributed::from_unnormalized_runs(
-            runs.iter()
-                .map(|r| Run {
-                    size: r.size,
-                    count: r.count,
-                })
-                .collect(),
-        );
-        // Re-derive per-run variances after normalisation: if two
-        // input runs shared a size they merged, so pool their
-        // variances weighted by count.
-        let mut by_size: std::collections::BTreeMap<u64, (f64, u64)> =
-            std::collections::BTreeMap::new();
-        for r in &runs {
-            if r.count == 0 {
-                continue;
-            }
-            let e = by_size.entry(r.size).or_insert((0.0, 0));
-            e.0 += r.variance * r.count as f64;
-            e.1 += r.count;
+    /// estimators, and by the consistency layer when reconstructing
+    /// merged estimates). Runs may come in any order; runs of one size
+    /// merge, their variances pooled weighted by count in input order,
+    /// and empty runs are dropped.
+    pub fn from_variance_runs(mut runs: Vec<VarianceRun>) -> Self {
+        runs.retain(|r| r.count > 0);
+        // Stable, so the runs of one size pool in their input order.
+        // The estimators emit sizes in ascending order already.
+        if !runs.is_sorted_by_key(|r| r.size) {
+            runs.sort_by_key(|r| r.size);
         }
-        let variances: Vec<f64> = ua
-            .runs()
-            .iter()
-            .map(|r| {
-                let (wsum, c) = by_size[&r.size];
-                wsum / c as f64
-            })
-            .collect();
+        let max = runs.last().map_or(0, |r| r.size);
+        let mut counts = vec![0u64; usize::try_from(max).expect("size too large") + 1];
+        let same_size = |a: &VarianceRun, b: &VarianceRun| a.size == b.size;
+        let mut variances = Vec::with_capacity(runs.chunk_by(same_size).count());
+        for same in runs.chunk_by(same_size) {
+            let (wsum, count) = same.iter().fold((0.0, 0u64), |(wsum, count), r| {
+                (wsum + r.variance * r.count as f64, count + r.count)
+            });
+            counts[same[0].size as usize] = count;
+            variances.push(wsum / count as f64);
+        }
         Self {
-            hist: ua.to_hist(),
+            hist: CountOfCounts::from_counts(counts),
             variances,
         }
     }

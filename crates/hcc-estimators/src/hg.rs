@@ -1,7 +1,6 @@
 //! The unattributed-histogram method (`Hg`, Section 4.2).
 
 use hcc_core::CountOfCounts;
-use hcc_isotonic::isotonic_l2;
 use rand::Rng;
 
 use crate::estimate::VarianceRun;
@@ -16,7 +15,11 @@ use crate::{Estimator, EstimatorWorkspace, NodeEstimate};
 ///
 /// The paper uses the L2 (PAV) variant because `Hg` "can have length
 /// in the hundreds of millions" where PAV's linear time matters; we
-/// follow that choice.
+/// follow that choice. The vector is never built: one streaming pass
+/// per node walks the histogram's runs in ascending size, draws each
+/// group's noisy size and pushes it into the workspace's PAV stack,
+/// then reads the fit out clamped at zero, with equal neighbours
+/// merged, and rounds each block into a run.
 ///
 /// Per-group variances (Section 5.1.1): a group in an isotonic
 /// partition of size `|S|` gets variance `2 / (|S| ε²)` — the Laplace
@@ -53,31 +56,23 @@ impl Estimator for UnattributedEstimator {
             return NodeEstimate::new(CountOfCounts::new(), Vec::new());
         }
         let mech = cached_mechanism(&mut ws.mech, epsilon, Self::SENSITIVITY);
-        // Expand to the dense Hg in the reusable f64 buffer,
-        // privatizing every coordinate. Iterating the non-zero cells
-        // directly draws noise in exactly the run order the seed
-        // path's materialised `to_unattributed()` walk used.
-        let noisy = &mut ws.values;
-        noisy.clear();
-        noisy.reserve(usize::try_from(g).expect("G exceeds memory"));
+        // Groups in ascending size, as the dense `Hg` lists them, each
+        // drawn in that order.
+        let mut pass = ws.pav_l2.begin();
         for (size, &count) in hist.as_slice().iter().enumerate() {
-            for _ in 0..count {
-                noisy.push(mech.privatize(size as u64, rng) as f64);
-            }
+            let count = usize::try_from(count).expect("G exceeds memory");
+            let sizes = std::iter::repeat_n(size as i64, count);
+            pass.extend(mech.privatize_iter(sizes, rng).map(|v| v as f64));
         }
-        let fit = isotonic_l2(noisy).clamped(0.0, f64::INFINITY);
         // Round block-wise; pool variance where rounding merges
         // adjacent blocks to the same size.
         let per_cell_var = 2.0 / (epsilon * epsilon);
-        let runs: Vec<VarianceRun> = fit
-            .blocks()
-            .iter()
-            .map(|b| VarianceRun {
-                size: b.value.round().max(0.0) as u64,
-                count: b.len as u64,
-                variance: per_cell_var / b.len as f64,
-            })
-            .collect();
+        let mut runs = Vec::with_capacity(pass.blocks().len());
+        runs.extend(pass.clamped(0.0, f64::INFINITY).map(|b| VarianceRun {
+            size: b.value.round().max(0.0) as u64,
+            count: b.len as u64,
+            variance: per_cell_var / b.len as f64,
+        }));
         NodeEstimate::from_variance_runs(runs)
     }
 }

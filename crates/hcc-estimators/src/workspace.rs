@@ -11,12 +11,15 @@
 //! pushes it into the slope-trick heap, and a backward running
 //! minimum over the recorded heap tops emits the estimate's runs. The
 //! clamp moves into the stream because clamping commutes with the L1
-//! isotonic fit: the fit of the clamped cells is the clamped fit. An
-//! [`EstimatorWorkspace`] owns what remains (the heap, its tops, the
-//! `Hg` and `Hc`-L2 buffers); one workspace per worker thread, reused
-//! across every node it estimates (the engine's workers keep theirs
-//! across jobs), keeps the hot loop in cache-resident storage with no
-//! steady-state allocations.
+//! isotonic fit: the fit of the clamped cells is the clamped fit. The
+//! `Hg` method streams the same way: each group's noisy size goes
+//! straight into an L2 PAV pool stack, and the fit is read out of the
+//! stack clamped at zero, so its length-`G` vector is never built. An
+//! [`EstimatorWorkspace`] owns what remains (the heap and its tops,
+//! the pool stack, the `Hc`-L2 and naive buffers); one workspace per
+//! worker thread, reused across every node it estimates (the engine's
+//! workers keep theirs across jobs), keeps the hot loop in
+//! cache-resident storage with no steady-state allocations.
 //!
 //! **Determinism.** Buffer reuse never changes results: every buffer
 //! is fully overwritten (cleared, then written for exactly the
@@ -26,7 +29,7 @@
 //! in `hcc-engine` pins this: releases through warm workspaces hash
 //! identically to the seed pipeline's.
 
-use hcc_isotonic::PavL1Workspace;
+use hcc_isotonic::{PavL1Workspace, PavL2Workspace};
 use hcc_noise::GeometricMechanism;
 
 /// Scratch buffers for one estimation worker. Create once per thread
@@ -37,13 +40,15 @@ use hcc_noise::GeometricMechanism;
 pub struct EstimatorWorkspace {
     /// Noisy integer view (`Hc`-L2, naive).
     pub(crate) noisy: Vec<i64>,
-    /// Dense f64 scratch: the `Hg` method's noisy unattributed
-    /// vector, and the `Hc`-L2 branch's fitted expansion.
+    /// Dense f64 scratch: the `Hc`-L2 branch's fitted expansion, and
+    /// the naive method's noisy cells.
     pub(crate) values: Vec<f64>,
     /// Fitted cumulative cells (`Hc`-L2).
     pub(crate) fitted: Vec<u64>,
     /// L1 isotonic solver state: the `Hc` kernel's slope-trick heap.
     pub(crate) pav: PavL1Workspace,
+    /// L2 isotonic solver state: the `Hg` kernel's PAV pool stack.
+    pub(crate) pav_l2: PavL2Workspace,
     /// The last noise mechanism built, reused while `(ε, Δ)` repeats
     /// (see [`cached_mechanism`]).
     pub(crate) mech: Option<GeometricMechanism>,

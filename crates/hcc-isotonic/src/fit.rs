@@ -105,14 +105,9 @@ impl IsotonicFit {
     }
 
     fn coalesce<I: IntoIterator<Item = Block>>(blocks: I) -> Self {
-        let mut out: Vec<Block> = Vec::new();
-        for b in blocks {
-            match out.last_mut() {
-                Some(last) if last.value == b.value => last.len += b.len,
-                _ => out.push(b),
-            }
+        Self {
+            blocks: Coalesce::new(blocks.into_iter()).collect(),
         }
-        Self { blocks: out }
     }
 
     /// For each element index, the length of the maximal constant run
@@ -126,6 +121,32 @@ impl IsotonicFit {
             }
         }
         out
+    }
+}
+
+/// Merges each run of adjacent blocks with exactly equal values into
+/// its first block.
+pub(crate) struct Coalesce<I: Iterator<Item = Block>> {
+    blocks: std::iter::Peekable<I>,
+}
+
+impl<I: Iterator<Item = Block>> Coalesce<I> {
+    pub(crate) fn new(blocks: I) -> Self {
+        Self {
+            blocks: blocks.peekable(),
+        }
+    }
+}
+
+impl<I: Iterator<Item = Block>> Iterator for Coalesce<I> {
+    type Item = Block;
+
+    fn next(&mut self) -> Option<Block> {
+        let mut block = self.blocks.next()?;
+        while let Some(next) = self.blocks.next_if(|b| b.value == block.value) {
+            block.len += next.len;
+        }
+        Some(block)
     }
 }
 

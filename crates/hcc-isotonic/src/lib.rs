@@ -4,9 +4,12 @@
 //! The paper's estimators all post-process noisy integer vectors with
 //! one of three exact, special-purpose solvers:
 //!
-//! * [`isotonic_l2`] / [`isotonic_l2_weighted`] — pool-adjacent-
-//!   violators (PAV) for `min ‖x − y‖₂² s.t. x non-decreasing`, `O(n)`.
-//!   Used by the `Hg` method and the L2 variant of the `Hc` method.
+//! * [`isotonic_l2`] — pool-adjacent-violators (PAV) for
+//!   `min ‖x − y‖₂² s.t. x non-decreasing`, `O(n)`. Used by the `Hg`
+//!   method and the L2 variant of the `Hc` method. The hot-path entry
+//!   point is [`PavL2Workspace`], whose streaming [`L2Pass`] takes
+//!   each value as it is produced and reads its fit out clamped, with
+//!   no buffer of the input; `isotonic_l2` is that pass over a slice.
 //! * [`isotonic_l1`] — unweighted L1 isotonic regression for
 //!   `min ‖x − y‖₁ s.t. x non-decreasing` by the slope trick: a
 //!   forward pass over a max-heap of cost breakpoints and a backward
@@ -42,6 +45,6 @@ pub mod simplex;
 pub use anchored::{anchored_cumulative, anchored_cumulative_into, CumulativeLoss};
 pub use fit::{Block, IsotonicFit};
 pub use pav_l1::{isotonic_l1, isotonic_l1_heap, isotonic_l1_with, L1Fit, L1Pass, PavL1Workspace};
-pub use pav_l2::{isotonic_l2, isotonic_l2_weighted};
+pub use pav_l2::{isotonic_l2, L2Pass, PavL2Workspace};
 pub use rounding::{apportion, round_preserving_sum};
 pub use simplex::project_simplex;

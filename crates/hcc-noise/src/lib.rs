@@ -9,17 +9,12 @@
 //! * [`LaplaceMechanism`] — continuous Laplace noise; used only by the
 //!   omniscient yardstick baseline and the public-`K` estimation
 //!   helper, never for released values.
-//! * [`PrivacyBudget`] — explicit bookkeeping of sequential /
-//!   per-level budget splits so that Algorithm 1's
-//!   `ε_ℓ = ε / (L + 1)` allocation is auditable in one place.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod budget;
 pub mod geometric;
 pub mod laplace;
 
-pub use budget::{BudgetError, PrivacyBudget};
 pub use geometric::{DoubleGeometric, GeometricMechanism};
 pub use laplace::LaplaceMechanism;

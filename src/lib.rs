@@ -63,5 +63,5 @@ pub mod prelude {
         CumulativeEstimator, Estimator, NaiveEstimator, UnattributedEstimator,
     };
     pub use hcc_hierarchy::{Hierarchy, HierarchyBuilder, NodeId};
-    pub use hcc_noise::{GeometricMechanism, LaplaceMechanism, PrivacyBudget};
+    pub use hcc_noise::{GeometricMechanism, LaplaceMechanism};
 }

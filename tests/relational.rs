@@ -3,7 +3,6 @@
 
 use hccount::consistency::{top_down_release, HierarchicalCounts, LevelMethod, TopDownConfig};
 use hccount::hierarchy::{Hierarchy, HierarchyBuilder};
-use hccount::noise::PrivacyBudget;
 use hccount::tables::Database;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,15 +50,17 @@ fn tables_to_release_round_trip() {
 
 #[test]
 fn budget_accounting_matches_algorithm1_splits() {
-    // A 3-level hierarchy consumes exactly ε in L + 1 = 3 level
+    // A 3-level hierarchy spends exactly ε in L + 1 = 3 equal level
     // slices, as Theorem 1's sequential-composition argument requires.
-    let mut budget = PrivacyBudget::new(1.0);
-    let per_level = budget.per_level(3);
-    for _ in 0..3 {
-        budget.spend(per_level).expect("within budget");
-    }
-    assert!(budget.remaining() < 1e-9);
-    assert!(budget.spend(per_level).is_err(), "overspend must fail");
+    let mut b = HierarchyBuilder::new("top");
+    let state = b.add_child(Hierarchy::ROOT, "state");
+    b.add_child(state, "county");
+    let h = b.build();
+    assert_eq!(h.num_levels(), 3);
+    let cfg = TopDownConfig::new(0.7);
+    let slice = cfg.level_epsilon(h.num_levels());
+    let spent: f64 = (0..h.num_levels()).map(|_| slice).sum();
+    assert!((spent - 0.7).abs() < 1e-12, "spent {spent}");
 }
 
 #[test]
