@@ -38,7 +38,6 @@ pub mod matching;
 pub mod mean_consistency;
 pub mod merge;
 pub mod omniscient;
-pub mod private_counts;
 pub mod topdown;
 
 pub use bottom_up::bottom_up_release;
@@ -48,7 +47,6 @@ pub use matching::{match_groups, MatchSegment};
 pub use mean_consistency::{mean_consistency_release, MeanConsistencyReport};
 pub use merge::MergeStrategy;
 pub use omniscient::{omniscient_expected_error, omniscient_release};
-pub use private_counts::private_group_counts;
 pub use topdown::{
     estimate_node, node_seeds, subtree_tasks, top_down_from_estimates, top_down_release,
     LevelMethod, TopDownConfig,

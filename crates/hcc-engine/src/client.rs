@@ -1,17 +1,24 @@
 //! TCP client for the engine server: [`MuxClient`] speaks the
 //! versioned framed protocol and pipelines — many requests may be in
 //! flight on one connection, with responses matched back by request
-//! id in whatever order the server finishes them.
+//! id in whatever order the server finishes them. The client parses
+//! and aggregates CSV tables itself ([`load_tables`]) and ships only
+//! the per-node histograms, so a bad table fails here, before any
+//! round trip.
 
 use std::collections::VecDeque;
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use hcc_consistency::HierarchicalCounts;
+use hcc_hierarchy::{hierarchy_from_csv, Hierarchy};
+use hcc_tables::CsvLoader;
+
 use crate::protocol::frame::{
-    self, parse_busy, parse_error, parse_hello_ok, parse_result, read_frame, Frame, HelloLimits,
-    T_BUSY, T_ERROR, T_GOODBYE, T_HELLO, T_HELLO_OK, T_METRICS, T_OK_TEXT, T_PING, T_PONG,
-    T_RESULT, T_TRACE,
+    self, dataset_section, parse_busy, parse_error, parse_hello_ok, parse_result, read_frame,
+    Frame, HelloLimits, T_BUSY, T_ERROR, T_GOODBYE, T_HELLO, T_HELLO_OK, T_METRICS, T_OK_TEXT,
+    T_PING, T_PONG, T_PREPARE, T_RESULT, T_TRACE,
 };
 use crate::protocol::SubmitParams;
 use crate::registry::DatasetHandle;
@@ -278,17 +285,27 @@ impl MuxClient {
     }
 
     /// Registers the three CSV tables as a prepared dataset on the
-    /// server, returning its content-addressed handle. Later
-    /// [`MuxClient::submit_prepared`] calls reference the handle and
-    /// skip shipping and re-parsing the tables.
+    /// server, returning its content-addressed handle. The tables are
+    /// parsed and aggregated here, and only the per-node histograms
+    /// travel; a table that does not parse is the inner `Err`, with no
+    /// round trip. Later [`MuxClient::submit_prepared`] calls
+    /// reference the handle and ship no dataset at all.
     pub fn prepare(
         &mut self,
         hierarchy_csv: &str,
         groups_csv: &str,
         entities_csv: &str,
     ) -> io::Result<Result<DatasetHandle, String>> {
-        let tables = [hierarchy_csv, groups_csv, entities_csv];
-        let reply = self.rpc_text(|rid| frame::prepare_frame(rid, tables))?;
+        let payload = match dataset_section([hierarchy_csv, groups_csv, entities_csv]) {
+            Ok(payload) => payload,
+            Err(e) => return Ok(Err(e)),
+        };
+        let reply = self.rpc_text(|request_id| Frame {
+            ftype: T_PREPARE,
+            flags: 0,
+            request_id,
+            payload,
+        })?;
         Ok(reply.and_then(|text| text.parse()))
     }
 
@@ -337,8 +354,9 @@ impl MuxClient {
     }
 
     /// Submits one release from raw CSV tables and blocks until its
-    /// result frame arrives. `BUSY` sheds are retried after the
-    /// server's hint.
+    /// result frame arrives. As with [`MuxClient::prepare`], the
+    /// tables are aggregated here and a bad table fails locally.
+    /// `BUSY` sheds are retried after the server's hint.
     pub fn submit_release(
         &mut self,
         params: &SubmitParams,
@@ -346,8 +364,10 @@ impl MuxClient {
         groups_csv: &str,
         entities_csv: &str,
     ) -> io::Result<Result<FetchedRelease, String>> {
-        let tables = [hierarchy_csv, groups_csv, entities_csv];
-        self.submit_with_retry(params, Some(tables))
+        match dataset_section([hierarchy_csv, groups_csv, entities_csv]) {
+            Ok(dataset) => self.submit_with_retry(params, Some(&dataset)),
+            Err(e) => Ok(Err(e)),
+        }
     }
 
     /// Submits one release of a prepared dataset and blocks until its
@@ -370,11 +390,11 @@ impl MuxClient {
     fn submit_with_retry(
         &mut self,
         params: &SubmitParams,
-        tables: Option<[&str; 3]>,
+        dataset: Option<&[u8]>,
     ) -> io::Result<Result<FetchedRelease, String>> {
         let mut attempt = 0u32;
         loop {
-            let rid = self.send(|rid| frame::submit_frame(rid, params, tables, false))?;
+            let rid = self.send(|rid| frame::submit_frame(rid, params, dataset, false))?;
             let reply = self.recv_for(rid)?;
             match self.submit_outcome(&reply, attempt)? {
                 SubmitOutcome::Done(outcome) => return Ok(outcome),
@@ -505,6 +525,28 @@ enum SubmitOutcome {
     Done(Result<FetchedRelease, String>),
     /// Shed with retries left: resubmit after this backoff.
     Retry { delay_ms: u32 },
+}
+
+/// Parses the three CSV tables (hierarchy, groups, entities) and
+/// aggregates the per-node true histograms — the O(rows) load the
+/// client does so that the server never reads a table row. Errors
+/// name the table that failed.
+pub(crate) fn load_tables(
+    [hierarchy_csv, groups_csv, entities_csv]: [&str; 3],
+) -> Result<(Hierarchy, HierarchicalCounts), String> {
+    let (hierarchy, _) =
+        hierarchy_from_csv(hierarchy_csv).map_err(|e| format!("hierarchy: {e}"))?;
+    let mut loader = CsvLoader::new(&hierarchy);
+    loader
+        .load_groups(groups_csv)
+        .map_err(|e| format!("groups: {e}"))?;
+    loader
+        .load_entities(entities_csv)
+        .map_err(|e| format!("entities: {e}"))?;
+    let db = loader.finish();
+    let data = HierarchicalCounts::from_node_histograms(&hierarchy, db.node_histograms(&hierarchy))
+        .map_err(|e| e.to_string())?;
+    Ok((hierarchy, data))
 }
 
 fn unexpected_frame(ftype: u8) -> io::Error {

@@ -8,6 +8,7 @@
 //! are keyed by content digest and never removed: budget is spent
 //! against the data, so it survives `UNPREPARE`, eviction and re-`PREPARE`.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use hcc_consistency::HierarchicalCounts;
@@ -17,6 +18,7 @@ use hcc_store::{DatasetRecord, Store, StoreError};
 
 use crate::fingerprint::{dataset_fingerprint, Fingerprint};
 use crate::job::EngineError;
+use crate::protocol::{MAX_BOUND, MAX_DENSE_CELLS};
 use crate::registry::{DatasetHandle, DatasetRegistry};
 
 /// The cap and the store it is checked against, behind the engine's
@@ -104,6 +106,9 @@ impl Ledger {
     ) -> Result<(), EngineError> {
         if refs == 1 {
             let record = dataset_record(handle.0 .0, hierarchy, data, refs);
+            check_record(&record).map_err(|e| {
+                EngineError::StoreFailed(format!("dataset {handle} would not reload: {e}"))
+            })?;
             self.store.put_dataset(&record).map_err(store_failed)?;
         } else {
             self.set_refs(handle, refs)?;
@@ -132,10 +137,12 @@ fn store_failed(e: StoreError) -> EngineError {
     EngineError::StoreFailed(e.to_string())
 }
 
-/// Serializes a prepared dataset for the durable store: node names
-/// and parent indices in node-id order, plus each node's histogram
-/// run-length encoded as ascending `(size, count)` pairs.
-fn dataset_record(
+/// Serializes a prepared dataset: node names and parent indices in
+/// node-id order, plus each node's histogram run-length encoded as
+/// ascending `(size, count)` pairs. The store persists it whole; a
+/// `PREPARE` or inline `SUBMIT` carries its node section
+/// ([`encode_dataset`]).
+pub(crate) fn dataset_record(
     handle: u128,
     hierarchy: &Hierarchy,
     data: &HierarchicalCounts,
@@ -170,39 +177,44 @@ fn dataset_record(
     }
 }
 
+/// The dataset section of a `PREPARE` or inline `SUBMIT` frame: the
+/// node section of the dataset's store record.
+pub(crate) fn encode_dataset(hierarchy: &Hierarchy, data: &HierarchicalCounts) -> Vec<u8> {
+    let mut out = Vec::new();
+    dataset_record(0, hierarchy, data, 0).encode_nodes(&mut out);
+    out
+}
+
+/// Inverse of [`encode_dataset`] for bytes off the wire: decodes the
+/// node section and rebuilds it through [`rebuild_dataset`].
+pub(crate) fn decode_dataset(bytes: &[u8]) -> Result<(Hierarchy, HierarchicalCounts), String> {
+    rebuild_dataset(&DatasetRecord::decode_nodes(bytes)?)
+}
+
 /// Rebuilds the in-memory dataset a [`dataset_record`] was taken
-/// from. The inverse is exact — the caller verifies that by
-/// recomputing the content fingerprint and comparing it to the
-/// stored handle.
-fn rebuild_dataset(rec: &DatasetRecord) -> Result<(Hierarchy, HierarchicalCounts), String> {
-    let Some(root_name) = rec.names.first() else {
-        return Err("dataset record has no nodes".to_string());
-    };
-    let n = rec.names.len();
-    if rec.parents.len() != n || rec.histograms.len() != n {
-        return Err(format!(
-            "dataset record is ragged: {n} names, {} parents, {} histograms",
-            rec.parents.len(),
-            rec.histograms.len()
-        ));
-    }
-    if rec.parents.first() != Some(&u64::MAX) {
-        return Err("dataset record node 0 is not a root".to_string());
-    }
-    // The builder assigns sequential node ids (root = 0), so pushing
-    // children in record order reproduces the original ids exactly.
-    let mut builder = HierarchyBuilder::new(root_name.clone());
+/// from, for boot recovery and for the wire alike. The inverse is
+/// exact — boot recovery verifies that by recomputing the content
+/// fingerprint and comparing it to the stored handle. Every rule of
+/// [`check_record`] holds before any histogram is built, and the
+/// built histograms must sum, child to parent.
+pub(crate) fn rebuild_dataset(
+    rec: &DatasetRecord,
+) -> Result<(Hierarchy, HierarchicalCounts), String> {
+    check_record(rec)?;
+    // The builder assigns sequential node ids (root = 0), and
+    // `check_record` has seen every parent precede its child, so
+    // pushing children in record order reproduces the original ids.
+    let root = rec.names.first().ok_or("dataset record has no nodes")?;
+    let mut builder = HierarchyBuilder::new(root.clone());
     let mut nodes = vec![Hierarchy::ROOT];
-    for (off, (name, &parent)) in rec.names.iter().zip(rec.parents.iter()).skip(1).enumerate() {
-        let i = off + 1;
-        let parent_node = usize::try_from(parent)
+    for (i, (name, &parent)) in rec.names.iter().zip(&rec.parents).enumerate().skip(1) {
+        let parent = usize::try_from(parent)
             .ok()
-            .filter(|&p| p < i)
             .and_then(|p| nodes.get(p).copied())
             .ok_or_else(|| {
                 format!("dataset record node {i}: parent {parent} does not precede it")
             })?;
-        nodes.push(builder.add_child(parent_node, name.clone()));
+        nodes.push(builder.add_child(parent, name.clone()));
     }
     let hierarchy = builder.build();
     let hists = rec
@@ -219,4 +231,183 @@ fn rebuild_dataset(rec: &DatasetRecord) -> Result<(Hierarchy, HierarchicalCounts
     let data = HierarchicalCounts::from_node_histograms(&hierarchy, hists)
         .map_err(|e| format!("dataset record histograms are inconsistent: {e}"))?;
     Ok((hierarchy, data))
+}
+
+/// The shape a record must have before anything is built from it.
+/// Peer bytes are untrusted, so each rule bounds what a decode can
+/// cost or keeps out what the CSV parser could never produce:
+///
+/// - one name, parent and histogram per node; node 0 is the root, and
+///   every other node's parent precedes it;
+/// - names are unique and hold no `,`, `\r` or `\n` and no leading
+///   or trailing whitespace (release rows write them verbatim);
+/// - no group size exceeds [`MAX_BOUND`];
+/// - the group and entity totals, summed over all nodes, fit a `u64`,
+///   so no per-node total and no children's sum can wrap;
+/// - the dense expansion, Σ over nodes of (largest size + 1) cells,
+///   is at most [`MAX_DENSE_CELLS`].
+///
+/// [`Ledger::persist_dataset`] runs it too, so the store never holds
+/// a record that boot recovery would refuse.
+fn check_record(rec: &DatasetRecord) -> Result<(), String> {
+    let n = rec.names.len();
+    if n == 0 {
+        return Err("dataset record has no nodes".to_string());
+    }
+    if rec.parents.len() != n || rec.histograms.len() != n {
+        return Err(format!(
+            "dataset record is ragged: {n} names, {} parents, {} histograms",
+            rec.parents.len(),
+            rec.histograms.len()
+        ));
+    }
+    if rec.parents.first() != Some(&u64::MAX) {
+        return Err("dataset record node 0 is not a root".to_string());
+    }
+    let mut seen = BTreeSet::new();
+    let (mut groups, mut entities, mut cells) = (0u64, 0u64, 0u64);
+    let overflow = || "dataset record counts overflow a u64".to_string();
+    for (i, ((name, &parent), pairs)) in rec
+        .names
+        .iter()
+        .zip(&rec.parents)
+        .zip(&rec.histograms)
+        .enumerate()
+    {
+        if i > 0 && parent >= i as u64 {
+            return Err(format!(
+                "dataset record node {i}: parent {parent} does not precede it"
+            ));
+        }
+        if name.contains([',', '\r', '\n']) || name.trim() != name {
+            return Err(format!(
+                "dataset record node {i}: {name:?} is not a region name \
+                 (no commas, line breaks, or surrounding whitespace)"
+            ));
+        }
+        if !seen.insert(name.as_str()) {
+            return Err(format!("dataset record names region {name:?} twice"));
+        }
+        let mut largest = None;
+        for &(size, count) in pairs {
+            if size > MAX_BOUND {
+                return Err(format!(
+                    "dataset record node {i}: group size {size} exceeds {MAX_BOUND}"
+                ));
+            }
+            groups = groups.checked_add(count).ok_or_else(overflow)?;
+            let people = size.checked_mul(count).ok_or_else(overflow)?;
+            entities = entities.checked_add(people).ok_or_else(overflow)?;
+            if count > 0 {
+                largest = largest.max(Some(size));
+            }
+        }
+        cells += largest.map_or(0, |s| s + 1);
+        if cells > MAX_DENSE_CELLS {
+            return Err(format!(
+                "dataset record expands to more than {MAX_DENSE_CELLS} histogram cells"
+            ));
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Three levels, six nodes: `r` over `a` (`a1`, `a2`) and `b` (`b1`).
+    fn sample() -> (Hierarchy, HierarchicalCounts) {
+        let mut b = HierarchyBuilder::new("r");
+        let a = b.add_child(Hierarchy::ROOT, "a");
+        let bb = b.add_child(Hierarchy::ROOT, "b");
+        let leaves = [
+            (
+                b.add_child(a, "a1"),
+                CountOfCounts::from_group_sizes([1, 1, 3]),
+            ),
+            (b.add_child(a, "a2"), CountOfCounts::from_group_sizes([2])),
+            (
+                b.add_child(bb, "b1"),
+                CountOfCounts::from_group_sizes([1, 4, 4]),
+            ),
+        ];
+        let hierarchy = b.build();
+        let data = HierarchicalCounts::from_leaves(&hierarchy, leaves.to_vec()).unwrap();
+        (hierarchy, data)
+    }
+
+    #[test]
+    fn the_wire_section_round_trips_to_the_same_fingerprint() {
+        let (hierarchy, data) = sample();
+        let bytes = encode_dataset(&hierarchy, &data);
+        let (h2, d2) = decode_dataset(&bytes).unwrap();
+        assert_eq!(h2, hierarchy);
+        assert_eq!(
+            dataset_fingerprint(&h2, &d2),
+            dataset_fingerprint(&hierarchy, &data)
+        );
+    }
+
+    /// Peer bytes never panic the decoder: every truncation and every
+    /// top-bit flip of a valid section is refused, and every other
+    /// single-byte value at every offset decodes or errs, never
+    /// panics. (A changed name byte can spell another valid name, so
+    /// only the flips that leave ASCII are sure to be refused.)
+    #[test]
+    fn every_truncation_and_byte_flip_is_refused_never_panics() {
+        let (hierarchy, data) = sample();
+        let valid = encode_dataset(&hierarchy, &data);
+        for cut in 0..valid.len() {
+            assert!(decode_dataset(&valid[..cut]).is_err(), "prefix of {cut}");
+        }
+        for at in 0..valid.len() {
+            let mut bytes = valid.clone();
+            for v in 0..=u8::MAX {
+                bytes[at] = v;
+                let _ = decode_dataset(&bytes);
+            }
+            bytes[at] = valid[at] ^ 0x80;
+            assert!(decode_dataset(&bytes).is_err(), "byte {at} flipped");
+        }
+    }
+
+    /// What boot recovery would refuse is refused before it is
+    /// written: a `DERIVE` may grow a group past `MAX_BOUND` (its own
+    /// limit is `MAX_EDIT_SIZE`), and such a dataset must not make
+    /// the store unbootable.
+    #[test]
+    fn a_dataset_boot_recovery_would_refuse_is_never_persisted() {
+        let dir = std::env::temp_dir().join(format!("hcc-ledger-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = Store::open(dir.join("s.hcc")).unwrap();
+        let mut ledger = Ledger::recover(None, store, &mut DatasetRegistry::new(4)).unwrap();
+        let mut b = HierarchyBuilder::new("r");
+        let leaf = b.add_child(Hierarchy::ROOT, "a");
+        let hierarchy = b.build();
+        let big = CountOfCounts::from_group_sizes([MAX_BOUND + 1]);
+        let data = HierarchicalCounts::from_leaves(&hierarchy, vec![(leaf, big)]).unwrap();
+        let handle = DatasetHandle(dataset_fingerprint(&hierarchy, &data));
+        let err = ledger
+            .persist_dataset(handle, 1, &hierarchy, &data, &[])
+            .unwrap_err();
+        assert!(err.to_string().contains("would not reload"), "{err}");
+        assert_eq!(ledger.store.wal_len(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ragged_records_are_refused() {
+        let (hierarchy, data) = sample();
+        let mut rec = dataset_record(0, &hierarchy, &data, 0);
+        rec.parents.pop();
+        let err = rebuild_dataset(&rec).unwrap_err();
+        assert!(err.contains("ragged"), "{err}");
+        rec.parents.clear();
+        rec.names.clear();
+        rec.histograms.clear();
+        let err = rebuild_dataset(&rec).unwrap_err();
+        assert!(err.contains("no nodes"), "{err}");
+    }
 }

@@ -32,9 +32,10 @@
 //!   counters. A release is a pure function of its fingerprint, so
 //!   serving a repeat from cache is bit-exact and spends no extra
 //!   privacy budget.
-//! * **[`registry`]** — a prepared-dataset registry: `PREPARE` loads
-//!   the hierarchy + group tables once, aggregates the per-node true
-//!   views, and stores them under a content-addressed
+//! * **[`registry`]** — a prepared-dataset registry: `PREPARE` ships
+//!   the per-node true views once (the client parses and aggregates
+//!   the tables; the wire carries counts, not rows) and stores them
+//!   under a content-addressed
 //!   [`DatasetHandle`]; ε-sweeps and repeated queries then submit by
 //!   handle and skip parsing/aggregation entirely, with the cache
 //!   key collapsing to a cheap (handle, config, seed) digest.

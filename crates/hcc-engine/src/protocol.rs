@@ -6,9 +6,15 @@
 //! [`SubmitParams`] `key=value` line and the [`level_method`] name
 //! table.
 //!
-//! `PREPARE` registers a dataset under a content-addressed handle
-//! (see [`crate::registry`]); an ε-sweep then submits by handle on
-//! one connection and the server never re-parses the tables.
+//! `PREPARE` and an inline `SUBMIT` carry a dataset as its
+//! per-node count-of-counts histograms, not as rows: the client
+//! parses and aggregates the CSV tables ([`frame::dataset_section`]),
+//! and the server only decodes and checks the record. That record is
+//! the node section of the durable store's
+//! [`DatasetRecord`](hcc_store::DatasetRecord), so the wire and the
+//! disk share one dataset codec. `PREPARE` registers the dataset
+//! under a content-addressed handle (see [`crate::registry`]); an
+//! ε-sweep then submits by handle and ships no dataset at all.
 //!
 //! `DERIVE` moves a prepared dataset forward by a
 //! [`hcc_data::DatasetDelta`] without re-shipping or re-parsing any
@@ -59,6 +65,15 @@ pub fn level_method(method: &str, bound: u64) -> Result<LevelMethod, String> {
 /// spend no privacy budget.
 pub const MAX_BOUND: u64 = 1_000_000;
 
+/// Largest dense expansion a dataset section may decode to: Σ over
+/// nodes of (largest group size + 1) histogram cells, 2 GiB of
+/// counts. Every CSV row takes at least 4 bytes (`a,b\n`), so tables
+/// that fit one [`frame::DEFAULT_MAX_FRAME`] payload hold at most a
+/// quarter that many nodes plus entities. A node's largest group is
+/// no larger than its entity count, and each entity sits in one node
+/// per level, so every such dataset of up to four levels fits.
+pub const MAX_DENSE_CELLS: u64 = frame::DEFAULT_MAX_FRAME as u64;
+
 /// The release parameters carried on a `SUBMIT` line.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SubmitParams {
@@ -72,8 +87,8 @@ pub struct SubmitParams {
     /// Master RNG seed.
     pub seed: u64,
     /// Prepared-dataset handle. When set, the submission carries no
-    /// tables — the server resolves the handle against its
-    /// registry instead of re-parsing tables.
+    /// dataset — the server resolves the handle against its
+    /// registry.
     pub handle: Option<DatasetHandle>,
 }
 
@@ -178,7 +193,7 @@ pub fn one_line(msg: &str) -> String {
 }
 
 pub mod frame {
-    //! The binary framed protocol (version 1) spoken by the reactor
+    //! The binary framed protocol (version 2) spoken by the reactor
     //! server ([`crate::serve`]) and the [`MuxClient`](crate::MuxClient).
     //!
     //! Every frame is a 16-byte little-endian header followed by the
@@ -188,7 +203,7 @@ pub mod frame {
     //! offset  size  field
     //! 0       1     magic (0xFA — outside ASCII, so a text client
     //!               that connects by mistake fails on its first byte)
-    //! 1       1     protocol version (currently 1)
+    //! 1       1     protocol version (currently 2)
     //! 2       1     frame type
     //! 3       1     flags (bit 0: bulk lane)
     //! 4       4     payload length, u32 LE
@@ -219,7 +234,7 @@ pub mod frame {
     /// ([`FrameError::BadMagic`]) instead of being misparsed.
     pub const MAGIC: u8 = 0xFA;
     /// Protocol version this build speaks.
-    pub const VERSION: u8 = 1;
+    pub const VERSION: u8 = 2;
     /// Bytes in a frame header.
     pub const HEADER_LEN: usize = 16;
     /// Flag bit 0: route this request on the bulk lane (sweeps) rather
@@ -239,9 +254,9 @@ pub mod frame {
     // unknown frame type.
     /// Request: Prometheus text exposition. Empty payload.
     pub const T_METRICS: u8 = 0x04;
-    /// Request: submit a release job (inline tables or by handle).
+    /// Request: submit a release job (an inline dataset or a handle).
     pub const T_SUBMIT: u8 = 0x05;
-    /// Request: register a prepared dataset from three inline tables.
+    /// Request: register a prepared dataset from an inline dataset.
     pub const T_PREPARE: u8 = 0x06;
     /// Request: derive a prepared dataset by a delta.
     pub const T_DERIVE: u8 = 0x07;
@@ -545,11 +560,16 @@ pub mod frame {
             String::from_utf8(bytes.to_vec()).map_err(|_| "blob is not UTF-8".to_string())
         }
 
-        /// Consumes the rest of the payload as UTF-8 text.
-        pub fn rest_str(&mut self) -> Result<String, String> {
+        /// Consumes the rest of the payload as raw bytes.
+        pub fn rest(&mut self) -> &'a [u8] {
             let bytes = self.buf.get(self.at..).unwrap_or(&[]);
             self.at = self.buf.len();
-            String::from_utf8(bytes.to_vec()).map_err(|_| "text is not UTF-8".to_string())
+            bytes
+        }
+
+        /// Consumes the rest of the payload as UTF-8 text.
+        pub fn rest_str(&mut self) -> Result<String, String> {
+            String::from_utf8(self.rest().to_vec()).map_err(|_| "text is not UTF-8".to_string())
         }
 
         /// Asserts the payload is fully consumed (trailing garbage is a
@@ -580,28 +600,18 @@ pub mod frame {
         out.extend_from_slice(s.as_bytes());
     }
 
-    /// Builds a [`T_SUBMIT`] frame: the encoded [`SubmitParams`] plus
-    /// either three inline CSV tables or none (handle submission).
+    /// Builds a [`T_SUBMIT`] frame: the encoded [`SubmitParams`], then
+    /// the [`dataset_section`] of an inline submission, or nothing for
+    /// a submission by `handle=`.
     pub fn submit_frame(
         request_id: u64,
         params: &SubmitParams,
-        tables: Option<[&str; 3]>,
+        dataset: Option<&[u8]>,
         bulk: bool,
     ) -> Frame {
         let mut payload = Vec::new();
         push_str_u16(&mut payload, &params.encode());
-        match tables {
-            Some([h, g, e]) => {
-                push_blob_u32(&mut payload, h);
-                push_blob_u32(&mut payload, g);
-                push_blob_u32(&mut payload, e);
-            }
-            None => {
-                for _ in 0..3 {
-                    payload.extend_from_slice(&0u32.to_le_bytes());
-                }
-            }
-        }
+        payload.extend_from_slice(dataset.unwrap_or_default());
         Frame {
             ftype: T_SUBMIT,
             flags: if bulk { FLAG_BULK } else { 0 },
@@ -610,48 +620,41 @@ pub mod frame {
         }
     }
 
-    /// Parses a [`T_SUBMIT`] payload back into params + optional inline
-    /// tables (`None` when all three table blobs are empty — a handle
-    /// submission).
-    pub fn parse_submit(payload: &[u8]) -> Result<(SubmitParams, Option<[String; 3]>), String> {
+    /// Parses a [`T_SUBMIT`] payload into its params and dataset
+    /// section. Exactly one of the two names the data: the section is
+    /// empty if and only if the params carry a `handle=`.
+    pub fn parse_submit(payload: &[u8]) -> Result<(SubmitParams, &[u8]), String> {
         let mut cur = Cur::new(payload);
         let params = SubmitParams::decode(&cur.str_u16()?)?;
-        let h = cur.blob_u32()?;
-        let g = cur.blob_u32()?;
-        let e = cur.blob_u32()?;
-        cur.done()?;
-        let tables = match (h.is_empty(), g.is_empty(), e.is_empty()) {
-            (true, true, true) => None,
-            (false, false, false) => Some([h, g, e]),
-            _ => {
-                return Err("SUBMIT needs all three tables inline, or none with handle=".to_string())
-            }
-        };
-        Ok((params, tables))
+        let dataset = cur.rest();
+        match (params.handle.is_some(), dataset.is_empty()) {
+            (true, false) => Err("SUBMIT with handle= takes no data sections".to_string()),
+            (false, true) => Err("SUBMIT needs an inline dataset or a handle=".to_string()),
+            _ => Ok((params, dataset)),
+        }
     }
 
-    /// Builds a [`T_PREPARE`] frame from three inline CSV tables.
+    /// Parses and aggregates three CSV tables (hierarchy, groups,
+    /// entities) into the dataset section a [`T_PREPARE`] or inline
+    /// [`T_SUBMIT`] carries: the node section of the store's dataset
+    /// record (layout in `docs/protocol.md`). A table that does not
+    /// parse is named in the error (`hierarchy:`, `groups:`,
+    /// `entities:`).
+    pub fn dataset_section(tables: [&str; 3]) -> Result<Vec<u8>, String> {
+        let (hierarchy, data) = crate::client::load_tables(tables)?;
+        Ok(crate::ledger::encode_dataset(&hierarchy, &data))
+    }
+
+    /// Builds a [`T_PREPARE`] frame from three CSV tables. Tables that
+    /// do not parse give an empty payload, which the server refuses
+    /// with [`E_PROTO`]; call [`dataset_section`] first to see why.
     pub fn prepare_frame(request_id: u64, tables: [&str; 3]) -> Frame {
-        let mut payload = Vec::new();
-        for t in tables {
-            push_blob_u32(&mut payload, t);
-        }
         Frame {
             ftype: T_PREPARE,
             flags: 0,
             request_id,
-            payload,
+            payload: dataset_section(tables).unwrap_or_default(),
         }
-    }
-
-    /// Parses a [`T_PREPARE`] payload into the three CSV tables.
-    pub fn parse_prepare(payload: &[u8]) -> Result<[String; 3], String> {
-        let mut cur = Cur::new(payload);
-        let h = cur.blob_u32()?;
-        let g = cur.blob_u32()?;
-        let e = cur.blob_u32()?;
-        cur.done()?;
-        Ok([h, g, e])
     }
 
     /// Builds a [`T_DERIVE`]/[`T_APPEND`] frame: the parent handle plus
@@ -854,23 +857,15 @@ pub mod frame {
 
         #[test]
         fn frame_round_trips() {
-            let f = submit_frame(
-                7,
-                &SubmitParams::default(),
-                Some(["h\n", "g\n", "e\n"]),
-                true,
-            );
+            let f = submit_frame(7, &SubmitParams::default(), Some(b"nodes"), true);
             let mut buf = Vec::new();
             encode_frame(&mut buf, &f);
             let (decoded, used) = decode_frame(&buf, DEFAULT_MAX_FRAME).unwrap().unwrap();
             assert_eq!(used, buf.len());
             assert_eq!(decoded, f);
-            let (params, tables) = parse_submit(&decoded.payload).unwrap();
+            let (params, dataset) = parse_submit(&decoded.payload).unwrap();
             assert_eq!(params, SubmitParams::default());
-            assert_eq!(
-                tables,
-                Some(["h\n".to_string(), "g\n".to_string(), "e\n".to_string()])
-            );
+            assert_eq!(dataset, b"nodes");
         }
 
         #[test]
@@ -937,7 +932,7 @@ pub mod frame {
             for start in 0..64 {
                 let body = &junk[start..];
                 let _ = parse_submit(body);
-                let _ = parse_prepare(body);
+                let _ = crate::ledger::decode_dataset(body);
                 let _ = parse_derive(body);
                 let _ = parse_hello_ok(body);
                 let _ = parse_result(body);
@@ -947,22 +942,47 @@ pub mod frame {
             }
         }
 
+        /// A submission names its data exactly once: by `handle=` or
+        /// by an inline dataset, never both and never neither.
         #[test]
         fn mixed_table_presence_is_rejected() {
-            let mut payload = Vec::new();
-            push_str_u16(&mut payload, "epsilon=1");
-            push_blob_u32(&mut payload, "h\n");
-            push_blob_u32(&mut payload, "");
-            push_blob_u32(&mut payload, "e\n");
-            let err = parse_submit(&payload).unwrap_err();
-            assert!(err.contains("all three tables"), "{err}");
+            let handle = "ds-000000000000000000000000deadbeef".parse().unwrap();
+            let by_handle = SubmitParams {
+                handle: Some(handle),
+                ..SubmitParams::default()
+            };
+            let both = submit_frame(1, &by_handle, Some(b"nodes"), false);
+            let err = parse_submit(&both.payload).unwrap_err();
+            assert!(err.contains("takes no data sections"), "{err}");
+            let neither = submit_frame(2, &SubmitParams::default(), None, false);
+            let err = parse_submit(&neither.payload).unwrap_err();
+            assert!(err.contains("inline dataset or a handle="), "{err}");
+            assert!(parse_submit(&submit_frame(3, &by_handle, None, false).payload).is_ok());
         }
 
         #[test]
         fn trailing_garbage_is_malformed() {
-            let mut f = prepare_frame(1, ["h\n", "g\n", "e\n"]);
+            let tables = ["r,\na,r\n", "g1,a\n", "e1,g1\ne2,g1\n"];
+            let mut f = prepare_frame(1, tables);
+            assert!(crate::ledger::decode_dataset(&f.payload).is_ok());
             f.payload.push(0xFF);
-            assert!(parse_prepare(&f.payload).is_err());
+            let err = crate::ledger::decode_dataset(&f.payload).unwrap_err();
+            assert!(err.contains("trailing"), "{err}");
+            let mut f = derive_frame(2, T_DERIVE, "ds-00", "add,a,1,2\n");
+            f.payload.push(0xFF);
+            assert!(parse_derive(&f.payload).is_err());
+        }
+
+        #[test]
+        fn tables_that_do_not_parse_make_an_empty_prepare() {
+            let err = dataset_section(["r,\nr,r\n", "", ""]).unwrap_err();
+            assert!(err.starts_with("hierarchy:"), "{err}");
+            let err = dataset_section(["r,\n", "g1,nowhere\n", ""]).unwrap_err();
+            assert!(err.starts_with("groups:"), "{err}");
+            let err = dataset_section(["r,\n", "g1,r\n", "e1,g9\n"]).unwrap_err();
+            assert!(err.starts_with("entities:"), "{err}");
+            assert!(prepare_frame(1, ["r,\nr,r\n", "", ""]).payload.is_empty());
+            assert!(crate::ledger::decode_dataset(&[]).is_err());
         }
 
         #[test]

@@ -45,17 +45,18 @@ use std::time::{Duration, Instant};
 use hcc_data::DatasetDelta;
 
 use crate::job::{EngineError, JobStatus, ReleaseRequest, Submission};
+use crate::ledger::decode_dataset;
 use crate::locks::{Rank, RankedMutex};
 use crate::protocol::frame::{
     self, busy_frame, decode_frame, encode_frame, error_frame, hello_ok_frame, ok_text_frame,
-    parse_derive, parse_prepare, parse_submit, parse_unprepare, result_frame, Frame, FrameError,
-    HelloLimits, B_QUEUE, B_QUOTA, E_BUDGET, E_FAILED, E_PROTO, E_REJECTED, E_TIMEOUT, E_VERSION,
-    FLAG_BULK, T_APPEND, T_DERIVE, T_GOODBYE, T_HELLO, T_METRICS, T_PING, T_PONG, T_PREPARE,
-    T_SUBMIT, T_TRACE, T_UNPREPARE,
+    parse_derive, parse_submit, parse_unprepare, result_frame, Frame, FrameError, HelloLimits,
+    B_QUEUE, B_QUOTA, E_BUDGET, E_FAILED, E_PROTO, E_REJECTED, E_TIMEOUT, E_VERSION, FLAG_BULK,
+    T_APPEND, T_DERIVE, T_GOODBYE, T_HELLO, T_METRICS, T_PING, T_PONG, T_PREPARE, T_SUBMIT,
+    T_TRACE, T_UNPREPARE,
 };
 use crate::protocol::one_line;
 use crate::registry::DatasetHandle;
-use crate::server::{load_dataset, ServerHandle};
+use crate::server::ServerHandle;
 use crate::telemetry::WireStats;
 use crate::Engine;
 
@@ -656,15 +657,14 @@ impl Reactor {
                 self.push_frame(token, reply);
             }
             T_PREPARE => {
-                let reply = match parse_prepare(&f.payload) {
+                let reply = match decode_dataset(&f.payload) {
                     Err(e) => error_frame(rid, E_PROTO, &one_line(&e)),
-                    Ok([h, g, ent]) => match load_dataset(&h, &g, &ent) {
-                        Err(e) => error_frame(rid, E_PROTO, &one_line(&e)),
-                        Ok((hierarchy, data)) => match engine.prepare(hierarchy, data) {
+                    Ok((hierarchy, data)) => {
+                        match engine.prepare(Arc::new(hierarchy), Arc::new(data)) {
                             Ok(handle) => ok_text_frame(rid, &handle.to_string()),
                             Err(e) => error_frame(rid, E_REJECTED, &one_line(&e.to_string())),
-                        },
-                    },
+                        }
+                    }
                 };
                 self.push_frame(token, reply);
             }
@@ -712,55 +712,30 @@ impl Reactor {
     fn handle_submit(&mut self, token: u64, f: Frame) {
         let rid = f.request_id;
         let bulk = f.flags & FLAG_BULK != 0;
-        let (params, tables) = match parse_submit(&f.payload) {
-            Ok(parsed) => parsed,
+        let parsed = parse_submit(&f.payload).and_then(|(params, dataset)| {
+            let config = params.config()?;
+            Ok(match params.handle {
+                Some(handle) => Submission::Prepared {
+                    handle,
+                    config,
+                    seed: params.seed,
+                },
+                None => {
+                    let (hierarchy, data) = decode_dataset(dataset)?;
+                    Submission::Inline(ReleaseRequest::new(
+                        Arc::new(hierarchy),
+                        Arc::new(data),
+                        config,
+                        params.seed,
+                    ))
+                }
+            })
+        });
+        let work = match parsed {
+            Ok(work) => work,
             Err(e) => {
                 self.push_frame(token, error_frame(rid, E_PROTO, &one_line(&e)));
                 return;
-            }
-        };
-        let config = match params.config() {
-            Ok(config) => config,
-            Err(e) => {
-                self.push_frame(token, error_frame(rid, E_PROTO, &one_line(&e)));
-                return;
-            }
-        };
-        let work = if let Some(handle) = params.handle {
-            if tables.is_some() {
-                self.push_frame(
-                    token,
-                    error_frame(rid, E_PROTO, "SUBMIT with handle= takes no data sections"),
-                );
-                return;
-            }
-            Submission::Prepared {
-                handle,
-                config,
-                seed: params.seed,
-            }
-        } else {
-            let Some([h, g, ent]) = tables else {
-                self.push_frame(
-                    token,
-                    error_frame(
-                        rid,
-                        E_PROTO,
-                        "SUBMIT needs HIERARCHY, GROUPS, and ENTITIES tables (or a handle=)",
-                    ),
-                );
-                return;
-            };
-            // Parsing/aggregation happens on the reactor thread. Heavy
-            // repeat traffic should PREPARE once and submit by handle.
-            match load_dataset(&h, &g, &ent) {
-                Ok((hierarchy, data)) => {
-                    Submission::Inline(ReleaseRequest::new(hierarchy, data, config, params.seed))
-                }
-                Err(e) => {
-                    self.push_frame(token, error_frame(rid, E_PROTO, &one_line(&e)));
-                    return;
-                }
             }
         };
         self.admit(

@@ -13,10 +13,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use hcc_consistency::HierarchicalCounts;
-use hcc_hierarchy::{hierarchy_from_csv, Hierarchy};
-use hcc_tables::CsvLoader;
-
 use crate::reactor::ReactorConfig;
 use crate::telemetry::{WireSnapshot, WireStats};
 use crate::Engine;
@@ -84,26 +80,4 @@ impl Drop for ServerHandle {
 /// the default [`ReactorConfig`] until the handle is shut down.
 pub fn serve(engine: Arc<Engine>, addr: impl ToSocketAddrs) -> io::Result<ServerHandle> {
     crate::reactor::serve_reactor(engine, addr, ReactorConfig::default())
-}
-
-/// Parses the three CSV tables and aggregates the per-node true
-/// views — the expensive load that `PREPARE` amortizes.
-pub(crate) fn load_dataset(
-    hierarchy_csv: &str,
-    groups_csv: &str,
-    entities_csv: &str,
-) -> Result<(Arc<Hierarchy>, Arc<HierarchicalCounts>), String> {
-    let (hierarchy, _) =
-        hierarchy_from_csv(hierarchy_csv).map_err(|e| format!("hierarchy: {e}"))?;
-    let mut loader = CsvLoader::new(&hierarchy);
-    loader
-        .load_groups(groups_csv)
-        .map_err(|e| format!("groups: {e}"))?;
-    loader
-        .load_entities(entities_csv)
-        .map_err(|e| format!("entities: {e}"))?;
-    let db = loader.finish();
-    let data = HierarchicalCounts::from_node_histograms(&hierarchy, db.node_histograms(&hierarchy))
-        .map_err(|e| e.to_string())?;
-    Ok((Arc::new(hierarchy), Arc::new(data)))
 }

@@ -110,6 +110,42 @@ pub struct DatasetRecord {
     pub refs: u64,
 }
 
+impl DatasetRecord {
+    /// Appends the node section: the node count, then per node its
+    /// name, parent index and run-length histogram. It is the whole
+    /// record but `handle` and `refs`, and the one dataset encoding
+    /// both the store and the wire use (`docs/store.md`).
+    pub fn encode_nodes(&self, out: &mut Vec<u8>) {
+        put_u64(out, u64::try_from(self.names.len()).unwrap_or(0));
+        for (i, name) in self.names.iter().enumerate() {
+            put_bytes(out, name.as_bytes());
+            let parent = self.parents.get(i).copied().unwrap_or(u64::MAX);
+            put_u64(out, parent);
+            let pairs: &[(u64, u64)] = self.histograms.get(i).map(Vec::as_slice).unwrap_or(&[]);
+            put_u64(out, u64::try_from(pairs.len()).unwrap_or(0));
+            for &(size, count) in pairs {
+                put_u64(out, size);
+                put_u64(out, count);
+            }
+        }
+    }
+
+    /// Decodes a node section that fills all of `bytes`, with `handle`
+    /// and `refs` zero. Checks the framing only: what the nodes say
+    /// is the caller's to validate.
+    pub fn decode_nodes(bytes: &[u8]) -> Result<DatasetRecord, String> {
+        let mut r = Reader::new(bytes);
+        let rec = decode_nodes(&mut r)?;
+        if r.remaining() != 0 {
+            return Err(format!(
+                "{} trailing bytes after the dataset record",
+                r.remaining()
+            ));
+        }
+        Ok(rec)
+    }
+}
+
 /// Everything that can go wrong opening or mutating a [`Store`].
 #[derive(Debug)]
 pub enum StoreError {
@@ -518,28 +554,30 @@ fn decode_record(buf: &[u8]) -> Option<(u64, u8, &[u8], usize)> {
 }
 
 /// Serializes one dataset record (shared by `REC_PUT` payloads and
-/// the snapshot).
+/// the snapshot): its handle and reference count, then its node
+/// section.
 fn encode_dataset(out: &mut Vec<u8>, rec: &DatasetRecord) {
     put_u128(out, rec.handle);
     put_u64(out, rec.refs);
-    put_u64(out, u64::try_from(rec.names.len()).unwrap_or(0));
-    for (i, name) in rec.names.iter().enumerate() {
-        put_bytes(out, name.as_bytes());
-        let parent = rec.parents.get(i).copied().unwrap_or(u64::MAX);
-        put_u64(out, parent);
-        let pairs: &[(u64, u64)] = rec.histograms.get(i).map(Vec::as_slice).unwrap_or(&[]);
-        put_u64(out, u64::try_from(pairs.len()).unwrap_or(0));
-        for &(size, count) in pairs {
-            put_u64(out, size);
-            put_u64(out, count);
-        }
-    }
+    rec.encode_nodes(out);
 }
 
 /// Inverse of [`encode_dataset`].
 fn decode_dataset(r: &mut Reader<'_>) -> Result<DatasetRecord, String> {
     let handle = r.u128("dataset.handle")?;
     let refs = r.u64("dataset.refs")?;
+    Ok(DatasetRecord {
+        handle,
+        refs,
+        ..decode_nodes(r)?
+    })
+}
+
+/// Inverse of [`DatasetRecord::encode_nodes`], with `handle` and
+/// `refs` zero. Reads only as many nodes and pairs as the bytes
+/// hold, so a declared count costs no memory the input did not pay
+/// for.
+fn decode_nodes(r: &mut Reader<'_>) -> Result<DatasetRecord, String> {
     let num_nodes = r.u64("dataset.num_nodes")?;
     let num_nodes = usize::try_from(num_nodes).map_err(|_| "dataset.num_nodes overflows")?;
     let mut names = Vec::new();
@@ -559,11 +597,11 @@ fn decode_dataset(r: &mut Reader<'_>) -> Result<DatasetRecord, String> {
         histograms.push(pairs);
     }
     Ok(DatasetRecord {
-        handle,
+        handle: 0,
         names,
         parents,
         histograms,
-        refs,
+        refs: 0,
     })
 }
 
@@ -751,6 +789,27 @@ mod tests {
             histograms: vec![vec![(1, 5), (3, 2)], vec![(1, 5)], vec![(3, 2)]],
             refs: 1,
         }
+    }
+
+    #[test]
+    fn node_section_is_the_record_after_handle_and_refs() {
+        let rec = sample(7);
+        let mut whole = Vec::new();
+        encode_dataset(&mut whole, &rec);
+        let mut nodes = Vec::new();
+        rec.encode_nodes(&mut nodes);
+        assert_eq!(whole[24..], nodes[..]);
+        let back = DatasetRecord::decode_nodes(&nodes).unwrap();
+        assert_eq!(
+            back,
+            DatasetRecord {
+                handle: 0,
+                refs: 0,
+                ..rec
+            }
+        );
+        nodes.push(0);
+        assert!(DatasetRecord::decode_nodes(&nodes).is_err());
     }
 
     #[test]

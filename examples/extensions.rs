@@ -4,13 +4,12 @@
 //! * CSV ingest of the Entities/Groups tables ([`hccount::tables::CsvLoader`]);
 //! * private estimation of the public size bound `K` (footnote 6);
 //! * adaptive per-node selection between `Hc` and `Hg` (footnote 4);
-//! * privatizing the Groups table itself (footnote 5);
 //! * skewness/quantile queries on the released histograms — the class
 //!   of analyses count-of-counts tables exist to answer.
 //!
 //! Run with: `cargo run --release --example extensions`
 
-use hccount::consistency::{private_group_counts, top_down_release, LevelMethod, TopDownConfig};
+use hccount::consistency::{top_down_release, LevelMethod, TopDownConfig};
 use hccount::core::{kth_largest, quantile, size_stats};
 use hccount::estimators::estimate_size_bound;
 use hccount::hierarchy::{Hierarchy, HierarchyBuilder};
@@ -22,8 +21,8 @@ use rand::SeedableRng;
 fn main() {
     // --- 1. CSV ingest -------------------------------------------------
     let mut b = HierarchyBuilder::new("city");
-    let north = b.add_child(Hierarchy::ROOT, "north");
-    let south = b.add_child(Hierarchy::ROOT, "south");
+    b.add_child(Hierarchy::ROOT, "north");
+    b.add_child(Hierarchy::ROOT, "south");
     let hierarchy = b.build();
 
     let groups_csv = "\
@@ -76,20 +75,7 @@ h7,south";
     let released = top_down_release(&hierarchy, &data, &cfg, &mut rng).expect("uniform depth");
     released.assert_desiderata(&hierarchy);
 
-    // --- 4. Private group counts (footnote 5) --------------------------
-    let true_counts: Vec<u64> = hierarchy.iter().map(|n| data.groups(n)).collect();
-    let private_g = private_group_counts(&hierarchy, &true_counts, 0.5, &mut rng);
-    println!(
-        "private group counts: city={} north={} south={} (true {}/{}/{})",
-        private_g[Hierarchy::ROOT.index()],
-        private_g[north.index()],
-        private_g[south.index()],
-        true_counts[0],
-        true_counts[1],
-        true_counts[2]
-    );
-
-    // --- 5. Skewness analyses on the released table --------------------
+    // --- 4. Skewness analyses on the released table --------------------
     let h = released.node(Hierarchy::ROOT);
     let s = size_stats(h).expect("non-empty");
     println!("\nreleased city-level household statistics:");

@@ -42,8 +42,9 @@
 //!
 //! hcc prepare  --addr 127.0.0.1:7878 --hierarchy data/hierarchy.csv \
 //!              --groups data/groups.csv --entities data/entities.csv
-//!     loads the tables into the server's prepared-dataset registry
-//!     once and prints the content-addressed handle
+//!     aggregates the tables locally and registers their per-node
+//!     histograms in the server's prepared-dataset registry
+//!     and prints the content-addressed handle
 //!
 //! hcc sweep    --addr 127.0.0.1:7878 --handle ds-... \
 //!              --eps 0.1,0.5,1,2 --out-dir sweeps/
@@ -712,7 +713,7 @@ fn cmd_submit(opts: &Opts) -> Result<(), String> {
     let release = client
         .submit_release(&params, &hierarchy_csv, &groups_csv, &entities_csv)
         .map_err(|e| format!("talking to {addr}: {e}"))?
-        .map_err(|e| format!("server rejected the request: {e}"))?;
+        .map_err(|e| format!("request refused: {e}"))?;
     let _ = client.quit();
     match opts.get("out") {
         Some(out) => {
@@ -745,7 +746,7 @@ fn cmd_prepare(opts: &Opts) -> Result<(), String> {
     let handle = client
         .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
         .map_err(|e| format!("talking to {addr}: {e}"))?
-        .map_err(|e| format!("server rejected the tables: {e}"))?;
+        .map_err(|e| format!("tables not prepared: {e}"))?;
     println!("prepared {handle}");
     let _ = client.quit();
     Ok(())
@@ -842,7 +843,7 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
             let handle = client
                 .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
                 .map_err(io_err)?
-                .map_err(|e| format!("server rejected the tables: {e}"))?;
+                .map_err(|e| format!("tables not prepared: {e}"))?;
             println!("prepared {handle}");
             (handle, true)
         }

@@ -15,18 +15,22 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use hccount::consistency::HierarchicalCounts;
 use hccount::consistency::{to_csv, top_down_release, LevelMethod, TopDownConfig};
 use hccount::data::{Dataset, DatasetKind};
 use hccount::engine::protocol::frame::{
-    encode_frame, parse_busy, parse_error, parse_result, read_frame, submit_frame, Frame, B_QUOTA,
-    DEFAULT_MAX_FRAME, E_BUDGET, E_PROTO, E_VERSION, T_BUSY, T_ERROR, T_HELLO, T_HELLO_OK,
-    T_RESULT,
+    dataset_section, encode_frame, parse_busy, parse_error, parse_result, prepare_frame,
+    read_frame, submit_frame, Frame, B_QUOTA, DEFAULT_MAX_FRAME, E_BUDGET, E_PROTO, E_VERSION,
+    T_BUSY, T_ERROR, T_HELLO, T_HELLO_OK, T_OK_TEXT, T_PING, T_PONG, T_PREPARE, T_RESULT,
 };
 use hccount::engine::{
-    protocol::{SubmitParams, MAX_BOUND},
-    serve_reactor, Engine, EngineConfig, MuxClient, ReactorConfig, RetryPolicy,
+    dataset_fingerprint,
+    protocol::{SubmitParams, MAX_BOUND, MAX_DENSE_CELLS},
+    serve_reactor, DatasetHandle, Engine, EngineConfig, MuxClient, ReactorConfig, RetryPolicy,
 };
-use hccount::store::Store;
+use hccount::hierarchy::hierarchy_from_csv;
+use hccount::store::{DatasetRecord, Store};
+use hccount::tables::CsvLoader;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -225,18 +229,14 @@ fn quota_overflow_sheds_with_a_busy_frame() {
     // Both submits land in one segment, so the reactor admits the
     // first and judges the second against a full quota before the
     // first can possibly complete.
-    let tables = Some([
-        hierarchy_csv.as_str(),
-        groups_csv.as_str(),
-        entities_csv.as_str(),
-    ]);
+    let dataset = dataset_section([&hierarchy_csv, &groups_csv, &entities_csv]).unwrap();
     let params = SubmitParams {
         bound: 500,
         ..SubmitParams::default()
     };
     let mut out = Vec::new();
-    encode_frame(&mut out, &submit_frame(2, &params, tables, false));
-    encode_frame(&mut out, &submit_frame(3, &params, tables, false));
+    encode_frame(&mut out, &submit_frame(2, &params, Some(&dataset), false));
+    encode_frame(&mut out, &submit_frame(3, &params, Some(&dataset), false));
     stream.write_all(&out).unwrap();
 
     let first = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
@@ -251,28 +251,30 @@ fn quota_overflow_sheds_with_a_busy_frame() {
 }
 
 /// Satellite regression: a HELLO declaring an unsupported protocol
-/// version is answered with a typed `E_VERSION` error frame and the
-/// connection is closed — not ignored, not a panic.
+/// version — a future one, or version 1, whose PREPARE and SUBMIT
+/// carried CSV tables — is answered with a typed `E_VERSION` error
+/// frame and the connection is closed — not ignored, not a panic.
 #[test]
 fn version_mismatch_is_rejected_with_a_typed_error() {
     let reactor = serve_reactor(engine(1), "127.0.0.1:0", ReactorConfig::default()).unwrap();
-    let mut stream = TcpStream::connect(reactor.addr()).unwrap();
-    let mut out = Vec::new();
-    encode_frame(&mut out, &Frame::empty(T_HELLO, 1));
-    out[1] = 99; // future protocol version
-    stream.write_all(&out).unwrap();
+    for version in [99, 1] {
+        let mut stream = TcpStream::connect(reactor.addr()).unwrap();
+        let mut out = Vec::new();
+        encode_frame(&mut out, &Frame::empty(T_HELLO, 1));
+        out[1] = version;
+        stream.write_all(&out).unwrap();
 
-    let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
-    assert_eq!(reply.ftype, T_ERROR);
-    let (code, msg) = parse_error(&reply.payload);
-    assert_eq!(code, E_VERSION, "{msg}");
-    assert!(msg.contains("version"), "{msg}");
+        let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(reply.ftype, T_ERROR);
+        let (code, msg) = parse_error(&reply.payload);
+        assert_eq!(code, E_VERSION, "{msg}");
+        assert!(msg.contains(&format!("version {version}")), "{msg}");
 
-    // The server closes after the error frame drains.
-    use std::io::Read;
-    let mut rest = Vec::new();
-    stream.read_to_end(&mut rest).unwrap();
-    assert!(rest.is_empty());
+        // The server closes after the error frame drains.
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty());
+    }
     reactor.shutdown();
 }
 
@@ -387,11 +389,7 @@ fn budget_cap_refusal_is_typed_for_inline_and_handle_submits() {
         read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap().ftype,
         T_HELLO_OK
     );
-    let tables = [
-        hierarchy_csv.as_str(),
-        groups_csv.as_str(),
-        entities_csv.as_str(),
-    ];
+    let dataset = dataset_section([&hierarchy_csv, &groups_csv, &entities_csv]).unwrap();
     let by_handle = SubmitParams {
         epsilon: 1.0,
         seed: 44,
@@ -405,7 +403,7 @@ fn budget_cap_refusal_is_typed_for_inline_and_handle_submits() {
     };
     let mut out = Vec::new();
     encode_frame(&mut out, &submit_frame(2, &by_handle, None, false));
-    encode_frame(&mut out, &submit_frame(3, &inline, Some(tables), false));
+    encode_frame(&mut out, &submit_frame(3, &inline, Some(&dataset), false));
     stream.write_all(&out).unwrap();
     for rid in [2, 3] {
         let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
@@ -533,11 +531,7 @@ fn repeated_request_ids_each_get_their_reply() {
         read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap().ftype,
         T_HELLO_OK
     );
-    let tables = Some([
-        hierarchy_csv.as_str(),
-        groups_csv.as_str(),
-        entities_csv.as_str(),
-    ]);
+    let dataset = dataset_section([&hierarchy_csv, &groups_csv, &entities_csv]).unwrap();
     let params = |seed| SubmitParams {
         bound: 500,
         seed,
@@ -546,7 +540,10 @@ fn repeated_request_ids_each_get_their_reply() {
     let mut submit_all = |submits: &[(u64, u64)]| {
         let mut out = Vec::new();
         for &(rid, seed) in submits {
-            encode_frame(&mut out, &submit_frame(rid, &params(seed), tables, false));
+            encode_frame(
+                &mut out,
+                &submit_frame(rid, &params(seed), Some(&dataset), false),
+            );
         }
         stream.write_all(&out).unwrap();
         let mut replies: Vec<(u64, String)> = submits
@@ -569,5 +566,300 @@ fn repeated_request_ids_each_get_their_reply() {
     // Both lane slots came back: two more submits fit the quota of 2.
     let replies = submit_all(&[(8, 3), (9, 4)]);
     assert_eq!(replies.iter().map(|r| r.0).collect::<Vec<_>>(), [8, 9]);
+    reactor.shutdown();
+}
+
+/// Opens a raw framed connection and completes the HELLO.
+fn raw_connection(addr: std::net::SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut out = Vec::new();
+    encode_frame(&mut out, &Frame::empty(T_HELLO, 1));
+    stream.write_all(&out).unwrap();
+    assert_eq!(
+        read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap().ftype,
+        T_HELLO_OK
+    );
+    stream
+}
+
+/// Sends one frame and returns the `E_PROTO` message it is refused
+/// with.
+fn refused(stream: &mut TcpStream, frame: &Frame) -> String {
+    let mut out = Vec::new();
+    encode_frame(&mut out, frame);
+    stream.write_all(&out).unwrap();
+    let reply = read_frame(stream, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!((reply.ftype, reply.request_id), (T_ERROR, frame.request_id));
+    let (code, msg) = parse_error(&reply.payload);
+    assert_eq!(code, E_PROTO, "{msg}");
+    msg
+}
+
+fn prepare_of(request_id: u64, payload: Vec<u8>) -> Frame {
+    Frame {
+        ftype: T_PREPARE,
+        flags: 0,
+        request_id,
+        payload,
+    }
+}
+
+fn section(rec: &DatasetRecord) -> Vec<u8> {
+    let mut out = Vec::new();
+    rec.encode_nodes(&mut out);
+    out
+}
+
+/// A valid three-node record: `r` over leaves `a` (two groups of one)
+/// and `b` (one group of three).
+fn small_record() -> DatasetRecord {
+    DatasetRecord {
+        handle: 0,
+        names: vec!["r".into(), "a".into(), "b".into()],
+        parents: vec![u64::MAX, 0, 0],
+        histograms: vec![vec![(1, 2), (3, 1)], vec![(1, 2)], vec![(3, 1)]],
+        refs: 0,
+    }
+}
+
+/// The client parses and aggregates the tables, and the server only
+/// decodes counts, yet the handle a wire PREPARE returns is exactly
+/// the content fingerprint of the dataset the CSV tables load to.
+#[test]
+fn wire_prepare_returns_the_fingerprint_of_the_csv_loaded_dataset() {
+    let ds = dataset();
+    let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
+    let (hierarchy, _) = hierarchy_from_csv(&hierarchy_csv).unwrap();
+    let mut loader = CsvLoader::new(&hierarchy);
+    loader.load_groups(&groups_csv).unwrap();
+    loader.load_entities(&entities_csv).unwrap();
+    let db = loader.finish();
+    let data = HierarchicalCounts::from_node_histograms(&hierarchy, db.node_histograms(&hierarchy))
+        .unwrap();
+
+    let reactor = serve_reactor(engine(1), "127.0.0.1:0", ReactorConfig::default()).unwrap();
+    let mut mux = MuxClient::connect(reactor.addr()).unwrap();
+    let handle = mux
+        .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
+        .unwrap()
+        .unwrap();
+    assert_eq!(
+        handle,
+        DatasetHandle(dataset_fingerprint(&hierarchy, &data))
+    );
+    assert_eq!(
+        handle,
+        DatasetHandle(dataset_fingerprint(&ds.hierarchy, &ds.data))
+    );
+    mux.quit().unwrap();
+    reactor.shutdown();
+}
+
+/// An inline SUBMIT ships the record, not the rows, and its RESULT is
+/// byte-identical to the serial library release.
+#[test]
+fn inline_submit_is_byte_identical_to_the_serial_release() {
+    let ds = dataset();
+    let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
+    let reactor = serve_reactor(engine(2), "127.0.0.1:0", ReactorConfig::default()).unwrap();
+    let mut mux = MuxClient::connect(reactor.addr()).unwrap();
+    let params = SubmitParams {
+        epsilon: 0.75,
+        bound: 500,
+        seed: 11,
+        ..SubmitParams::default()
+    };
+    let release = mux
+        .submit_release(&params, &hierarchy_csv, &groups_csv, &entities_csv)
+        .unwrap()
+        .unwrap();
+    let cfg = TopDownConfig::new(0.75).with_method(LevelMethod::Cumulative { bound: 500 });
+    let mut rng = StdRng::seed_from_u64(11);
+    let direct = to_csv(
+        &ds.hierarchy,
+        &top_down_release(&ds.hierarchy, &ds.data, &cfg, &mut rng).unwrap(),
+    );
+    assert_eq!(release.csv, direct);
+    mux.quit().unwrap();
+    reactor.shutdown();
+}
+
+/// `prepare_frame` stays infallible: tables that do not parse make a
+/// PREPARE the server refuses with one `E_PROTO`, and the connection
+/// keeps serving. `MuxClient` reports the same tables locally.
+#[test]
+fn raw_prepare_of_malformed_csv_gets_one_proto_error_and_still_pongs() {
+    let reactor = serve_reactor(engine(1), "127.0.0.1:0", ReactorConfig::default()).unwrap();
+    let dup = ["r,\na,r\na,r\n", "g1,a\n", "e1,g1\n"];
+    let mut stream = raw_connection(reactor.addr());
+    refused(&mut stream, &prepare_frame(2, dup));
+    let mut out = Vec::new();
+    encode_frame(&mut out, &Frame::empty(T_PING, 3));
+    stream.write_all(&out).unwrap();
+    let pong = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!((pong.ftype, pong.request_id), (T_PONG, 3));
+
+    let mut mux = MuxClient::connect(reactor.addr()).unwrap();
+    let err = mux.prepare(dup[0], dup[1], dup[2]).unwrap().unwrap_err();
+    assert!(err.starts_with("hierarchy:"), "{err}");
+    let err = mux
+        .submit_release(&SubmitParams::default(), "r,\n", "g1,nowhere\n", "")
+        .unwrap()
+        .unwrap_err();
+    assert!(err.starts_with("groups:"), "{err}");
+    assert!(mux.ping().unwrap());
+    mux.quit().unwrap();
+    reactor.shutdown();
+}
+
+/// Every refusal class of the dataset decoder, over loopback: each
+/// bad record is answered with `E_PROTO` naming the rule, on PREPARE
+/// and inline SUBMIT alike, and the connection keeps serving.
+#[test]
+fn malformed_dataset_records_are_refused_with_e_proto() {
+    let edit = |f: &dyn Fn(&mut DatasetRecord)| {
+        let mut rec = small_record();
+        f(&mut rec);
+        section(&rec)
+    };
+    let mut more_nodes_than_bytes = section(&small_record());
+    more_nodes_than_bytes[0] = 4;
+    let bomb = DatasetRecord {
+        handle: 0,
+        names: (0..300).map(|i| format!("n{i}")).collect(),
+        parents: std::iter::once(u64::MAX)
+            .chain(std::iter::repeat_n(0, 299))
+            .collect(),
+        histograms: vec![vec![(MAX_BOUND, 1)]; 300],
+        refs: 0,
+    };
+    let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+        ("ragged", more_nodes_than_bytes, "need"),
+        ("wrong root", edit(&|r| r.parents[0] = 0), "not a root"),
+        (
+            "parent order",
+            edit(&|r| r.parents[1] = 2),
+            "does not precede",
+        ),
+        (
+            "duplicate name",
+            edit(&|r| r.names[2] = "a".into()),
+            "twice",
+        ),
+        (
+            "comma",
+            edit(&|r| r.names[1] = "a,x".into()),
+            "not a region name",
+        ),
+        (
+            "carriage return",
+            edit(&|r| r.names[1] = "a\r".into()),
+            "not a region name",
+        ),
+        (
+            "line feed",
+            edit(&|r| r.names[1] = "a\nx".into()),
+            "not a region name",
+        ),
+        (
+            "leading space",
+            edit(&|r| r.names[1] = " a".into()),
+            "not a region name",
+        ),
+        (
+            "trailing space",
+            edit(&|r| r.names[2] = "b\t".into()),
+            "not a region name",
+        ),
+        (
+            "size above MAX_BOUND",
+            edit(&|r| r.histograms[2] = vec![(MAX_BOUND + 1, 1)]),
+            "exceeds",
+        ),
+        (
+            "group total overflow",
+            edit(&|r| r.histograms[1] = vec![(1, u64::MAX)]),
+            "overflow",
+        ),
+        (
+            "entity total overflow",
+            edit(&|r| r.histograms[1] = vec![(4, 1 << 62)]),
+            "overflow",
+        ),
+        ("dense-cell bomb", section(&bomb), "histogram cells"),
+        (
+            "children do not sum",
+            edit(&|r| r.histograms[0] = vec![(1, 2)]),
+            "inconsistent",
+        ),
+    ];
+    assert!(bomb.names.len() as u64 * (MAX_BOUND + 1) > MAX_DENSE_CELLS);
+    let reactor = serve_reactor(engine(1), "127.0.0.1:0", ReactorConfig::default()).unwrap();
+    let mut stream = raw_connection(reactor.addr());
+    let inline = SubmitParams {
+        bound: 10,
+        ..SubmitParams::default()
+    };
+    for (rid, (class, payload, want)) in (2u64..).step_by(2).zip(&cases) {
+        let msg = refused(&mut stream, &prepare_of(rid, payload.clone()));
+        assert!(msg.contains(want), "PREPARE, {class}: {msg}");
+        let submit = submit_frame(rid + 1, &inline, Some(payload), false);
+        let msg = refused(&mut stream, &submit);
+        assert!(msg.contains(want), "SUBMIT, {class}: {msg}");
+    }
+    let mut out = Vec::new();
+    encode_frame(&mut out, &prepare_of(99, section(&small_record())));
+    stream.write_all(&out).unwrap();
+    let ok = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!((ok.ftype, ok.request_id), (T_OK_TEXT, 99));
+    reactor.shutdown();
+}
+
+/// A refused dataset costs nothing durable: under a budget cap with a
+/// store, a PREPARE or inline SUBMIT the decoder refuses appends no
+/// WAL record and leaves every account's spend where it was.
+#[test]
+fn refused_datasets_write_no_wal_record_and_charge_nothing() {
+    let engine = capped_engine("refused_datasets", 2.0);
+    let wal = std::env::temp_dir()
+        .join("hcc_wire_tests")
+        .join("refused_datasets")
+        .join("engine.hcc.wal");
+    let reactor =
+        serve_reactor(Arc::clone(&engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
+    let mut stream = raw_connection(reactor.addr());
+    let valid = small_record();
+    let ok: DatasetHandle = {
+        let mut out = Vec::new();
+        encode_frame(&mut out, &prepare_of(2, section(&valid)));
+        stream.write_all(&out).unwrap();
+        let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(reply.ftype, T_OK_TEXT);
+        String::from_utf8(reply.payload).unwrap().parse().unwrap()
+    };
+    let mut mux = MuxClient::connect(reactor.addr()).unwrap();
+    let params = SubmitParams {
+        epsilon: 0.5,
+        bound: 10,
+        ..SubmitParams::default()
+    };
+    mux.submit_prepared(&params, ok).unwrap().unwrap();
+    let spent = engine.budget_spent(ok);
+    let wal_len = std::fs::metadata(&wal).unwrap().len();
+
+    let mut bad = valid;
+    bad.histograms[1] = vec![(1, 3)];
+    refused(&mut stream, &prepare_of(3, section(&bad)));
+    refused(
+        &mut stream,
+        &submit_frame(4, &params, Some(&section(&bad)), false),
+    );
+    assert_eq!(std::fs::metadata(&wal).unwrap().len(), wal_len);
+    assert_eq!(engine.budget_spent(ok), spent);
+    assert_eq!(spent, Some(0.5));
+    mux.quit().unwrap();
     reactor.shutdown();
 }
