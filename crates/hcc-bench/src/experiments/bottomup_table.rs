@@ -9,7 +9,7 @@ use hcc_data::{housing, race, taxi, Dataset, HousingConfig, RaceConfig, RaceProf
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::harness::{mean_std, per_level_emd};
+use crate::harness::{mean_std, per_level_emd, MeanSe};
 use crate::ExpConfig;
 
 /// Builds the 3-level datasets. `west_coast` restricts the census-like
@@ -55,14 +55,25 @@ pub fn three_level_datasets(cfg: &ExpConfig) -> Vec<Dataset> {
     datasets(cfg, true)
 }
 
-/// Compares BU against top-down `Hc` consistency at total ε = 1.
-pub fn run(cfg: &ExpConfig) -> String {
+/// One dataset level's average per-node EMD under bottom-up
+/// aggregation and under top-down `Hc` consistency.
+#[derive(Clone, Debug)]
+pub struct BottomUpRow {
+    /// Dataset name.
+    pub dataset: String,
+    /// Hierarchy level (0 = root).
+    pub level: usize,
+    /// Bottom-up aggregation of the leaves' `Hc` estimates.
+    pub bottom_up: MeanSe,
+    /// Top-down consistency (Algorithm 1) with `Hc` at every level.
+    pub top_down: MeanSe,
+}
+
+/// Measures BU against top-down `Hc` consistency at total ε = 1 on
+/// the national 3-level datasets.
+pub fn measure(cfg: &ExpConfig) -> Vec<BottomUpRow> {
     let eps_total = 1.0;
     let method = LevelMethod::Cumulative { bound: cfg.bound };
-    let mut report = format!(
-        "{:<20} {:>7} {:>14} {:>14} {:>9}\n",
-        "dataset", "level", "BottomUp", "Hc-consist", "BU/Hc"
-    );
     let mut rows = Vec::new();
     for ds in datasets(cfg, false) {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xB0);
@@ -88,16 +99,31 @@ pub fn run(cfg: &ExpConfig) -> String {
                 td_acc[l].push(e);
             }
         }
-        for l in 0..levels {
-            let (bu_m, _) = mean_std(&bu_acc[l]);
-            let (td_m, _) = mean_std(&td_acc[l]);
-            let ratio = if td_m > 0.0 { bu_m / td_m } else { f64::NAN };
-            report.push_str(&format!(
-                "{:<20} {:>7} {:>14.1} {:>14.1} {:>9.2}\n",
-                ds.name, l, bu_m, td_m, ratio
-            ));
-            rows.push(format!("{},{},{:.2},{:.2}", ds.name, l, bu_m, td_m));
-        }
+        rows.extend((0..levels).map(|l| BottomUpRow {
+            dataset: ds.name.clone(),
+            level: l,
+            bottom_up: mean_std(&bu_acc[l]),
+            top_down: mean_std(&td_acc[l]),
+        }));
+    }
+    rows
+}
+
+/// Runs the comparison: a printed table and `bottomup_table.csv`.
+pub fn run(cfg: &ExpConfig) -> String {
+    let mut report = format!(
+        "{:<20} {:>7} {:>14} {:>14} {:>9}\n",
+        "dataset", "level", "BottomUp", "Hc-consist", "BU/Hc"
+    );
+    let mut rows = Vec::new();
+    for r in measure(cfg) {
+        let (bu_m, td_m) = (r.bottom_up.0, r.top_down.0);
+        let ratio = if td_m > 0.0 { bu_m / td_m } else { f64::NAN };
+        report.push_str(&format!(
+            "{:<20} {:>7} {:>14.1} {:>14.1} {:>9.2}\n",
+            r.dataset, r.level, bu_m, td_m, ratio
+        ));
+        rows.push(format!("{},{},{:.2},{:.2}", r.dataset, r.level, bu_m, td_m));
     }
     cfg.write_csv(
         "bottomup_table.csv",

@@ -13,7 +13,7 @@ use hcc_data::{housing, race, Dataset, HousingConfig, RaceConfig, RaceProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::harness::{mean_std, per_level_emd};
+use crate::harness::{mean_std, per_level_emd, MeanSe};
 use crate::ExpConfig;
 
 /// The 2-level datasets used by the merge comparison.
@@ -53,15 +53,30 @@ pub fn combos(bound: u64) -> Vec<(&'static str, Vec<LevelMethod>)> {
     ]
 }
 
-/// Runs the merge-strategy comparison.
-pub fn run(cfg: &ExpConfig) -> String {
-    let mut report = format!(
-        "{:<16} {:<7} {:>6} {:>5} {:>14} {:>14} {:>8}\n",
-        "dataset", "combo", "eps/lv", "level", "weighted", "plain", "plain/wt"
-    );
+/// One (dataset, combination, budget, level) point: average per-node
+/// EMD under weighted and under plain averaging.
+#[derive(Clone, Debug)]
+pub struct MergeRow {
+    /// Dataset name.
+    pub dataset: String,
+    /// Method combination, top level first (e.g. `HcxHg`).
+    pub combo: &'static str,
+    /// Per-level privacy budget.
+    pub eps: f64,
+    /// Hierarchy level (0 = root).
+    pub level: usize,
+    /// Inverse-variance weighted merging (the paper's).
+    pub weighted: MeanSe,
+    /// Plain averaging.
+    pub plain: MeanSe,
+}
+
+/// Measures the merge strategies over every dataset, combination and
+/// budget of `cfg`.
+pub fn measure(cfg: &ExpConfig) -> Vec<MergeRow> {
     let mut rows = Vec::new();
     for ds in two_level_datasets(cfg) {
-        for (combo_name, methods) in combos(cfg.bound) {
+        for (combo, methods) in combos(cfg.bound) {
             for &eps in &cfg.epsilons {
                 let total_eps = eps * ds.hierarchy.num_levels() as f64;
                 let mut acc: [[Vec<f64>; 2]; 2] = Default::default();
@@ -85,25 +100,42 @@ pub fn run(cfg: &ExpConfig) -> String {
                         }
                     }
                 }
-                #[allow(clippy::needless_range_loop)]
-                for l in 0..2 {
-                    let (w, _) = mean_std(&acc[0][l]);
-                    let (p, _) = mean_std(&acc[1][l]);
-                    rows.push(format!(
-                        "{},{},{},{},{:.2},{:.2}",
-                        ds.name, combo_name, eps, l, w, p
-                    ));
-                    // Keep the printed table readable: only eps = 0.1
-                    // and 1.0 rows (the CSV has the full sweep).
-                    if (eps - 0.1).abs() < 1e-12 || (eps - 1.0).abs() < 1e-12 {
-                        let ratio = if w > 0.0 { p / w } else { f64::NAN };
-                        report.push_str(&format!(
-                            "{:<16} {:<7} {:>6} {:>5} {:>14.1} {:>14.1} {:>8.2}\n",
-                            ds.name, combo_name, eps, l, w, p, ratio
-                        ));
-                    }
-                }
+                rows.extend((0..2).map(|level| MergeRow {
+                    dataset: ds.name.clone(),
+                    combo,
+                    eps,
+                    level,
+                    weighted: mean_std(&acc[0][level]),
+                    plain: mean_std(&acc[1][level]),
+                }));
             }
+        }
+    }
+    rows
+}
+
+/// Runs the merge-strategy comparison: a printed table and
+/// `figure4.csv`.
+pub fn run(cfg: &ExpConfig) -> String {
+    let mut report = format!(
+        "{:<16} {:<7} {:>6} {:>5} {:>14} {:>14} {:>8}\n",
+        "dataset", "combo", "eps/lv", "level", "weighted", "plain", "plain/wt"
+    );
+    let mut rows = Vec::new();
+    for r in measure(cfg) {
+        let (w, p) = (r.weighted.0, r.plain.0);
+        rows.push(format!(
+            "{},{},{},{},{:.2},{:.2}",
+            r.dataset, r.combo, r.eps, r.level, w, p
+        ));
+        // Keep the printed table readable: only eps = 0.1 and 1.0 rows
+        // (the CSV has the full sweep).
+        if (r.eps - 0.1).abs() < 1e-12 || (r.eps - 1.0).abs() < 1e-12 {
+            let ratio = if w > 0.0 { p / w } else { f64::NAN };
+            report.push_str(&format!(
+                "{:<16} {:<7} {:>6} {:>5} {:>14.1} {:>14.1} {:>8.2}\n",
+                r.dataset, r.combo, r.eps, r.level, w, p, ratio
+            ));
         }
     }
     cfg.write_csv(

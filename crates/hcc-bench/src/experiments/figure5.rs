@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::experiments::figure4::two_level_datasets;
-use crate::harness::{mean_std, per_level_emd};
+use crate::harness::{mean_std, per_level_emd, MeanSe};
 use crate::ExpConfig;
 
 /// All four 2-level datasets (census ones from Figure 4's helper plus
@@ -33,15 +33,29 @@ pub fn run(cfg: &ExpConfig) -> String {
     run_with_levels(cfg, datasets(cfg), "figure5.csv")
 }
 
-/// Shared driver for Figures 5 and 6: sweeps ε for `Hc×…` vs `Hg×…`
-/// vs omniscient on the given datasets.
-pub fn run_with_levels(cfg: &ExpConfig, datasets: Vec<Dataset>, csv: &str) -> String {
-    let mut report = format!(
-        "{:<20} {:>6} {:>5} {:>13} {:>13} {:>13}\n",
-        "dataset", "eps/lv", "level", "Hc", "Hg", "omniscient"
-    );
+/// One (dataset, budget, level) point: average per-node EMD of
+/// top-down `Hc` and `Hg` releases, and the omniscient yardstick.
+#[derive(Clone, Debug)]
+pub struct ConsistencyRow {
+    /// Dataset name.
+    pub dataset: String,
+    /// Per-level privacy budget.
+    pub eps: f64,
+    /// Hierarchy level (0 = root).
+    pub level: usize,
+    /// Top-down consistency with `Hc` at every level.
+    pub hc: MeanSe,
+    /// Top-down consistency with `Hg` at every level.
+    pub hg: MeanSe,
+    /// The omniscient algorithm's analytic expected error (no spread).
+    pub omniscient: f64,
+}
+
+/// Measures `Hc×…` vs `Hg×…` vs omniscient on `datasets` over the ε
+/// sweep of `cfg`; Figures 5 and 6 share it.
+pub fn measure(cfg: &ExpConfig, datasets: &[Dataset]) -> Vec<ConsistencyRow> {
     let mut rows = Vec::new();
-    for ds in &datasets {
+    for ds in datasets {
         let levels = ds.hierarchy.num_levels();
         for &eps in &cfg.epsilons {
             let total_eps = eps * levels as f64;
@@ -70,29 +84,49 @@ pub fn run_with_levels(cfg: &ExpConfig, datasets: Vec<Dataset>, csv: &str) -> St
                 }
             }
             for l in 0..levels {
-                let (hc, _) = mean_std(&hc_acc[l]);
-                let (hg, _) = mean_std(&hg_acc[l]);
                 // The paper's yardstick is the *analytic* expected
                 // error of the omniscient algorithm (its §6.2 worked
                 // example computes the formula, not a simulation):
                 // avg over the level's nodes of distinct_sizes·√2/ε.
                 let nodes = ds.hierarchy.level(l);
-                let om = nodes
+                let omniscient = nodes
                     .iter()
                     .map(|&n| omniscient_expected_error(ds.data.node(n).distinct_sizes(), eps))
                     .sum::<f64>()
                     / nodes.len() as f64;
-                rows.push(format!(
-                    "{},{},{},{:.2},{:.2},{:.2}",
-                    ds.name, eps, l, hc, hg, om
-                ));
-                if (eps - 0.1).abs() < 1e-12 || (eps - 1.0).abs() < 1e-12 {
-                    report.push_str(&format!(
-                        "{:<20} {:>6} {:>5} {:>13.1} {:>13.1} {:>13.1}\n",
-                        ds.name, eps, l, hc, hg, om
-                    ));
-                }
+                rows.push(ConsistencyRow {
+                    dataset: ds.name.clone(),
+                    eps,
+                    level: l,
+                    hc: mean_std(&hc_acc[l]),
+                    hg: mean_std(&hg_acc[l]),
+                    omniscient,
+                });
             }
+        }
+    }
+    rows
+}
+
+/// Shared driver for Figures 5 and 6: a printed table and the CSV
+/// `csv` of [`measure`] on `datasets`.
+pub fn run_with_levels(cfg: &ExpConfig, datasets: Vec<Dataset>, csv: &str) -> String {
+    let mut report = format!(
+        "{:<20} {:>6} {:>5} {:>13} {:>13} {:>13}\n",
+        "dataset", "eps/lv", "level", "Hc", "Hg", "omniscient"
+    );
+    let mut rows = Vec::new();
+    for r in measure(cfg, &datasets) {
+        let (hc, hg, om) = (r.hc.0, r.hg.0, r.omniscient);
+        rows.push(format!(
+            "{},{},{},{:.2},{:.2},{:.2}",
+            r.dataset, r.eps, r.level, hc, hg, om
+        ));
+        if (r.eps - 0.1).abs() < 1e-12 || (r.eps - 1.0).abs() < 1e-12 {
+            report.push_str(&format!(
+                "{:<20} {:>6} {:>5} {:>13.1} {:>13.1} {:>13.1}\n",
+                r.dataset, r.eps, r.level, hc, hg, om
+            ));
         }
     }
     crate::harness::write_csv(

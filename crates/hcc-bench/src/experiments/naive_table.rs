@@ -8,51 +8,77 @@
 
 use hcc_core::emd;
 use hcc_data::{Dataset, DatasetKind};
-use hcc_estimators::{CumulativeEstimator, Estimator, NaiveEstimator, UnattributedEstimator};
+use hcc_estimators::{
+    CumulativeEstimator, Estimator, NaiveEstimator, NodeEstimate, UnattributedEstimator,
+};
 use hcc_hierarchy::Hierarchy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::harness::mean_std;
+use crate::harness::{mean_std, MeanSe};
 use crate::ExpConfig;
 
-/// Runs the naive method at ε = 1 on every dataset's root node, with
-/// the `Hc` and `Hg` methods alongside for the orders-of-magnitude
-/// comparison.
-pub fn run(cfg: &ExpConfig) -> String {
+/// One dataset's root-node EMD under each method at ε = 1.
+#[derive(Clone, Debug)]
+pub struct NaiveRow {
+    /// Dataset name.
+    pub dataset: String,
+    /// The naive method (noise on every one of the `K` cells).
+    pub naive: MeanSe,
+    /// `Hc` with L1 post-processing.
+    pub hc: MeanSe,
+    /// `Hg`.
+    pub hg: MeanSe,
+}
+
+/// Measures the naive method at ε = 1 on every dataset's root node,
+/// with the `Hc` and `Hg` methods alongside.
+pub fn measure(cfg: &ExpConfig) -> Vec<NaiveRow> {
     let eps = 1.0;
+    DatasetKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let ds = Dataset::generate(kind, cfg.scale, cfg.seed);
+            let truth = ds.data.node(Hierarchy::ROOT);
+            let g = truth.num_groups();
+            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xA1);
+            let mut errors = |est: &dyn Fn(&mut StdRng) -> NodeEstimate| -> MeanSe {
+                let xs: Vec<f64> = (0..cfg.runs)
+                    .map(|_| emd(est(&mut rng).hist(), truth) as f64)
+                    .collect();
+                mean_std(&xs)
+            };
+            let naive = NaiveEstimator::new(cfg.bound);
+            let naive = errors(&|rng: &mut StdRng| naive.estimate(truth, g, eps, rng));
+            let hc = CumulativeEstimator::new(cfg.bound);
+            let hc = errors(&|rng: &mut StdRng| hc.estimate(truth, g, eps, rng));
+            let hg = UnattributedEstimator::new();
+            let hg = errors(&|rng: &mut StdRng| hg.estimate(truth, g, eps, rng));
+            NaiveRow {
+                dataset: ds.name,
+                naive,
+                hc,
+                hg,
+            }
+        })
+        .collect()
+}
+
+/// Runs the comparison: a printed table and `naive_table.csv`.
+pub fn run(cfg: &ExpConfig) -> String {
     let mut report = format!(
         "{:<16} {:>16} {:>12} {:>12}   (avg EMD at root, eps=1)\n",
         "dataset", "naive", "Hc", "Hg"
     );
     let mut rows = Vec::new();
-    for kind in DatasetKind::ALL {
-        let ds = Dataset::generate(kind, cfg.scale, cfg.seed);
-        let truth = ds.data.node(Hierarchy::ROOT);
-        let g = truth.num_groups();
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xA1);
-
-        let mut errors = |est: &dyn Fn(&mut StdRng) -> hcc_core::CountOfCounts| -> f64 {
-            let xs: Vec<f64> = (0..cfg.runs)
-                .map(|_| emd(&est(&mut rng), truth) as f64)
-                .collect();
-            mean_std(&xs).0
-        };
-
-        let naive = NaiveEstimator::new(cfg.bound);
-        let e_naive = errors(&|rng: &mut StdRng| naive.estimate(truth, g, eps, rng).into_hist());
-        let hc = CumulativeEstimator::new(cfg.bound);
-        let e_hc = errors(&|rng: &mut StdRng| hc.estimate(truth, g, eps, rng).into_hist());
-        let hg = UnattributedEstimator::new();
-        let e_hg = errors(&|rng: &mut StdRng| hg.estimate(truth, g, eps, rng).into_hist());
-
+    for r in measure(cfg) {
         report.push_str(&format!(
             "{:<16} {:>16.0} {:>12.0} {:>12.0}\n",
-            ds.name, e_naive, e_hc, e_hg
+            r.dataset, r.naive.0, r.hc.0, r.hg.0
         ));
         rows.push(format!(
             "{},{:.1},{:.1},{:.1}",
-            ds.name, e_naive, e_hc, e_hg
+            r.dataset, r.naive.0, r.hc.0, r.hg.0
         ));
     }
     cfg.write_csv("naive_table.csv", "dataset,naive_emd,hc_emd,hg_emd", &rows);

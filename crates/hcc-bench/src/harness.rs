@@ -69,9 +69,13 @@ impl ExpConfig {
     }
 }
 
+/// A mean over runs and its standard error, as [`mean_std`] returns
+/// them.
+pub type MeanSe = (f64, f64);
+
 /// Mean and standard deviation *of the mean* (the paper plots 1-σ
 /// error bars of the 10-run average, i.e. sample σ divided by √runs).
-pub fn mean_std(xs: &[f64]) -> (f64, f64) {
+pub fn mean_std(xs: &[f64]) -> MeanSe {
     if xs.is_empty() {
         return (0.0, 0.0);
     }
