@@ -7,7 +7,9 @@
 //! pipeline exactly as the seed wrote it: fresh dense vectors per
 //! node, per-element `BinaryHeap` pairs in the L1 PAV
 //! ([`hcc_isotonic::isotonic_l1_heap`]), and per-draw `ln α`
-//! recomputation in the noise sampler. [`SeedBaseline::estimate`]
+//! recomputation in the noise sampler, which draws by the release
+//! format's defining `ln` formula ([`seed_sample`]; format 2, one RNG
+//! word per draw). [`SeedBaseline::estimate`]
 //! produces **bit-identical** [`NodeEstimate`]s to the optimized
 //! path — same RNG draw order, same arithmetic — so baseline-vs-new
 //! comparisons time the implementation, not different work.
@@ -78,16 +80,15 @@ impl SeedBaseline {
     ) -> NodeEstimate {
         let cum: Cumulative = hist.truncated(self.bound).to_cumulative(self.bound);
         // Like the seed `DoubleGeometric`: α computed once per
-        // mechanism (per node), `ln α` recomputed on every draw.
+        // mechanism (per node), `ln α` recomputed on every draw. The
+        // anchor cell `K` is released as `G` and draws nothing.
         let alpha = (-epsilon).exp();
-        let noisy: Vec<i64> = cum
-            .as_slice()
+        let below = &cum.as_slice()[..cum.as_slice().len() - 1];
+        let noisy: Vec<i64> = below
             .iter()
             .map(|&v| {
                 let v = i64::try_from(v).expect("count exceeds i64::MAX");
-                v.saturating_add(
-                    seed_sample_one_sided(alpha, rng) - seed_sample_one_sided(alpha, rng),
-                )
+                v.saturating_add(seed_sample(alpha, rng))
             })
             .collect();
         let fitted = seed_anchored_l1(&noisy, g);
@@ -108,29 +109,37 @@ impl SeedBaseline {
     }
 }
 
-/// The seed one-sided geometric draw, including its defining waste:
-/// `ln α` recomputed on **every** draw (the modern sampler hoists it
-/// into construction). Bit-identical outputs — the transcendental
-/// produces the same value, just repeatedly.
-pub fn seed_sample_one_sided<R: Rng + ?Sized>(alpha: f64, rng: &mut R) -> i64 {
-    if alpha == 0.0 {
-        return 0;
-    }
-    let u: f64 = 1.0 - rng.gen::<f64>();
-    let g = (u.ln() / alpha.ln()).floor();
-    if g.is_finite() && g < i64::MAX as f64 {
-        g.max(0.0) as i64
+/// The double-geometric draw by its defining formula, with the seed
+/// sampler's waste: `ln α` recomputed on **every** draw (the modern
+/// sampler hoists it into construction and replaces the formula by a
+/// table lookup). One RNG word: its top 53 bits give the grid point
+/// `m`, the magnitude is `floor(ln W / ln α)` with
+/// `W = (1 − m·2⁻⁵³)·(1 + α)/2`, and bit 0 set negates it.
+/// Bit-identical outputs — the transcendental produces the same value,
+/// just repeatedly.
+pub fn seed_sample<R: Rng + ?Sized>(alpha: f64, rng: &mut R) -> i64 {
+    let word = rng.next_u64();
+    let u = 1.0 - (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    let w = u * ((1.0 + alpha) / 2.0);
+    let a = (w.ln() / alpha.ln()).floor();
+    let a = if a.is_finite() && a < i64::MAX as f64 {
+        a.max(0.0) as i64
     } else {
         i64::MAX
+    };
+    if word & 1 == 1 {
+        -a
+    } else {
+        a
     }
 }
 
-/// The seed anchored post-processing: heap-PAV the prefix, build a
-/// fresh clamped fit, push cells one by one.
+/// The seed anchored post-processing of the noisy cells below the
+/// anchor: heap-PAV them, build a fresh clamped fit, push cells one by
+/// one, then the anchor `G`.
 fn seed_anchored_l1(noisy: &[i64], g: u64) -> Vec<u64> {
-    let prefix = &noisy[..noisy.len() - 1];
-    let clamped = isotonic_l1_heap(prefix).clamped(0.0, g as f64);
-    let mut out: Vec<u64> = Vec::with_capacity(noisy.len());
+    let clamped = isotonic_l1_heap(noisy).clamped(0.0, g as f64);
+    let mut out: Vec<u64> = Vec::with_capacity(noisy.len() + 1);
     for b in clamped.blocks() {
         let v = b.value.round().max(0.0).min(g as f64) as u64;
         for _ in 0..b.len {

@@ -4,8 +4,9 @@
 //! Two [`ReleaseRequest`](crate::ReleaseRequest)s produce the same
 //! release exactly when their hierarchy, sensitive data, release
 //! configuration, and master seed agree (the release is a pure
-//! function of those four — thread counts do not enter). The cache
-//! therefore keys on a 128-bit FNV-1a digest of that tuple.
+//! function of those four — thread counts do not enter), under one
+//! release format, [`RELEASE_FORMAT`]. The cache therefore keys on a
+//! 128-bit FNV-1a digest of that tuple and the format.
 //!
 //! The digest is computed in two stages so that prepared datasets can
 //! amortize it: [`dataset_fingerprint`] digests the (large) hierarchy
@@ -88,11 +89,20 @@ pub fn dataset_fingerprint(hierarchy: &Hierarchy, data: &HierarchicalCounts) -> 
     Fingerprint(h.0)
 }
 
+/// The version of the released bytes for a given request: it changes
+/// whenever the same (dataset, config, seed) would release different
+/// bytes. Format 2 draws each double-geometric value from one RNG
+/// word and spends no draw on `Hc`'s anchor cell; format 1 drew two
+/// one-sided geometrics per value.
+pub const RELEASE_FORMAT: u64 = 2;
+
 /// Digests the *request* half on top of a dataset digest: the
-/// output-relevant parts of the config (budget, merge strategy, and
-/// the method at each of the hierarchy's `levels`) plus the master
-/// seed. Cheap — O(levels) — so submissions by prepared handle pay
-/// nearly nothing for their cache key.
+/// [`RELEASE_FORMAT`], the output-relevant parts of the config
+/// (budget, merge strategy, and the method at each of the hierarchy's
+/// `levels`) plus the master seed. Cheap — O(levels) — so submissions
+/// by prepared handle pay nearly nothing for their cache key. Dataset
+/// digests (and so handles) carry no format: they name data, not
+/// releases.
 pub fn request_fingerprint(
     dataset: Fingerprint,
     levels: usize,
@@ -100,6 +110,7 @@ pub fn request_fingerprint(
     seed: u64,
 ) -> Fingerprint {
     let mut h = Fnv128::new();
+    h.write_u64(RELEASE_FORMAT);
     h.write(&dataset.0.to_le_bytes());
     h.write_u64(cfg.epsilon().to_bits());
     h.write_u64(match cfg.merge() {
@@ -188,6 +199,18 @@ mod tests {
         // Region names.
         let (h3, d3) = case(["a", "x"], [1, 2, 3]);
         assert_ne!(base, fingerprint(&h3, &d3, &cfg, 7));
+    }
+
+    #[test]
+    fn the_release_format_moves_request_keys_but_not_dataset_handles() {
+        // Pinned at release format 1: the dataset digest must not
+        // move (handles, store files and budget accounts name it), and
+        // a format-1 cache key must not answer a format-2 request.
+        let (h, d) = case(["a", "b"], [1, 2, 3]);
+        let ds = dataset_fingerprint(&h, &d);
+        assert_eq!(ds.to_string(), "0476bf4780b4708d012987b5a4df4770");
+        let key = request_fingerprint(ds, h.num_levels(), &TopDownConfig::new(1.0), 7);
+        assert_ne!(key.to_string(), "108f48c03f19aaee2598bbe25b857550");
     }
 
     #[test]

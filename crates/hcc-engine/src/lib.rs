@@ -98,7 +98,9 @@ pub mod telemetry;
 
 pub use client::{FetchedRelease, MuxClient, RetryPolicy, SweepPoint};
 pub use engine::{Engine, EngineConfig, EngineStats};
-pub use fingerprint::{dataset_fingerprint, fingerprint, request_fingerprint, Fingerprint};
+pub use fingerprint::{
+    dataset_fingerprint, fingerprint, request_fingerprint, Fingerprint, RELEASE_FORMAT,
+};
 pub use job::{EngineError, JobStatus, ReleaseRequest, ReleaseResult, Submission, Ticket};
 pub use protocol::level_method;
 pub use reactor::{serve_reactor, ReactorConfig};

@@ -1,8 +1,7 @@
 //! The cumulative-histogram method (`Hc`, Section 4.3).
 
 use hcc_core::CountOfCounts;
-use hcc_isotonic::{anchored_cumulative_into, CumulativeLoss};
-use hcc_noise::GeometricMechanism;
+use hcc_isotonic::CumulativeLoss;
 use rand::Rng;
 
 use crate::estimate::VarianceRun;
@@ -67,6 +66,9 @@ impl Estimator for CumulativeEstimator {
         let mech = cached_mechanism(&mut ws.mech, epsilon, Self::SENSITIVITY);
         let g_cell = i64::try_from(g).expect("group count exceeds i64::MAX");
         let cells = cumulative_cells(hist, self.bound);
+        // The anchor cell `K` is released as the public `G`, so it
+        // draws no noise: one draw per cell below it.
+        let anchor = usize::try_from(self.bound).expect("bound too large");
         match self.loss {
             CumulativeLoss::L1 => {
                 // One pass: each cell is drawn, clamped to [0, G] and
@@ -77,29 +79,32 @@ impl Estimator for CumulativeEstimator {
                 // G and leaves the rest alone.
                 let mut pass = ws.pav.begin(0, g_cell);
                 pass.extend(mech.privatize_iter(cells, rng));
-                spend_anchor_draw(mech, rng);
                 pass.push(g_cell);
                 variance_runs(pass.finish().runs_rev(), epsilon)
             }
             CumulativeLoss::L2 => {
-                ws.noisy.clear();
-                ws.noisy.extend(mech.privatize_iter(cells, rng));
-                spend_anchor_draw(mech, rng);
-                ws.noisy.push(g_cell);
-                anchored_cumulative_into(
-                    &ws.noisy,
-                    g,
-                    self.loss,
-                    &mut ws.pav,
-                    &mut ws.values,
-                    &mut ws.fitted,
-                );
-                let mut end = ws.fitted.len();
-                let runs = ws.fitted.chunk_by(|a, b| a == b).rev().map(|run| {
-                    end -= run.len();
-                    (end, run[0] as i64)
-                });
-                variance_runs(runs, epsilon)
+                // The same stream into the L2 pool stack, read out
+                // clamped to [0, G] and rounded as
+                // `anchored_cumulative_into` rounds (`as u64`
+                // saturates; the integer `min` is the exact clamp),
+                // then the anchor cell.
+                let mut pass = ws.pav_l2.begin();
+                pass.extend(mech.privatize_iter(cells, rng).map(|v| v as f64));
+                let fit = pass
+                    .clamped(0.0, g as f64)
+                    .map(|b| (b.start, (b.value.round().max(0.0) as u64).min(g)));
+                let mut runs = Vec::with_capacity(pass.blocks().len() + 1);
+                let mut below = 0;
+                for (start, cell) in fit.chain([(anchor, g)]) {
+                    let count = cell
+                        .checked_sub(below)
+                        .expect("fitted cumulative cells must be non-decreasing");
+                    below = cell;
+                    if count > 0 {
+                        runs.push(variance_run(start, count, epsilon));
+                    }
+                }
+                NodeEstimate::from_variance_runs(runs)
             }
         }
     }
@@ -128,12 +133,14 @@ fn cumulative_cells(hist: &CountOfCounts, bound: u64) -> impl Iterator<Item = i6
     rising.chain(std::iter::repeat_n(total, k - head.len()))
 }
 
-/// The anchor cell `K` is fixed to the public `G`, yet releases are
-/// pinned to one draw per cell including it (sizes above `K` fold onto
-/// it), so the stream spends that draw to keep every later draw in
-/// place.
-fn spend_anchor_draw<R: Rng + ?Sized>(mech: &GeometricMechanism, rng: &mut R) {
-    let _ = mech.distribution().sample(rng);
+/// The estimate's run of `count` groups at `size`, with the variance
+/// of Section 5.1.2.
+fn variance_run(size: usize, count: u64, epsilon: f64) -> VarianceRun {
+    VarianceRun {
+        size: size as u64,
+        count,
+        variance: 4.0 / (epsilon * epsilon * count as f64),
+    }
 }
 
 /// Differences a fitted cumulative histogram, given as its maximal
@@ -151,11 +158,7 @@ fn variance_runs(runs_rev: impl Iterator<Item = (usize, i64)>, epsilon: f64) -> 
             let count = u64::try_from(upper - value)
                 .expect("fitted cumulative cells must be non-decreasing");
             if count > 0 {
-                runs.push(VarianceRun {
-                    size: size as u64,
-                    count,
-                    variance: 4.0 / (epsilon * epsilon * count as f64),
-                });
+                runs.push(variance_run(size, count, epsilon));
             }
         }
         above = Some((start, value));

@@ -14,9 +14,10 @@
 //! isotonic fit: the fit of the clamped cells is the clamped fit. The
 //! `Hg` method streams the same way: each group's noisy size goes
 //! straight into an L2 PAV pool stack, and the fit is read out of the
-//! stack clamped at zero, so its length-`G` vector is never built. An
+//! stack clamped at zero, so its length-`G` vector is never built;
+//! `Hc`-L2 streams its cells into the same pool stack. An
 //! [`EstimatorWorkspace`] owns what remains (the heap and its tops,
-//! the pool stack, the `Hc`-L2 and naive buffers); one workspace per
+//! the pool stack, the naive method's buffers); one workspace per
 //! worker thread, reused across every node it estimates (the engine's
 //! workers keep theirs across jobs), keeps the hot loop in
 //! cache-resident storage with no steady-state allocations.
@@ -38,16 +39,14 @@ use hcc_noise::GeometricMechanism;
 /// every node.
 #[derive(Default)]
 pub struct EstimatorWorkspace {
-    /// Noisy integer view (`Hc`-L2, naive).
+    /// The naive method's noisy integer cells.
     pub(crate) noisy: Vec<i64>,
-    /// Dense f64 scratch: the `Hc`-L2 branch's fitted expansion, and
-    /// the naive method's noisy cells.
+    /// The naive method's noisy cells as f64, for the projection.
     pub(crate) values: Vec<f64>,
-    /// Fitted cumulative cells (`Hc`-L2).
-    pub(crate) fitted: Vec<u64>,
     /// L1 isotonic solver state: the `Hc` kernel's slope-trick heap.
     pub(crate) pav: PavL1Workspace,
-    /// L2 isotonic solver state: the `Hg` kernel's PAV pool stack.
+    /// L2 isotonic solver state: the PAV pool stack of the `Hg` and
+    /// `Hc`-L2 kernels.
     pub(crate) pav_l2: PavL2Workspace,
     /// The last noise mechanism built, reused while `(ε, Δ)` repeats
     /// (see [`cached_mechanism`]).

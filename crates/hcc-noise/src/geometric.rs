@@ -5,18 +5,17 @@ use std::fmt;
 
 use rand::Rng;
 
-/// Number of points on the uniform grid a one-sided draw inverts:
-/// `rng.gen::<f64>()` is `m · 2⁻⁵³` for the 53-bit integer
-/// `m = next_u64() >> 11`.
+/// Number of points on the uniform grid a draw inverts: the top 53
+/// bits of the RNG word, `m = next_u64() >> 11`.
 const GRID: u64 = 1 << 53;
 
-/// Most outcomes the threshold table covers. Larger draws (likely
+/// Most magnitudes the threshold table covers. Larger draws (likely
 /// only at tiny `ε/Δ`) take the `ln` fallback.
 const TABLE_MAX: usize = 1024;
 
-/// The table stops at the first outcome `T` whose tail mass `α^T` is
-/// at most `2^-TAIL_BITS`; past it the `ln` fallback is too rare to
-/// cost anything.
+/// The table stops at the first magnitude `T` whose tail mass
+/// `P(|Z| ≥ T)` is at most `2^-TAIL_BITS`; past it the `ln` fallback
+/// is too rare to cost anything.
 const TAIL_BITS: u32 = 20;
 
 /// The guide table has `2^GUIDE_BITS` entries, indexed by the top
@@ -26,55 +25,55 @@ const GUIDE_SHIFT: u32 = 53 - GUIDE_BITS;
 
 /// Set on a guide entry whose slice of the grid holds a threshold (or
 /// reaches the `ln` tail): a draw there walks on from the entry's
-/// outcome. Clear, the entry is the draw for its whole slice.
+/// magnitude. Clear, the entry is the magnitude for its whole slice.
 const WALK: u16 = 1 << 15;
 
 /// The two-sided (double) geometric distribution with parameter
 /// `alpha = e^(−ε/Δ)`:
 ///
-/// `P(X = k) = (1 − α) / (1 + α) · α^|k|` for `k ∈ ℤ`.
+/// `P(Z = k) = (1 − α) / (1 + α) · α^|k|` for `k ∈ ℤ`.
 ///
-/// This is Definition 3 of the paper with scale `Δ(q)/ε`. Sampling is
-/// exact: `X = G₁ − G₂` where `G₁, G₂` are i.i.d. geometric on
-/// `{0, 1, 2, …}` with success probability `1 − α`, which yields the
-/// PMF above without any floating-point arithmetic on the *output*
-/// value.
+/// This is Definition 3 of the paper with scale `Δ(q)/ε`.
 ///
-/// # One-sided draws by threshold table
+/// # One RNG word per draw (release format 2)
 ///
-/// A one-sided draw is the inversion `g(m) = floor(ln U / ln α)` with
-/// `U = 1 − m·2⁻⁵³` and `m = next_u64() >> 11`. Both steps that make
-/// `U` are exact, so `g` is a function of the integer `m` alone, and
-/// it is a non-decreasing step function of `m`:
+/// Each draw takes exactly one `next_u64`. Its top 53 bits give a
+/// grid point `m`, its lowest bit the sign `s`, and the magnitude is
 ///
-/// * `ln` is faithfully rounded (error below 1 ULP), so it keeps the
-///   order of two arguments whose true logarithms are at least one
-///   ULP apart. Adjacent grid points always are: for `x = j·2⁻⁵³`,
-///   `ln((j+1)/j) ≈ 1/j` while one ULP of `ln x` is at most
-///   `|ln x|·2⁻⁵²`, a ratio of at least `1/(2·x·|ln x|) ≥ e/2`.
-/// * Division by the negative constant `ln α` and `floor` are
-///   monotone.
+/// `|Z| = floor(ln W / ln α)` with `W = (1 − m·2⁻⁵³)·(1 + α)/2`,
 ///
-/// Construction therefore precomputes the integer thresholds
-/// `t_k = min { m : g(m) ≥ k }` for `k = 1..=T` (an `expm1` estimate
-/// of `2⁵³·(1 − α^k)`, then a galloping search that evaluates `g`
-/// itself), plus a guide table mapping the top bits of `m` to the
-/// draw at the start of that slice of the grid. Most slices hold no
-/// threshold, and there the guide entry is the draw; elsewhere a
-/// short walk over the thresholds follows, and `m ≥ t_T` falls back
-/// to evaluating `g(m)`. Every draw is bit-identical to
-/// the `ln` inversion and consumes the same single `u64`, so releases
-/// do not change.
+/// so `|Z| ≥ k` exactly when `W ≤ α^k`, which gives
+/// `P(|Z| = 0) = (1 − α)/(1 + α)` and
+/// `P(|Z| = k) = 2(1 − α)α^k/(1 + α)` for `k ≥ 1`. The sign is applied
+/// without a branch, and a zero magnitude ignores it, so each nonzero
+/// value gets half of its magnitude's mass: the PMF above.
+///
+/// `1 − m·2⁻⁵³` is exact and `(1 + α)/2` a per-distribution constant,
+/// so the magnitude is a function of the integer `m` alone, and a
+/// non-decreasing step function of it: the product and the division
+/// by the negative `ln α` round monotonically, and `ln` (faithfully
+/// rounded) keeps the order of arguments as far apart as two distinct
+/// `W`s. Construction therefore precomputes the integer thresholds
+/// `t_k = min { m : |Z|(m) ≥ k }` for `k = 1..=T` (an `expm1` estimate,
+/// then a galloping search that evaluates the formula itself), plus a
+/// guide table mapping the top bits of `m` to the magnitude at the
+/// start of that slice of the grid. Most slices hold no threshold,
+/// and there the guide entry is the magnitude; elsewhere a short walk
+/// over the thresholds follows, and `m ≥ t_T` falls back to evaluating
+/// the formula. Every draw equals the formula's, bit for bit.
+///
+/// Release format 1 drew two one-sided geometrics per value, two RNG
+/// words; the two formats are equal in distribution, not in bytes.
 #[derive(Clone)]
 pub struct DoubleGeometric {
     alpha: f64,
-    /// `ln α`: the inversion divides by it. Kept a *division* (not a
-    /// multiply by a reciprocal), which is bit-exact with the
-    /// historical per-draw `x / alpha.ln()`; `x * (1.0 / ln_alpha)`
-    /// rounds differently and would change every release.
+    /// `ln α`. The formula *divides* by it: a multiply by its
+    /// reciprocal rounds differently and would move thresholds.
     ln_alpha: f64,
+    /// `(1 + α)/2`, the scale of `W`.
+    half_one_plus_alpha: f64,
     /// `thresholds[k] = t_k` (`t_0 = 0`); the last entry is `t_T`, or
-    /// `2⁵³` when outcome `T` is unreachable on the grid.
+    /// `2⁵³` when magnitude `T` is unreachable on the grid.
     thresholds: Box<[u64]>,
     /// `guide[b]`: the largest `k ≤ T` with `t_k ≤ b·2^GUIDE_SHIFT`,
     /// flagged [`WALK`] unless every `m` of slice `b` draws `k < T`.
@@ -85,7 +84,7 @@ impl fmt::Debug for DoubleGeometric {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DoubleGeometric")
             .field("alpha", &self.alpha)
-            .field("table_outcomes", &(self.thresholds.len() - 1))
+            .field("table_magnitudes", &(self.thresholds.len() - 1))
             .finish()
     }
 }
@@ -99,11 +98,9 @@ impl DoubleGeometric {
     /// semantics and indicates a configuration bug. Also panics if
     /// `epsilon / sensitivity` is so small that `α = e^(−ε/Δ)` rounds
     /// to exactly 1.0 (below ≈1e-16): at α = 1 the PMF is improper
-    /// (every integer equally likely), the inversion sampler divides
-    /// by `ln 1 = 0`, and before this guard the resulting `-inf` was
-    /// cast to a *negative* one-sided geometric draw — the two sides
-    /// cancelled and the mechanism silently added **zero** noise at
-    /// the tiniest (most privacy-demanding) budgets.
+    /// (every integer equally likely), the formula divides by
+    /// `ln 1 = 0`, and the resulting `-inf` or NaN magnitude would
+    /// release true counts at the strictest budgets.
     ///
     /// Builds the threshold table: up to 1024 entries, a
     /// few `ln` evaluations each.
@@ -124,15 +121,15 @@ impl DoubleGeometric {
             epsilon / sensitivity
         );
         let ln_alpha = alpha.ln();
+        let half_one_plus_alpha = (1.0 + alpha) / 2.0;
+        // α = 0 (ε/Δ above ~745): `ln α = −∞`, every magnitude is 0,
+        // and the table is [0, 2⁵³].
         let mut thresholds = vec![0u64];
-        // α = 0 (ε/Δ above ~745) never draws: the table stays empty.
-        if alpha > 0.0 {
-            for k in 1..=TABLE_MAX {
-                let t = threshold(ln_alpha, k as i64);
-                thresholds.push(t);
-                if GRID - t <= GRID >> TAIL_BITS {
-                    break;
-                }
+        for k in 1..=TABLE_MAX {
+            let t = threshold(alpha, ln_alpha, half_one_plus_alpha, k as i64);
+            thresholds.push(t);
+            if GRID - t <= GRID >> TAIL_BITS {
+                break;
             }
         }
         let last = thresholds.len() - 1;
@@ -151,6 +148,7 @@ impl DoubleGeometric {
         Self {
             alpha,
             ln_alpha,
+            half_one_plus_alpha,
             thresholds: thresholds.into(),
             guide,
         }
@@ -161,10 +159,11 @@ impl DoubleGeometric {
         self.alpha
     }
 
-    /// The inversion thresholds: entry `k` is the smallest 53-bit `m`
-    /// whose one-sided draw is at least `k` (entry 0 is 0). The last
-    /// entry is `2⁵³` when that outcome cannot be drawn at all; draws
-    /// at or above a reachable last entry are computed by `ln`.
+    /// The magnitude thresholds: entry `k` is the smallest 53-bit grid
+    /// point `m` whose magnitude `|Z|` is at least `k` (entry 0 is 0).
+    /// The last entry is `2⁵³` when that magnitude cannot be drawn at
+    /// all; draws at or above a reachable last entry are computed by
+    /// the `ln` formula.
     pub fn inversion_thresholds(&self) -> &[u64] {
         &self.thresholds
     }
@@ -174,9 +173,20 @@ impl DoubleGeometric {
         2.0 * self.alpha / ((1.0 - self.alpha) * (1.0 - self.alpha))
     }
 
-    /// Draws one noise value.
+    /// Draws one noise value from exactly one `next_u64`.
+    #[inline(always)]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> i64 {
-        self.sample_one_sided(rng) - self.sample_one_sided(rng)
+        let word = rng.next_u64();
+        let m = word >> 11;
+        let entry = self.guide[(m >> GUIDE_SHIFT) as usize];
+        let magnitude = if entry & WALK == 0 {
+            i64::from(entry)
+        } else {
+            self.walk(usize::from(entry & !WALK), m)
+        };
+        // Bit 0 lies outside `m`; negate when it is set.
+        let s = (word & 1) as i64;
+        (magnitude ^ -s) + s
     }
 
     /// Fills `out` with i.i.d. noise values, in exactly the order
@@ -190,30 +200,7 @@ impl DoubleGeometric {
         }
     }
 
-    /// Geometric on {0, 1, 2, …} with `P(g) = (1 − α) α^g`. α = 0
-    /// draws nothing and returns 0.
-    fn sample_one_sided<R: Rng + ?Sized>(&self, rng: &mut R) -> i64 {
-        if self.alpha == 0.0 {
-            return 0;
-        }
-        self.draw_one_sided(rng)
-    }
-
-    /// The one-sided draw for `α > 0`, by table lookup of the
-    /// inversion `floor(ln U / ln α)` (see the type docs): exactly one
-    /// `next_u64`.
-    #[inline(always)]
-    fn draw_one_sided<R: Rng + ?Sized>(&self, rng: &mut R) -> i64 {
-        let m = rng.next_u64() >> 11;
-        let entry = self.guide[(m >> GUIDE_SHIFT) as usize];
-        if entry & WALK == 0 {
-            i64::from(entry)
-        } else {
-            self.walk(usize::from(entry & !WALK), m)
-        }
-    }
-
-    /// The draw for `m` from outcome `k ≤ g(m)` on.
+    /// The magnitude for `m`, from magnitude `k ≤ |Z|(m)` on.
     #[inline(never)]
     fn walk(&self, mut k: usize, m: u64) -> i64 {
         let t = &*self.thresholds;
@@ -224,46 +211,54 @@ impl DoubleGeometric {
         if k < last {
             k as i64
         } else {
-            ln_inversion(self.ln_alpha, m)
+            magnitude(self.ln_alpha, self.half_one_plus_alpha, m)
         }
     }
 }
 
-/// The one-sided draw for grid point `m`, by `ln` inversion — the
-/// sampler's defining formula, used for the table's tail and to
-/// build it. Cold: a draw takes it about once in 2²⁰.
+/// The magnitude `|Z|` for grid point `m` by the defining `ln`
+/// formula, used for the table's tail and to build it. Cold: a draw
+/// takes it about once in 2²⁰.
 #[cold]
-fn ln_inversion(ln_alpha: f64, m: u64) -> i64 {
-    // U ∈ (0, 1]: `1 − gen::<f64>()` avoids ln(0).
-    let u = 1.0 - m as f64 * (1.0 / GRID as f64);
-    let g = (u.ln() / ln_alpha).floor();
-    // Clamp the extreme tail to i64::MAX instead of casting raw: a
-    // raw `as i64` of an out-of-range or non-finite quotient would
-    // saturate to i64::MIN for the -inf/NaN artifacts of α ≈ 1,
-    // turning an (always non-negative) geometric draw negative.
-    // Both sides of [`DoubleGeometric::sample`] stay in
-    // [0, i64::MAX], so their difference can never overflow.
-    if g.is_finite() && g < i64::MAX as f64 {
-        debug_assert!(g >= 0.0, "one-sided geometric draw must be non-negative");
-        g.max(0.0) as i64
+fn magnitude(ln_alpha: f64, half_one_plus_alpha: f64, m: u64) -> i64 {
+    // 1 − m·2⁻⁵³ ∈ (0, 1], so W > 0 and ln W is finite.
+    let w = (1.0 - m as f64 * (1.0 / GRID as f64)) * half_one_plus_alpha;
+    let a = (w.ln() / ln_alpha).floor();
+    // Clamp the extreme tail to i64::MAX instead of casting raw, so a
+    // signed draw stays in [−i64::MAX, i64::MAX].
+    if a.is_finite() && a < i64::MAX as f64 {
+        debug_assert!(a >= 0.0, "a magnitude must be non-negative");
+        a.max(0.0) as i64
     } else {
         i64::MAX
     }
 }
 
-/// `t_k`: the smallest grid point whose draw is at least `k ≥ 1`, or
-/// `2⁵³` when no grid point reaches `k`. Starts from the real-valued
-/// boundary `2⁵³·(1 − α^k)` and gallops outward until the search
-/// brackets the threshold, so a good estimate costs a handful of `ln`
-/// evaluations and a bad one still converges.
-fn threshold(ln_alpha: f64, k: i64) -> u64 {
+/// `t_k`: the smallest grid point whose magnitude is at least `k ≥ 1`,
+/// or `2⁵³` when no grid point reaches `k`. Starts from the
+/// real-valued boundary `2⁵³·(1 − 2α^k/(1 + α))` and gallops outward
+/// until the search brackets the threshold, so a good estimate costs a
+/// handful of `ln` evaluations and a bad one still converges.
+fn threshold(alpha: f64, ln_alpha: f64, half_one_plus_alpha: f64, k: i64) -> u64 {
     // `m = 2⁵³` stands for "unreachable"; `m = 0` never reaches k ≥ 1.
-    let reaches = |m: u64| m >= GRID || ln_inversion(ln_alpha, m) >= k;
-    let est = (-(k as f64 * ln_alpha).exp_m1() * GRID as f64).ceil();
+    let reaches = |m: u64| m >= GRID || magnitude(ln_alpha, half_one_plus_alpha, m) >= k;
+    // 1 − 2α^k/(1 + α) = ((1 − α^k) + α(1 − α^(k−1))) / (1 + α), with
+    // each 1 − α^j as −expm1(j·ln α) to keep its digits near α = 1.
+    let one_minus_pow = |j: i64| {
+        if j == 0 {
+            0.0
+        } else {
+            -(j as f64 * ln_alpha).exp_m1()
+        }
+    };
+    let est = (one_minus_pow(k) + alpha * one_minus_pow(k - 1)) / (1.0 + alpha);
+    let est = (est * GRID as f64).ceil();
     let est = if est >= GRID as f64 {
         GRID
+    } else if est >= 1.0 {
+        est as u64
     } else {
-        (est as u64).max(1)
+        1
     };
     // Invariant once bracketed: !reaches(lo) && reaches(hi).
     let (mut lo, mut hi);
@@ -358,8 +353,7 @@ impl GeometricMechanism {
     /// order and with the same saturating add, as
     /// [`GeometricMechanism::privatize`] per value. A streaming kernel
     /// consumes each noisy cell as it is drawn instead of buffering
-    /// the vector. The `α = 0` check (no noise, no draws) is made once
-    /// here rather than per draw.
+    /// the vector.
     pub fn privatize_iter<'a, I, R>(
         &'a self,
         values: I,
@@ -371,7 +365,7 @@ impl GeometricMechanism {
         R: Rng + ?Sized,
     {
         Privatized {
-            dist: (self.dist.alpha > 0.0).then_some(&self.dist),
+            dist: &self.dist,
             values: values.into_iter(),
             rng,
         }
@@ -389,8 +383,7 @@ impl GeometricMechanism {
 
 /// The iterator of [`GeometricMechanism::privatize_iter`].
 struct Privatized<'a, I, R: ?Sized> {
-    /// `None` when `α = 0`: the noise is always 0 and draws nothing.
-    dist: Option<&'a DoubleGeometric>,
+    dist: &'a DoubleGeometric,
     values: I,
     rng: &'a mut R,
 }
@@ -401,10 +394,7 @@ impl<I: Iterator<Item = i64>, R: Rng + ?Sized> Iterator for Privatized<'_, I, R>
     #[inline(always)]
     fn next(&mut self) -> Option<i64> {
         let v = self.values.next()?;
-        Some(match self.dist {
-            Some(d) => v.saturating_add(d.draw_one_sided(self.rng) - d.draw_one_sided(self.rng)),
-            None => v,
-        })
+        Some(v.saturating_add(self.dist.sample(self.rng)))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -434,19 +424,19 @@ mod tests {
     #[should_panic(expected = "alpha rounds to 1")]
     fn epsilon_below_f64_resolution_is_rejected() {
         // Regression: ε/Δ below ~1e-16 makes α = e^(−ε/Δ) round to
-        // exactly 1.0. The inversion sampler then divides by ln 1 = 0,
-        // and the old raw cast turned the resulting -inf into
-        // i64::MIN — a *negative* one-sided geometric — whose two
-        // sides cancelled to zero net noise: the mechanism silently
-        // released true counts at the strictest budgets. Such budgets
-        // must be rejected at construction.
+        // exactly 1.0. The `ln` formula then divides by ln 1 = 0; an
+        // earlier sampler's raw cast turned the resulting -inf into
+        // i64::MIN, its two one-sided draws cancelled to zero net
+        // noise, and the mechanism silently released true counts at
+        // the strictest budgets. Such budgets must be rejected at
+        // construction.
         let _ = DoubleGeometric::new(1e-300, 1.0);
     }
 
     #[test]
     fn tiny_epsilon_tail_is_clamped_not_overflowed() {
         // The smallest admissible budgets produce astronomically
-        // heavy tails (mean one-sided draw ≈ Δ/ε). Every draw must
+        // heavy tails (mean magnitude ≈ Δ/ε). Every draw must
         // stay inside [−i64::MAX, i64::MAX] so downstream integer
         // arithmetic cannot overflow, while still being huge.
         let d = DoubleGeometric::new(1e-12, 1.0);
@@ -463,6 +453,31 @@ mod tests {
             let _ = m.privatize(u64::try_from(i64::MAX).unwrap(), &mut rng);
         }
         assert!(saw_large, "tiny-epsilon tails should be enormous");
+    }
+
+    /// An RNG that counts the words it hands out.
+    struct Counting(StdRng, u64);
+
+    impl RngCore for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.next_u64()
+        }
+    }
+
+    #[test]
+    fn every_draw_takes_exactly_one_rng_word() {
+        // Tail-heavy (most draws take the `ln` fallback), table-only,
+        // and α = 0, where every draw is 0 yet still takes its word.
+        for eps in [1e-12, 1.0 / 3.0, 800.0] {
+            let d = DoubleGeometric::new(eps, 1.0);
+            let mut rng = Counting(StdRng::seed_from_u64(31), 0);
+            let zeros = (0..10_000).filter(|_| d.sample(&mut rng) == 0).count();
+            assert_eq!(rng.1, 10_000, "eps {eps}");
+            if eps == 800.0 {
+                assert_eq!(zeros, 10_000, "α = 0 adds no noise");
+            }
+        }
     }
 
     #[test]
@@ -568,7 +583,7 @@ mod tests {
     #[test]
     fn privatize_iter_matches_privatize_draw_for_draw() {
         // A heavy tail (`ln` fallback, saturating adds) and α = 0
-        // (no draws at all) included: the stream must leave the RNG
+        // (zero noise) included: the stream must leave the RNG
         // exactly where per-value `privatize` calls leave it.
         let values: Vec<u64> = vec![0, 5, 1 << 40, i64::MAX as u64, 7];
         let cells = || values.iter().map(|&v| v as i64);

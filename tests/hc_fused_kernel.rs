@@ -1,14 +1,16 @@
 //! The `Hc` estimator's one-pass kernel against the two pipelines it
 //! replaced, bit for bit.
 //!
-//! The kernel draws each cumulative cell, clamps it to `[0, G]` and
-//! pushes it into the slope-trick heap in one streaming pass. It must
-//! equal the staged chain (`to_cumulative_into` → `privatize_into` →
+//! The kernel draws each cumulative cell below the anchor `K`, clamps
+//! it to `[0, G]` and pushes it into the slope-trick heap in one
+//! streaming pass. It must equal the staged chain (`to_cumulative_into`
+//! → `privatize_into` of the cells below the anchor →
 //! `anchored_cumulative_into`, then differencing) and the frozen seed
 //! pipeline (`hcc_bench::hotpath::SeedBaseline`) exactly: the same
-//! estimate, the same variance bits, and the same RNG words consumed.
-//! The `Hc`-L2 variant draws through the same cell stream and is held
-//! to its staged chain the same way.
+//! estimate, the same variance bits, and the same RNG words consumed,
+//! one per cell below the anchor. The `Hc`-L2 variant streams the same
+//! cells into the L2 pool stack and is held to its staged chain (the
+//! dense `isotonic_l2` fit) the same way.
 
 use hcc_bench::hotpath::SeedBaseline;
 use hccount::core::CountOfCounts;
@@ -23,11 +25,12 @@ use rand::{RngCore, SeedableRng};
 
 /// ε values covering the sampler's regimes: `ln`-fallback draws far
 /// wider than any `G` (tiny ε), the table (moderate ε), and α = 0,
-/// which draws nothing at all.
+/// where every draw is 0.
 const EPSILONS: [f64; 6] = [1e-15, 1e-3, 0.25, 1.0, 4.0, 800.0];
 
 /// The staged chain over dense buffers, as the estimator ran it
-/// before the stages were fused.
+/// before the stages were fused: the anchor cell `K` draws no noise
+/// and enters the fit as `G`, which `anchored_cumulative` imposes.
 fn staged(
     hist: &CountOfCounts,
     bound: u64,
@@ -38,7 +41,9 @@ fn staged(
     let mut cum = Vec::new();
     hist.to_cumulative_into(bound, &mut cum);
     let mut noisy = Vec::new();
-    GeometricMechanism::new(epsilon, 1.0).privatize_into(&cum, &mut noisy, rng);
+    let below = &cum[..cum.len() - 1];
+    GeometricMechanism::new(epsilon, 1.0).privatize_into(below, &mut noisy, rng);
+    noisy.push(i64::try_from(hist.num_groups()).expect("G fits in i64"));
     let fitted = anchored_cumulative(&noisy, hist.num_groups(), loss);
     let mut runs = Vec::new();
     let mut prev = 0;
@@ -135,7 +140,8 @@ fn dirty_workspace() -> EstimatorWorkspace {
 fn edge_nodes_match_both_pipelines() {
     let mut ws = dirty_workspace();
     let nodes = [
-        // G = 0: nothing to estimate, but every cell still draws.
+        // G = 0: nothing to estimate, but every cell below K still
+        // draws.
         CountOfCounts::new(),
         CountOfCounts::from_counts(vec![0, 0, 0]),
         // All mass at size 0, and all mass above the bound.

@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 /// ε values covering the sampler's regimes: `ln`-fallback draws
-/// (ε = 1e-3), the table, and α = 0, which draws nothing at all. A
+/// (ε = 1e-3), the table, and α = 0, where every draw is 0. A
 /// tinier ε is left out: the estimate's dense histogram is as long as
 /// the largest noisy size.
 const EPSILONS: [f64; 5] = [1e-3, 0.25, 1.0, 4.0, 800.0];
@@ -167,12 +167,17 @@ fn edge_nodes_match_the_staged_chain() {
 
 #[test]
 fn alpha_zero_releases_the_true_histogram() {
-    // ε = 800: α underflows to 0, so no noise and no draws.
+    // ε = 800: α underflows to 0, so no noise, yet each group still
+    // takes its one RNG word.
     let hist = CountOfCounts::from_group_sizes([1, 1, 4, 4, 7]);
     let mut rng = StdRng::seed_from_u64(3);
     let est = UnattributedEstimator::new().estimate(&hist, 5, 800.0, &mut rng);
     assert_eq!(est.hist(), &hist);
-    assert_eq!(rng.next_u64(), StdRng::seed_from_u64(3).next_u64());
+    let mut fresh = StdRng::seed_from_u64(3);
+    for _ in 0..5 {
+        fresh.next_u64();
+    }
+    assert_eq!(rng.next_u64(), fresh.next_u64());
 }
 
 /// `from_variance_runs` as it was written before it dropped its size

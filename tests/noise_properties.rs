@@ -1,7 +1,7 @@
 //! Cross-crate statistical properties of the noise machinery that the
 //! privacy guarantees lean on.
 
-use hcc_bench::hotpath::seed_sample_one_sided;
+use hcc_bench::hotpath::seed_sample;
 use hccount::noise::{DoubleGeometric, GeometricMechanism, LaplaceMechanism};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -69,8 +69,8 @@ fn outputs_are_integers_by_construction() {
 /// chi-square over 10⁶ draws, binned by sign and magnitude. Each
 /// magnitude gets its own bin while it and the tail beyond it both
 /// expect at least 5 draws; the rest pool into one tail bin per sign.
-/// The table-mass test above pins each one-sided draw; this one
-/// checks how two of them combine into `z`, sign included.
+/// The table-mass test below pins each magnitude; this one checks the
+/// draws, sign included.
 #[test]
 fn two_sided_draws_pass_a_chi_square_against_the_pmf() {
     const N: u64 = 1_000_000;
@@ -120,42 +120,43 @@ fn two_sided_draws_pass_a_chi_square_against_the_pmf() {
 }
 
 // ---------------------------------------------------------------------------
-// Exactness of the threshold-table sampler against the `ln` inversion.
+// Exactness of the threshold-table sampler against the `ln` formula.
 // ---------------------------------------------------------------------------
 
-/// The grid the one-sided draw inverts: `m = next_u64() >> 11`.
+/// The grid of magnitudes: `m = next_u64() >> 11`.
 const GRID: u64 = 1 << 53;
 
 /// ε/Δ values covering every table shape: capped at its longest
 /// (1e-12, where most draws take the `ln` fallback), long (0.05), the
-/// benchmark release's per-level ε (1/3), short (1, 10), ending at an
-/// outcome no grid point reaches (40), and α = 0 (800), which never
-/// draws.
+/// benchmark release's per-level ε (1/3), short (1, 10), ending at a
+/// magnitude no grid point reaches (40), and α = 0 (800), where every
+/// magnitude is 0.
 const EXACTNESS_EPS: [f64; 7] = [1e-12, 0.05, 1.0 / 3.0, 1.0, 10.0, 40.0, 800.0];
 
-/// An RNG that replays up to two given words, then panics.
-struct Replay([u64; 2], usize);
+/// An RNG that replays one given word, then panics.
+struct Replay(u64, bool);
 
 impl RngCore for Replay {
     fn next_u64(&mut self) -> u64 {
-        self.1 += 1;
-        self.0[self.1 - 1]
+        assert!(!self.1, "a draw takes one word");
+        self.1 = true;
+        self.0
     }
 }
 
-/// The seed sampler's one-sided draw at grid point `m`.
+/// The defining formula's magnitude at grid point `m` (sign bit
+/// clear): `floor(ln W / ln α)` with `W = (1 − m·2⁻⁵³)·(1 + α)/2`.
 fn ln_draw(alpha: f64, m: u64) -> i64 {
-    seed_sample_one_sided(alpha, &mut Replay([m << 11, 0], 0))
+    seed_sample(alpha, &mut Replay(m << 11, false))
 }
 
-/// The table sampler's one-sided draw at grid point `m`: the second
-/// side draws `m = 0`, which is outcome 0.
+/// The table sampler's magnitude at grid point `m` (sign bit clear).
 fn table_draw(d: &DoubleGeometric, m: u64) -> i64 {
-    d.sample(&mut Replay([m << 11, 0], 0))
+    d.sample(&mut Replay(m << 11, false))
 }
 
 /// Every threshold is what a 53-step binary search over the `ln`
-/// inversion finds: the smallest grid point whose draw reaches `k`,
+/// formula finds: the smallest grid point whose magnitude reaches `k`,
 /// or 2⁵³ when none does.
 #[test]
 fn sampler_thresholds_equal_binary_search_over_ln_inversion() {
@@ -163,10 +164,6 @@ fn sampler_thresholds_equal_binary_search_over_ln_inversion() {
         let d = DoubleGeometric::new(eps, 1.0);
         let t = d.inversion_thresholds();
         assert_eq!(t[0], 0);
-        if d.alpha() == 0.0 {
-            assert_eq!(t.len(), 1, "α = 0 needs no table");
-            continue;
-        }
         assert!(t.len() > 1, "ε {eps}: empty table");
         for (k, &tk) in t.iter().enumerate().skip(1) {
             let (mut lo, mut hi) = (0u64, GRID);
@@ -181,29 +178,35 @@ fn sampler_thresholds_equal_binary_search_over_ln_inversion() {
             assert_eq!(hi - lo, 1);
             assert_eq!(tk, hi, "ε {eps}: threshold {k}");
         }
+        if d.alpha() == 0.0 {
+            assert_eq!(t, [0, GRID], "α = 0: magnitude 1 is unreachable");
+        }
     }
 }
 
 /// Around every threshold, where a table off by one would show, the
-/// table draw equals the `ln` draw grid point by grid point.
+/// table draw equals the `ln` formula grid point by grid point, and
+/// the sign bit negates it.
 #[test]
 fn sampler_agrees_with_ln_inversion_near_every_threshold() {
     for eps in EXACTNESS_EPS {
         let d = DoubleGeometric::new(eps, 1.0);
         for &tk in d.inversion_thresholds() {
             for m in tk.saturating_sub(2000)..(tk + 2000).min(GRID) {
+                let want = ln_draw(d.alpha(), m);
+                assert_eq!(table_draw(&d, m), want, "ε {eps}: grid point {m}");
                 assert_eq!(
-                    table_draw(&d, m),
-                    ln_draw(d.alpha(), m),
-                    "ε {eps}: grid point {m}"
+                    d.sample(&mut Replay(m << 11 | 1, false)),
+                    -want,
+                    "ε {eps}: grid point {m}, sign bit set"
                 );
             }
         }
     }
 }
 
-/// Whole noise streams are the seed sampler's, draw for draw, and
-/// consume the same RNG words.
+/// Whole noise streams are the `ln` formula's, draw for draw, and
+/// consume the same RNG words: one per draw.
 #[test]
 fn sampler_stream_equals_seed_sampler() {
     for eps in EXACTNESS_EPS {
@@ -218,16 +221,17 @@ fn sampler_stream_equals_seed_sampler() {
         let mut a = StdRng::seed_from_u64(304);
         let mut b = StdRng::seed_from_u64(304);
         for i in 0..n {
-            let want = seed_sample_one_sided(alpha, &mut b) - seed_sample_one_sided(alpha, &mut b);
+            let want = seed_sample(alpha, &mut b);
             assert_eq!(d.sample(&mut a), want, "ε {eps}: draw {i}");
         }
         assert_eq!(a.next_u64(), b.next_u64(), "ε {eps}: RNG streams diverged");
     }
 }
 
-/// The exact pmf: the table gives outcome `k` to `t_{k+1} − t_k` of
-/// the 2⁵³ grid points, which must be `(1 − α)·α^k` of them up to the
-/// grid point or two that `ln`'s rounding moves a boundary by.
+/// The exact pmf: the table gives magnitude `k` to `t_{k+1} − t_k` of
+/// the 2⁵³ grid points, which must be `(1 − α)/(1 + α)` of them for
+/// `k = 0` and `2(1 − α)α^k/(1 + α)` for `k ≥ 1`, up to the grid point
+/// or two that rounding moves a boundary by.
 #[test]
 fn sampler_table_mass_is_the_geometric_pmf() {
     for eps in EXACTNESS_EPS {
@@ -236,10 +240,11 @@ fn sampler_table_mass_is_the_geometric_pmf() {
         let t = d.inversion_thresholds();
         for (k, w) in t.windows(2).enumerate() {
             let mass = (w[1] - w[0]) as f64;
-            let want = (1.0 - alpha) * alpha.powi(k as i32) * GRID as f64;
+            let sides = if k == 0 { 1.0 } else { 2.0 };
+            let want = sides * (1.0 - alpha) * alpha.powi(k as i32) / (1.0 + alpha) * GRID as f64;
             assert!(
                 (mass - want).abs() <= 2.0,
-                "ε {eps}: outcome {k} has {mass} grid points, pmf says {want}"
+                "ε {eps}: magnitude {k} has {mass} grid points, pmf says {want}"
             );
         }
     }
