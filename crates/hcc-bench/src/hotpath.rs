@@ -134,6 +134,23 @@ pub fn seed_sample<R: Rng + ?Sized>(alpha: f64, rng: &mut R) -> i64 {
     }
 }
 
+/// A release-format-1 draw, for tests that compare the formats in
+/// distribution: two one-sided geometrics `floor(ln U / ln α)` with
+/// `U = 1 − m·2⁻⁵³`, one RNG word each, and their difference. No
+/// library path draws this way any more.
+pub fn format1_sample<R: Rng + ?Sized>(alpha: f64, rng: &mut R) -> i64 {
+    let mut one_sided = || {
+        let u = 1.0 - (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let g = (u.ln() / alpha.ln()).floor();
+        if g.is_finite() && g < i64::MAX as f64 {
+            g.max(0.0) as i64
+        } else {
+            i64::MAX
+        }
+    };
+    one_sided() - one_sided()
+}
+
 /// The seed anchored post-processing of the noisy cells below the
 /// anchor: heap-PAV them, build a fresh clamped fit, push cells one by
 /// one, then the anchor `G`.
