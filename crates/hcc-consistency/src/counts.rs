@@ -56,26 +56,28 @@ pub enum ConsistencyError {
         /// The group size of the overflowing cell.
         size: u64,
     },
-    /// An edit names a group size beyond [`MAX_EDIT_SIZE`]. The dense
-    /// histograms allocate one cell per representable size, so an
-    /// unbounded size on an untrusted edit would let a single delta
+    /// An edit names a group size beyond [`MAX_GROUP_SIZE`]. The
+    /// dense histograms allocate one cell per representable size, so
+    /// an unbounded size on an untrusted edit would let a single delta
     /// line demand a near-2^64-element allocation and abort the
     /// process.
     GroupSizeTooLarge {
         /// The offending group size.
         size: u64,
-        /// The [`MAX_EDIT_SIZE`] bound.
+        /// The [`MAX_GROUP_SIZE`] bound.
         max: u64,
     },
 }
 
-/// Largest group size an edit may introduce (2^26 ≈ 67M). Sizes are
-/// dense histogram indices, so this caps the per-cell allocation an
-/// untrusted edit can force at ~512 MB — aligned with the engine's
-/// wire-section bound of 50M entity rows, above which no legitimate
-/// group can exist. Data loaded from real tables is bounded by its
-/// row count and never consults this limit.
-pub const MAX_EDIT_SIZE: u64 = 1 << 26;
+/// Largest group size a served dataset may hold, whichever way it
+/// arrives: a `PREPARE` or inline dataset record (checked by the
+/// engine when it decodes one) or a `DERIVE`/`APPEND` edit (checked by
+/// [`HierarchicalCounts::apply_edits`]). Sizes are dense histogram
+/// indices, so the limit caps what one untrusted size can make every
+/// node on its path allocate at 8 MB. Data built in-process, e.g. from
+/// CSV tables for a local release, is bounded by its row count and
+/// never consults it.
+pub const MAX_GROUP_SIZE: u64 = 1_000_000;
 
 impl std::fmt::Display for ConsistencyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -264,10 +266,10 @@ impl HierarchicalCounts {
             }
             // Sizes are dense-vector indices: an unbounded size on an
             // untrusted edit is an allocation bomb, not a data point.
-            if e.size > MAX_EDIT_SIZE {
+            if e.size > MAX_GROUP_SIZE {
                 return Err(ConsistencyError::GroupSizeTooLarge {
                     size: e.size,
-                    max: MAX_EDIT_SIZE,
+                    max: MAX_GROUP_SIZE,
                 });
             }
             let mut cur = Some(e.leaf);
@@ -470,7 +472,7 @@ mod tests {
             },
             ConsistencyError::GroupSizeTooLarge {
                 size: u64::MAX,
-                max: MAX_EDIT_SIZE,
+                max: MAX_GROUP_SIZE,
             },
         ] {
             assert!(!e.to_string().is_empty());
@@ -608,9 +610,25 @@ mod tests {
             err,
             ConsistencyError::GroupSizeTooLarge {
                 size: u64::MAX,
-                max: MAX_EDIT_SIZE,
+                max: MAX_GROUP_SIZE,
             }
         );
+        // The limit itself is the largest size a dataset may hold.
+        let edit = |size| LeafEdit {
+            leaf: a,
+            size,
+            delta: 1,
+        };
+        assert_eq!(
+            scratch.apply_edits(&h, &[edit(MAX_GROUP_SIZE + 1)]),
+            Err(ConsistencyError::GroupSizeTooLarge {
+                size: MAX_GROUP_SIZE + 1,
+                max: MAX_GROUP_SIZE,
+            })
+        );
+        let mut at_limit = scratch.clone();
+        at_limit.apply_edits(&h, &[edit(MAX_GROUP_SIZE)]).unwrap();
+        assert_eq!(at_limit.node(a).max_size(), Some(MAX_GROUP_SIZE));
         // Overflowing a cell.
         let err = scratch
             .apply_edits(

@@ -41,7 +41,7 @@ pub mod omniscient;
 pub mod topdown;
 
 pub use bottom_up::bottom_up_release;
-pub use counts::{ConsistencyError, HierarchicalCounts, LeafEdit, MAX_EDIT_SIZE};
+pub use counts::{ConsistencyError, HierarchicalCounts, LeafEdit, MAX_GROUP_SIZE};
 pub use export::{from_csv, to_csv, ExportError};
 pub use matching::{match_groups, MatchSegment};
 pub use mean_consistency::{mean_consistency_release, MeanConsistencyReport};

@@ -551,7 +551,7 @@ mod tests {
                 },
                 DeltaError::Apply(ConsistencyError::GroupSizeTooLarge {
                     size: u64::MAX,
-                    max: hcc_consistency::MAX_EDIT_SIZE,
+                    max: hcc_consistency::MAX_GROUP_SIZE,
                 }),
             ),
         ];

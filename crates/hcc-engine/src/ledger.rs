@@ -11,14 +11,14 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use hcc_consistency::HierarchicalCounts;
+use hcc_consistency::{HierarchicalCounts, MAX_GROUP_SIZE};
 use hcc_core::CountOfCounts;
 use hcc_hierarchy::{Hierarchy, HierarchyBuilder};
 use hcc_store::{DatasetRecord, Store, StoreError};
 
 use crate::fingerprint::{dataset_fingerprint, Fingerprint};
 use crate::job::EngineError;
-use crate::protocol::{MAX_BOUND, MAX_DENSE_CELLS};
+use crate::protocol::MAX_DENSE_CELLS;
 use crate::registry::{DatasetHandle, DatasetRegistry};
 
 /// The cap and the store it is checked against, behind the engine's
@@ -241,7 +241,8 @@ pub(crate) fn rebuild_dataset(
 ///   every other node's parent precedes it;
 /// - names are unique and hold no `,`, `\r` or `\n` and no leading
 ///   or trailing whitespace (release rows write them verbatim);
-/// - no group size exceeds [`MAX_BOUND`];
+/// - no group size exceeds [`MAX_GROUP_SIZE`], the limit a `DERIVE`
+///   or `APPEND` edit is held to as well;
 /// - the group and entity totals, summed over all nodes, fit a `u64`,
 ///   so no per-node total and no children's sum can wrap;
 /// - the dense expansion, Σ over nodes of (largest size + 1) cells,
@@ -290,9 +291,9 @@ fn check_record(rec: &DatasetRecord) -> Result<(), String> {
         }
         let mut largest = None;
         for &(size, count) in pairs {
-            if size > MAX_BOUND {
+            if size > MAX_GROUP_SIZE {
                 return Err(format!(
-                    "dataset record node {i}: group size {size} exceeds {MAX_BOUND}"
+                    "dataset record node {i}: group size {size} exceeds {MAX_GROUP_SIZE}"
                 ));
             }
             groups = groups.checked_add(count).ok_or_else(overflow)?;
@@ -373,9 +374,9 @@ mod tests {
     }
 
     /// What boot recovery would refuse is refused before it is
-    /// written: a `DERIVE` may grow a group past `MAX_BOUND` (its own
-    /// limit is `MAX_EDIT_SIZE`), and such a dataset must not make
-    /// the store unbootable.
+    /// written: a dataset built in-process may hold a group past
+    /// `MAX_GROUP_SIZE`, and such a dataset must not make the store
+    /// unbootable.
     #[test]
     fn a_dataset_boot_recovery_would_refuse_is_never_persisted() {
         let dir = std::env::temp_dir().join(format!("hcc-ledger-test-{}", std::process::id()));
@@ -386,7 +387,7 @@ mod tests {
         let mut b = HierarchyBuilder::new("r");
         let leaf = b.add_child(Hierarchy::ROOT, "a");
         let hierarchy = b.build();
-        let big = CountOfCounts::from_group_sizes([MAX_BOUND + 1]);
+        let big = CountOfCounts::from_group_sizes([MAX_GROUP_SIZE + 1]);
         let data = HierarchicalCounts::from_leaves(&hierarchy, vec![(leaf, big)]).unwrap();
         let handle = DatasetHandle(dataset_fingerprint(&hierarchy, &data));
         let err = ledger

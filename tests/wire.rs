@@ -15,9 +15,9 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use hccount::consistency::HierarchicalCounts;
 use hccount::consistency::{to_csv, top_down_release, LevelMethod, TopDownConfig};
-use hccount::data::{Dataset, DatasetKind};
+use hccount::consistency::{HierarchicalCounts, MAX_GROUP_SIZE};
+use hccount::data::{Dataset, DatasetDelta, DatasetKind, DeltaOp};
 use hccount::engine::protocol::frame::{
     dataset_section, encode_frame, parse_busy, parse_error, parse_result, prepare_frame,
     read_frame, submit_frame, Frame, B_QUOTA, DEFAULT_MAX_FRAME, E_BUDGET, E_PROTO, E_VERSION,
@@ -733,7 +733,7 @@ fn malformed_dataset_records_are_refused_with_e_proto() {
         parents: std::iter::once(u64::MAX)
             .chain(std::iter::repeat_n(0, 299))
             .collect(),
-        histograms: vec![vec![(MAX_BOUND, 1)]; 300],
+        histograms: vec![vec![(MAX_GROUP_SIZE, 1)]; 300],
         refs: 0,
     };
     let cases: Vec<(&str, Vec<u8>, &str)> = vec![
@@ -775,8 +775,8 @@ fn malformed_dataset_records_are_refused_with_e_proto() {
             "not a region name",
         ),
         (
-            "size above MAX_BOUND",
-            edit(&|r| r.histograms[2] = vec![(MAX_BOUND + 1, 1)]),
+            "size above MAX_GROUP_SIZE",
+            edit(&|r| r.histograms[2] = vec![(MAX_GROUP_SIZE + 1, 1)]),
             "exceeds",
         ),
         (
@@ -796,7 +796,7 @@ fn malformed_dataset_records_are_refused_with_e_proto() {
             "inconsistent",
         ),
     ];
-    assert!(bomb.names.len() as u64 * (MAX_BOUND + 1) > MAX_DENSE_CELLS);
+    assert!(bomb.names.len() as u64 * (MAX_GROUP_SIZE + 1) > MAX_DENSE_CELLS);
     let reactor = serve_reactor(engine(1), "127.0.0.1:0", ReactorConfig::default()).unwrap();
     let mut stream = raw_connection(reactor.addr());
     let inline = SubmitParams {
@@ -862,4 +862,63 @@ fn refused_datasets_write_no_wal_record_and_charge_nothing() {
     assert_eq!(spent, Some(0.5));
     mux.quit().unwrap();
     reactor.shutdown();
+}
+
+/// One group-size limit for every way into a dataset: a `DERIVE` or
+/// `APPEND` that adds a group a `PREPARE` record could not hold is
+/// refused up front with the same text whether or not the server has
+/// a store, registers nothing, and writes nothing durable.
+#[test]
+fn derive_and_append_refuse_groups_prepare_would_refuse_with_or_without_a_store() {
+    let ds = dataset();
+    let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
+    let leaf = ds.hierarchy.leaves().next().unwrap();
+    let delta = DatasetDelta {
+        ops: vec![DeltaOp::Add {
+            region: ds.hierarchy.name(leaf).to_string(),
+            size: 2_000_000,
+            count: 1,
+        }],
+    };
+    const { assert!(2_000_000 > MAX_GROUP_SIZE) };
+    let dir = std::env::temp_dir()
+        .join("hcc_wire_tests")
+        .join("oversized_edits");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal = dir.join("engine.hcc.wal");
+    let stored = Engine::start_with_store(
+        EngineConfig::default().with_workers(1),
+        Store::open(dir.join("engine.hcc")).unwrap(),
+    )
+    .unwrap();
+    let mut refusals = Vec::new();
+    for engine in [engine(1), Arc::new(stored)] {
+        let reactor =
+            serve_reactor(Arc::clone(&engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
+        let mut mux = MuxClient::connect(reactor.addr()).unwrap();
+        let parent = mux
+            .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
+            .unwrap()
+            .unwrap();
+        let wal_len = std::fs::metadata(&wal).map(|m| m.len()).ok();
+        let derived = mux.derive(parent, &delta).unwrap().unwrap_err();
+        let appended = mux.append(parent, &delta).unwrap().unwrap_err();
+        assert_eq!(std::fs::metadata(&wal).map(|m| m.len()).ok(), wal_len);
+        // The parent keeps its one reference: APPEND dropped none.
+        assert_eq!(mux.unprepare(parent).unwrap().unwrap(), 0);
+        assert!(mux.ping().unwrap());
+        refusals.push((derived, appended));
+        mux.quit().unwrap();
+        reactor.shutdown();
+    }
+    for (derived, appended) in &refusals {
+        for msg in [derived, appended] {
+            assert!(
+                msg.contains("group size 2000000 exceeds the supported maximum 1000000"),
+                "{msg}"
+            );
+        }
+    }
+    assert_eq!(refusals[0], refusals[1], "with and without a store");
 }
