@@ -65,10 +65,9 @@ impl Estimator for CumulativeEstimator {
         debug_assert_eq!(hist.num_groups(), g, "public G must match the data");
         let mech = cached_mechanism(&mut ws.mech, epsilon, Self::SENSITIVITY);
         let g_cell = i64::try_from(g).expect("group count exceeds i64::MAX");
+        // One draw per cell below the anchor cell `K`, which is
+        // released as the public `G` and so draws no noise.
         let cells = cumulative_cells(hist, self.bound);
-        // The anchor cell `K` is released as the public `G`, so it
-        // draws no noise: one draw per cell below it.
-        let anchor = usize::try_from(self.bound).expect("bound too large");
         match self.loss {
             CumulativeLoss::L1 => {
                 // One pass: each cell is drawn, clamped to [0, G] and
@@ -93,6 +92,7 @@ impl Estimator for CumulativeEstimator {
                 let fit = pass
                     .clamped(0.0, g as f64)
                     .map(|b| (b.start, (b.value.round().max(0.0) as u64).min(g)));
+                let anchor = usize::try_from(self.bound).expect("bound too large");
                 let mut runs = Vec::with_capacity(pass.blocks().len() + 1);
                 let mut below = 0;
                 for (start, cell) in fit.chain([(anchor, g)]) {

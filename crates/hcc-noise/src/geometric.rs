@@ -51,9 +51,13 @@ const WALK: u16 = 1 << 15;
 /// `1 − m·2⁻⁵³` is exact and `(1 + α)/2` a per-distribution constant,
 /// so the magnitude is a function of the integer `m` alone, and a
 /// non-decreasing step function of it: the product and the division
-/// by the negative `ln α` round monotonically, and `ln` (faithfully
-/// rounded) keeps the order of arguments as far apart as two distinct
-/// `W`s. Construction therefore precomputes the integer thresholds
+/// by the negative `ln α` round monotonically, and the logarithms of
+/// two distinct `W`s lie at least ~0.18 ULP apart (a relative gap of
+/// `2⁻⁵³`, or the grid's `1/j` near `W = c·j·2⁻⁵³`), so a `ln`
+/// accurate to about half an ULP (glibc's is within 0.52) keeps their
+/// order. `tests/noise_properties.rs` checks the table against the
+/// formula around every threshold and over long streams. Construction
+/// therefore precomputes the integer thresholds
 /// `t_k = min { m : |Z|(m) ≥ k }` for `k = 1..=T` (an `expm1` estimate,
 /// then a galloping search that evaluates the formula itself), plus a
 /// guide table mapping the top bits of `m` to the magnitude at the
