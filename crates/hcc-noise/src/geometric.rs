@@ -368,11 +368,9 @@ impl GeometricMechanism {
         I::IntoIter: 'a,
         R: Rng + ?Sized,
     {
-        Privatized {
-            dist: &self.dist,
-            values: values.into_iter(),
-            rng,
-        }
+        values
+            .into_iter()
+            .map(move |v| v.saturating_add(self.dist.sample(rng)))
     }
 
     /// [`GeometricMechanism::privatize_vec`] into a caller-owned
@@ -382,27 +380,6 @@ impl GeometricMechanism {
     pub fn privatize_into<R: Rng + ?Sized>(&self, values: &[u64], out: &mut Vec<i64>, rng: &mut R) {
         out.clear();
         out.extend(values.iter().map(|&v| self.privatize(v, rng)));
-    }
-}
-
-/// The iterator of [`GeometricMechanism::privatize_iter`].
-struct Privatized<'a, I, R: ?Sized> {
-    dist: &'a DoubleGeometric,
-    values: I,
-    rng: &'a mut R,
-}
-
-impl<I: Iterator<Item = i64>, R: Rng + ?Sized> Iterator for Privatized<'_, I, R> {
-    type Item = i64;
-
-    #[inline(always)]
-    fn next(&mut self) -> Option<i64> {
-        let v = self.values.next()?;
-        Some(v.saturating_add(self.dist.sample(self.rng)))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.values.size_hint()
     }
 }
 
