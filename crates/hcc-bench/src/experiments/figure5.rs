@@ -108,7 +108,7 @@ pub fn measure(cfg: &ExpConfig, datasets: &[Dataset]) -> Vec<ConsistencyRow> {
     rows
 }
 
-/// Shared driver for Figures 5 and 6: a printed table and the CSV
+/// Figures 5 and 6 share this: a printed table and the CSV
 /// `csv` of [`measure`] on `datasets`.
 pub fn run_with_levels(cfg: &ExpConfig, datasets: Vec<Dataset>, csv: &str) -> String {
     let mut report = format!(

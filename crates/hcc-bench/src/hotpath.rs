@@ -136,8 +136,7 @@ pub fn seed_sample<R: Rng + ?Sized>(alpha: f64, rng: &mut R) -> i64 {
 
 /// A release-format-1 draw, for tests that compare the formats in
 /// distribution: two one-sided geometrics `floor(ln U / ln α)` with
-/// `U = 1 − m·2⁻⁵³`, one RNG word each, and their difference. No
-/// library path draws this way any more.
+/// `U = 1 − m·2⁻⁵³`, one RNG word each, and their difference.
 pub fn format1_sample<R: Rng + ?Sized>(alpha: f64, rng: &mut R) -> i64 {
     let mut one_sided = || {
         let u = 1.0 - (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
