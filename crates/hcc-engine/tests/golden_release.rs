@@ -2,7 +2,8 @@
 //! engine's work-stealing scheduler.
 //!
 //! Optimizations must not change a single released byte: for three
-//! fixed seeds × {Hc, Hg}, the release CSV must hash to the value
+//! fixed seeds × every level method (Hc, Hg, Hc-L2, naive and
+//! adaptive), the release CSV must hash to the value
 //! pinned for the current release format. A changed hash here means
 //! an optimization altered the RNG draw order or the post-processing
 //! arithmetic — a correctness bug, not a perf regression. Only a new
@@ -75,7 +76,8 @@ fn dataset() -> (Arc<Hierarchy>, Arc<HierarchicalCounts>) {
 /// format changed; format 1's were captured before the hot-path
 /// refactors and held through every one of them. One entry per
 /// (seed, method); the release is thread-count invariant, so every
-/// thread count must reproduce the same hash.
+/// thread count must reproduce the same hash. The Hc-L2, naive and
+/// adaptive rows were added later, computed at format 2.
 const GOLDEN: &[(u64, &str, u64)] = &[
     (101, "hc", 0x0f35ae1c179f1a63),
     (202, "hc", 0x21fcffb9a5296f40),
@@ -83,12 +85,24 @@ const GOLDEN: &[(u64, &str, u64)] = &[
     (101, "hg", 0xb30fccdbcdc3e386),
     (202, "hg", 0x5f02167eddc18159),
     (303, "hg", 0x2d5d733bb0ef59bc),
+    (101, "hc-l2", 0xdac227926d63994a),
+    (202, "hc-l2", 0xfdcae7a65bf876cc),
+    (303, "hc-l2", 0xe7f1d797e098eb76),
+    (101, "naive", 0x02c2d4d09fc4071c),
+    (202, "naive", 0xcb3a118adbeb411f),
+    (303, "naive", 0x08e5de26581d0b90),
+    (101, "adaptive", 0xda815e9f4096f4f4),
+    (202, "adaptive", 0xb525302e9e42c4d8),
+    (303, "adaptive", 0x4d5ce6a75763670b),
 ];
 
 fn method_for(name: &str) -> LevelMethod {
     match name {
         "hc" => LevelMethod::Cumulative { bound: 128 },
+        "hc-l2" => LevelMethod::CumulativeL2 { bound: 128 },
         "hg" => LevelMethod::Unattributed,
+        "naive" => LevelMethod::Naive { bound: 128 },
+        "adaptive" => LevelMethod::Adaptive { bound: 128 },
         other => panic!("unknown method {other}"),
     }
 }
@@ -141,7 +155,7 @@ fn release_csv_hashes_match_pre_refactor_goldens() {
 
 /// Single jobs through the work-stealing engine: every worker count
 /// in {1, 2, 4, 8} must release the exact pre-refactor bytes for all
-/// 3 seeds × {Hc, Hg}. New coverage for this PR: the 2- and 8-worker
+/// 3 seeds × every method in the golden table. New coverage for this PR: the 2- and 8-worker
 /// columns, and the engine path itself (subtree tasks interleaved
 /// across per-worker deques instead of a per-job thread pool).
 #[test]
@@ -235,7 +249,7 @@ fn engine_8_job_batches_match_goldens_at_every_worker_count() {
 #[ignore]
 fn print_golden_hashes() {
     let (h, d) = dataset();
-    for method in ["hc", "hg"] {
+    for method in ["hc", "hg", "hc-l2", "naive", "adaptive"] {
         for seed in [101u64, 202, 303] {
             let cfg = TopDownConfig::new(1.0).with_method(method_for(method));
             let mut rng = StdRng::seed_from_u64(seed);
