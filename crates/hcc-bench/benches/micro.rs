@@ -9,9 +9,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use hcc_consistency::{match_groups, LevelMethod, TopDownConfig};
 use hcc_core::{emd, CountOfCounts};
 use hcc_data::{housing, HousingConfig};
-use hcc_estimators::{
-    CumulativeEstimator, Estimator, EstimatorWorkspace, UnattributedEstimator, VarianceRun,
-};
+use hcc_estimators::{EstimatorWorkspace, VarianceRun};
 use hcc_hierarchy::Hierarchy;
 use hcc_isotonic::{
     anchored_cumulative, isotonic_l1, isotonic_l2, project_simplex, CumulativeLoss,
@@ -212,7 +210,7 @@ fn bench_hc_stage(c: &mut Criterion) {
     g.throughput(Throughput::Elements(BOUND + 1));
     let hist = CountOfCounts::from_group_sizes((0..2_500u64).map(|i| 1 + (i * 7_919) % 14));
     let groups = hist.num_groups();
-    let est = CumulativeEstimator::new(BOUND);
+    let est = LevelMethod::Cumulative { bound: BOUND };
     let mut ws = EstimatorWorkspace::new();
     let mut rng = StdRng::seed_from_u64(12);
     g.bench_function("fused", |b| {
@@ -240,13 +238,7 @@ fn bench_hg_stage(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(13);
     g.bench_function("fused", |b| {
         b.iter(|| {
-            UnattributedEstimator::new().estimate_in(
-                black_box(&root),
-                groups,
-                0.25,
-                &mut rng,
-                &mut ws,
-            )
+            LevelMethod::Unattributed.estimate_in(black_box(&root), groups, 0.25, &mut rng, &mut ws)
         })
     });
     g.finish();

@@ -12,7 +12,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hcc_bench::hotpath::{three_level_dataset, SeedBaseline, HOT_PATH_BOUND};
 use hcc_consistency::{node_seeds, top_down_from_estimates, LevelMethod, TopDownConfig};
-use hcc_estimators::{CumulativeEstimator, Estimator, EstimatorWorkspace, NodeEstimate};
+use hcc_estimators::{EstimatorWorkspace, NodeEstimate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,7 +41,9 @@ fn bench_release_hot_path(c: &mut Criterion) {
     };
 
     let nodes: Vec<_> = h.iter().collect();
-    let est = CumulativeEstimator::new(HOT_PATH_BOUND);
+    let est = LevelMethod::Cumulative {
+        bound: HOT_PATH_BOUND,
+    };
     let mut ws = EstimatorWorkspace::new();
     g.bench_function("workspace_pipeline", |b| {
         b.iter(|| {

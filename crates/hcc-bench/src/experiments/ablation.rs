@@ -8,9 +8,8 @@
 
 use hcc_core::emd;
 use hcc_data::{Dataset, DatasetKind};
-use hcc_estimators::{CumulativeEstimator, Estimator};
+use hcc_estimators::LevelMethod;
 use hcc_hierarchy::Hierarchy;
-use hcc_isotonic::CumulativeLoss;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,15 +40,14 @@ pub fn measure(cfg: &ExpConfig) -> Vec<LossRow> {
         let g = truth.num_groups();
         for &eps in &cfg.epsilons {
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xAB);
-            let avg = |loss: CumulativeLoss, rng: &mut StdRng| -> MeanSe {
-                let est = CumulativeEstimator::with_loss(cfg.bound, loss);
+            let mut avg = |method: LevelMethod| -> MeanSe {
                 let xs: Vec<f64> = (0..cfg.runs)
-                    .map(|_| emd(est.estimate(truth, g, eps, rng).hist(), truth) as f64)
+                    .map(|_| emd(method.estimate(truth, g, eps, &mut rng).hist(), truth) as f64)
                     .collect();
                 mean_std(&xs)
             };
-            let l1 = avg(CumulativeLoss::L1, &mut rng);
-            let l2 = avg(CumulativeLoss::L2, &mut rng);
+            let l1 = avg(LevelMethod::Cumulative { bound: cfg.bound });
+            let l2 = avg(LevelMethod::CumulativeL2 { bound: cfg.bound });
             rows.push(LossRow {
                 dataset: ds.name.clone(),
                 eps,

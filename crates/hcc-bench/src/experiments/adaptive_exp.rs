@@ -1,7 +1,7 @@
 //! Extension experiment: per-node adaptive method selection.
 //!
 //! The paper defers per-node `Hc`-vs-`Hg` selection to external tools
-//! (footnote 4). Our [`hcc_estimators::AdaptiveEstimator`] spends 5 %
+//! (footnote 4). Our [`LevelMethod::Adaptive`] spends 5 %
 //! of each node's budget on a private sparsity probe. This experiment
 //! checks the selector against the two fixed choices across all four
 //! datasets: a good selector should track the better fixed method on

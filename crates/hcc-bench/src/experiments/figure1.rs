@@ -9,7 +9,7 @@
 //! into percentiles of the group index.
 
 use hcc_data::{housing, HousingConfig};
-use hcc_estimators::{CumulativeEstimator, Estimator, UnattributedEstimator};
+use hcc_estimators::LevelMethod;
 use hcc_hierarchy::Hierarchy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,35 +53,20 @@ pub fn run(cfg: &ExpConfig) -> String {
     let eps = 0.05;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-    let mut avg = |name: &str, f: &dyn Fn(&mut StdRng) -> Vec<u64>| -> Vec<f64> {
+    let mut avg = |method: LevelMethod| -> Vec<f64> {
         let mut acc = vec![0.0; BUCKETS];
         for _ in 0..cfg.runs {
-            let est = f(&mut rng);
+            let est = method.estimate(truth, g, eps, &mut rng).into_hist();
+            let est = est.to_unattributed().to_dense();
             for (a, e) in acc.iter_mut().zip(bucket_errors(&truth_dense, &est)) {
                 *a += e;
             }
         }
         acc.iter_mut().for_each(|a| *a /= cfg.runs as f64);
-        let _ = name;
         acc
     };
-
-    let hg_est = UnattributedEstimator::new();
-    let hg = avg("Hg", &|rng: &mut StdRng| {
-        hg_est
-            .estimate(truth, g, eps, rng)
-            .into_hist()
-            .to_unattributed()
-            .to_dense()
-    });
-    let hc_est = CumulativeEstimator::new(cfg.bound);
-    let hc = avg("Hc", &|rng: &mut StdRng| {
-        hc_est
-            .estimate(truth, g, eps, rng)
-            .into_hist()
-            .to_unattributed()
-            .to_dense()
-    });
+    let hg = avg(LevelMethod::Unattributed);
+    let hc = avg(LevelMethod::Cumulative { bound: cfg.bound });
 
     let rows: Vec<String> = (0..BUCKETS)
         .map(|b| format!("{},{:.3},{:.3}", (b + 1) * 100 / BUCKETS, hg[b], hc[b]))

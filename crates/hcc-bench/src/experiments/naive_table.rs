@@ -8,9 +8,7 @@
 
 use hcc_core::emd;
 use hcc_data::{Dataset, DatasetKind};
-use hcc_estimators::{
-    CumulativeEstimator, Estimator, NaiveEstimator, NodeEstimate, UnattributedEstimator,
-};
+use hcc_estimators::LevelMethod;
 use hcc_hierarchy::Hierarchy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,18 +40,15 @@ pub fn measure(cfg: &ExpConfig) -> Vec<NaiveRow> {
             let truth = ds.data.node(Hierarchy::ROOT);
             let g = truth.num_groups();
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xA1);
-            let mut errors = |est: &dyn Fn(&mut StdRng) -> NodeEstimate| -> MeanSe {
+            let mut errors = |method: LevelMethod| -> MeanSe {
                 let xs: Vec<f64> = (0..cfg.runs)
-                    .map(|_| emd(est(&mut rng).hist(), truth) as f64)
+                    .map(|_| emd(method.estimate(truth, g, eps, &mut rng).hist(), truth) as f64)
                     .collect();
                 mean_std(&xs)
             };
-            let naive = NaiveEstimator::new(cfg.bound);
-            let naive = errors(&|rng: &mut StdRng| naive.estimate(truth, g, eps, rng));
-            let hc = CumulativeEstimator::new(cfg.bound);
-            let hc = errors(&|rng: &mut StdRng| hc.estimate(truth, g, eps, rng));
-            let hg = UnattributedEstimator::new();
-            let hg = errors(&|rng: &mut StdRng| hg.estimate(truth, g, eps, rng));
+            let naive = errors(LevelMethod::Naive { bound: cfg.bound });
+            let hc = errors(LevelMethod::Cumulative { bound: cfg.bound });
+            let hg = errors(LevelMethod::Unattributed);
             NaiveRow {
                 dataset: ds.name,
                 naive,

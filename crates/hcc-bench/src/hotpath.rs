@@ -169,7 +169,7 @@ fn seed_anchored_l1(noisy: &[i64], g: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_estimators::{CumulativeEstimator, Estimator, EstimatorWorkspace};
+    use hcc_estimators::{EstimatorWorkspace, LevelMethod};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -186,7 +186,7 @@ mod tests {
             let mut a = StdRng::seed_from_u64(50 + i as u64);
             let mut b = StdRng::seed_from_u64(50 + i as u64);
             let old = SeedBaseline { bound }.estimate(hist, g, 0.5, &mut a);
-            let new = CumulativeEstimator::new(bound).estimate_in(hist, g, 0.5, &mut b, &mut ws);
+            let new = LevelMethod::Cumulative { bound }.estimate_in(hist, g, 0.5, &mut b, &mut ws);
             assert_eq!(old, new, "node {node}");
         }
     }

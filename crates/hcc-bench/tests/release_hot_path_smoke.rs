@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use hcc_bench::hotpath::{three_level_dataset, SeedBaseline, HOT_PATH_BOUND};
 use hcc_consistency::{node_seeds, top_down_from_estimates, LevelMethod, TopDownConfig};
-use hcc_estimators::{CumulativeEstimator, Estimator, EstimatorWorkspace, NodeEstimate};
+use hcc_estimators::{EstimatorWorkspace, NodeEstimate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,7 +45,9 @@ fn workspace_release_is_at_least_2x_faster_than_seed_path() {
     let baseline = SeedBaseline {
         bound: HOT_PATH_BOUND,
     };
-    let est = CumulativeEstimator::new(HOT_PATH_BOUND);
+    let est = LevelMethod::Cumulative {
+        bound: HOT_PATH_BOUND,
+    };
     let mut ws = EstimatorWorkspace::new();
 
     // Warm-up: one untimed pass apiece (JIT-free, but page faults and

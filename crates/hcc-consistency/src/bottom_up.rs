@@ -7,11 +7,11 @@
 //! tree: the root sums the independent errors of every leaf, which the
 //! paper shows is far worse than Algorithm 1 at levels 0 and 1.
 
+use hcc_estimators::LevelMethod;
 use hcc_hierarchy::Hierarchy;
 use rand::Rng;
 
 use crate::counts::{ConsistencyError, HierarchicalCounts};
-use crate::topdown::LevelMethod;
 
 /// Releases private histograms by estimating only the leaves (with
 /// the full budget `epsilon` — parallel composition across disjoint

@@ -43,11 +43,12 @@ pub mod topdown;
 pub use bottom_up::bottom_up_release;
 pub use counts::{ConsistencyError, HierarchicalCounts, LeafEdit, MAX_GROUP_SIZE};
 pub use export::{from_csv, to_csv, ExportError};
+pub use hcc_estimators::LevelMethod;
 pub use matching::{match_groups, MatchSegment};
 pub use mean_consistency::{mean_consistency_release, MeanConsistencyReport};
 pub use merge::MergeStrategy;
 pub use omniscient::{omniscient_expected_error, omniscient_release};
 pub use topdown::{
     estimate_node, node_seeds, subtree_tasks, top_down_from_estimates, top_down_release,
-    LevelMethod, TopDownConfig,
+    TopDownConfig,
 };

@@ -1,106 +1,13 @@
 //! The top-down consistency algorithm (Algorithm 1).
 
 use hcc_core::CountOfCounts;
-use hcc_estimators::{
-    AdaptiveEstimator, CumulativeEstimator, Estimator, EstimatorWorkspace, NaiveEstimator,
-    NodeEstimate, UnattributedEstimator,
-};
+use hcc_estimators::{EstimatorWorkspace, LevelMethod, NodeEstimate};
 use hcc_hierarchy::{Hierarchy, NodeId};
-use hcc_isotonic::CumulativeLoss;
 use rand::Rng;
 
 use crate::counts::{ConsistencyError, HierarchicalCounts};
 use crate::matching::match_groups;
 use crate::merge::{merge_segments, MergeStrategy};
-
-/// Which single-node estimator a hierarchy level uses (the paper's
-/// `Hc`/`Hg` per-level selection, e.g. `Hg × Hc × Hc`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum LevelMethod {
-    /// The `Hc` method with L1 post-processing (paper's default
-    /// recommendation) and public size bound `K`.
-    Cumulative {
-        /// Public upper bound `K` on group size.
-        bound: u64,
-    },
-    /// The `Hc` method with L2 post-processing (for the paper's
-    /// L1-vs-L2 ablation).
-    CumulativeL2 {
-        /// Public upper bound `K` on group size.
-        bound: u64,
-    },
-    /// The `Hg` (unattributed histogram) method.
-    Unattributed,
-    /// The naive cell-noise method (strawman; §6.2.1).
-    Naive {
-        /// Public upper bound `K` on group size.
-        bound: u64,
-    },
-    /// Per-node data-adaptive selection between `Hc` and `Hg` via a
-    /// private sparsity probe (the extension the paper delegates to
-    /// Pythia / Chaudhuri et al. in footnote 4).
-    Adaptive {
-        /// Public upper bound `K` on group size.
-        bound: u64,
-    },
-}
-
-impl LevelMethod {
-    /// Display name matching the paper's notation.
-    pub fn name(&self) -> &'static str {
-        match self {
-            LevelMethod::Cumulative { .. } => "Hc",
-            LevelMethod::CumulativeL2 { .. } => "Hc-L2",
-            LevelMethod::Unattributed => "Hg",
-            LevelMethod::Naive { .. } => "naive",
-            LevelMethod::Adaptive { .. } => "adaptive",
-        }
-    }
-
-    /// Runs the corresponding estimator on one node with a throwaway
-    /// workspace. Convenience for one-shot callers; hot loops use
-    /// [`LevelMethod::estimate_in`] (bit-identical results).
-    pub fn estimate<R: Rng + ?Sized>(
-        &self,
-        hist: &CountOfCounts,
-        g: u64,
-        epsilon: f64,
-        rng: &mut R,
-    ) -> NodeEstimate {
-        self.estimate_in(hist, g, epsilon, rng, &mut EstimatorWorkspace::new())
-    }
-
-    /// Runs the corresponding estimator on one node, reusing the
-    /// caller's scratch buffers.
-    pub fn estimate_in<R: Rng + ?Sized>(
-        &self,
-        hist: &CountOfCounts,
-        g: u64,
-        epsilon: f64,
-        rng: &mut R,
-        ws: &mut EstimatorWorkspace,
-    ) -> NodeEstimate {
-        match *self {
-            LevelMethod::Cumulative { bound } => {
-                CumulativeEstimator::with_loss(bound, CumulativeLoss::L1)
-                    .estimate_in(hist, g, epsilon, rng, ws)
-            }
-            LevelMethod::CumulativeL2 { bound } => {
-                CumulativeEstimator::with_loss(bound, CumulativeLoss::L2)
-                    .estimate_in(hist, g, epsilon, rng, ws)
-            }
-            LevelMethod::Unattributed => {
-                UnattributedEstimator::new().estimate_in(hist, g, epsilon, rng, ws)
-            }
-            LevelMethod::Naive { bound } => {
-                NaiveEstimator::new(bound).estimate_in(hist, g, epsilon, rng, ws)
-            }
-            LevelMethod::Adaptive { bound } => {
-                AdaptiveEstimator::new(bound).estimate_in(hist, g, epsilon, rng, ws)
-            }
-        }
-    }
-}
 
 /// Configuration for [`top_down_release`].
 #[derive(Clone, Debug)]

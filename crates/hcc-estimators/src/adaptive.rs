@@ -21,108 +21,65 @@
 //! estimator ε-differentially private.
 
 use hcc_core::CountOfCounts;
-use hcc_isotonic::CumulativeLoss;
 use hcc_noise::GeometricMechanism;
 use rand::Rng;
 
-use crate::hc::CumulativeEstimator;
-use crate::hg::UnattributedEstimator;
 use crate::k_bound::estimate_size_bound;
 use crate::workspace::cached_mechanism;
-use crate::{Estimator, EstimatorWorkspace, NodeEstimate};
+use crate::{hc, hg, EstimatorWorkspace, NodeEstimate};
 
-/// Chooses between [`CumulativeEstimator`] and
-/// [`UnattributedEstimator`] per node using a private sparsity probe.
-#[derive(Clone, Copy, Debug)]
-pub struct AdaptiveEstimator {
-    /// Public size bound `K` handed to the `Hc` method.
-    pub bound: u64,
-    /// Fraction of the node budget spent on the selection probe
-    /// (split evenly between the distinct-size and max-size queries).
-    pub selector_fraction: f64,
-    /// Occupancy threshold: supports sparser than this use `Hg`.
-    pub occupancy_threshold: f64,
-}
+/// Fraction of the node budget spent on the selection probe (split
+/// evenly between the distinct-size and max-size queries).
+const SELECTOR_FRACTION: f64 = 0.05;
 
-impl AdaptiveEstimator {
-    /// Sensible defaults: 5 % of budget on selection, 5 % occupancy
-    /// threshold.
-    pub fn new(bound: u64) -> Self {
-        Self {
-            bound,
-            selector_fraction: 0.05,
-            occupancy_threshold: 0.05,
-        }
+/// Occupancy threshold: supports sparser than this use `Hg`.
+const OCCUPANCY_THRESHOLD: f64 = 0.05;
+
+/// The adaptive kernel: the probe picks `Hg`, or `Hc` (L1) with public
+/// size bound `K = bound`, and the rest of the budget runs it.
+pub(crate) fn estimate<R: Rng + ?Sized>(
+    hist: &CountOfCounts,
+    g: u64,
+    epsilon: f64,
+    bound: u64,
+    rng: &mut R,
+    ws: &mut EstimatorWorkspace,
+) -> NodeEstimate {
+    if g == 0 {
+        return NodeEstimate::new(CountOfCounts::new(), Vec::new());
     }
-
-    /// Overrides the probe budget fraction.
-    pub fn with_selector_fraction(mut self, f: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&f) && f > 0.0,
-            "fraction must be in (0, 1)"
-        );
-        self.selector_fraction = f;
-        self
-    }
-
-    /// Overrides the occupancy threshold.
-    pub fn with_occupancy_threshold(mut self, t: f64) -> Self {
-        assert!(t > 0.0, "threshold must be positive");
-        self.occupancy_threshold = t;
-        self
-    }
-
-    /// The private selection probe: returns `true` when `Hg` should
-    /// be used (gappy support), consuming `eps_probe` of budget.
-    /// `mech` caches the probe's mechanism across nodes.
-    fn probe_prefers_hg<R: Rng + ?Sized>(
-        &self,
-        hist: &CountOfCounts,
-        eps_probe: f64,
-        rng: &mut R,
-        mech: &mut Option<GeometricMechanism>,
-    ) -> bool {
-        let half = eps_probe / 2.0;
-        // Distinct-size count, sensitivity 2.
-        let mech = cached_mechanism(mech, half, 2.0);
-        let distinct = mech.privatize(hist.distinct_sizes() as u64, rng).max(1) as f64;
-        // Maximum size, sensitivity 1 (with the footnote-6 cushion the
-        // bound overshoots; that only makes the occupancy conservative).
-        let max = estimate_size_bound(hist, half, rng).max(1) as f64;
-        distinct / max < self.occupancy_threshold
+    let eps_probe = epsilon * SELECTOR_FRACTION;
+    let eps_rest = epsilon - eps_probe;
+    if probe_prefers_hg(hist, eps_probe, rng, &mut ws.probe_mech) {
+        hg::estimate(hist, g, eps_rest, rng, ws)
+    } else {
+        hc::estimate_l1(hist, g, eps_rest, bound, rng, ws)
     }
 }
 
-impl Estimator for AdaptiveEstimator {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn estimate_in<R: Rng + ?Sized>(
-        &self,
-        hist: &CountOfCounts,
-        g: u64,
-        epsilon: f64,
-        rng: &mut R,
-        ws: &mut EstimatorWorkspace,
-    ) -> NodeEstimate {
-        if g == 0 {
-            return NodeEstimate::new(CountOfCounts::new(), Vec::new());
-        }
-        let eps_probe = epsilon * self.selector_fraction;
-        let eps_rest = epsilon - eps_probe;
-        if self.probe_prefers_hg(hist, eps_probe, rng, &mut ws.probe_mech) {
-            UnattributedEstimator::new().estimate_in(hist, g, eps_rest, rng, ws)
-        } else {
-            CumulativeEstimator::with_loss(self.bound, CumulativeLoss::L1)
-                .estimate_in(hist, g, eps_rest, rng, ws)
-        }
-    }
+/// The private selection probe: returns `true` when `Hg` should be
+/// used (gappy support), consuming `eps_probe` of budget. `mech`
+/// caches the probe's mechanism across nodes.
+fn probe_prefers_hg<R: Rng + ?Sized>(
+    hist: &CountOfCounts,
+    eps_probe: f64,
+    rng: &mut R,
+    mech: &mut Option<GeometricMechanism>,
+) -> bool {
+    let half = eps_probe / 2.0;
+    // Distinct-size count, sensitivity 2.
+    let mech = cached_mechanism(mech, half, 2.0);
+    let distinct = mech.privatize(hist.distinct_sizes() as u64, rng).max(1) as f64;
+    // Maximum size, sensitivity 1 (with the footnote-6 cushion the
+    // bound overshoots; that only makes the occupancy conservative).
+    let max = estimate_size_bound(hist, half, rng).max(1) as f64;
+    distinct / max < OCCUPANCY_THRESHOLD
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LevelMethod;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -140,15 +97,14 @@ mod tests {
 
     #[test]
     fn probe_separates_dense_from_gappy() {
-        let est = AdaptiveEstimator::new(100_000);
         let mut rng = StdRng::seed_from_u64(41);
         let mut dense_hg = 0;
         let mut gappy_hg = 0;
         for _ in 0..20 {
-            if est.probe_prefers_hg(&dense(), 0.5, &mut rng, &mut None) {
+            if probe_prefers_hg(&dense(), 0.5, &mut rng, &mut None) {
                 dense_hg += 1;
             }
-            if est.probe_prefers_hg(&gappy(), 0.5, &mut rng, &mut None) {
+            if probe_prefers_hg(&gappy(), 0.5, &mut rng, &mut None) {
                 gappy_hg += 1;
             }
         }
@@ -161,7 +117,7 @@ mod tests {
 
     #[test]
     fn estimate_satisfies_contract_on_both_profiles() {
-        let est = AdaptiveEstimator::new(100_000);
+        let est = LevelMethod::Adaptive { bound: 100_000 };
         let mut rng = StdRng::seed_from_u64(42);
         for h in [dense(), gappy()] {
             let g = h.num_groups();
@@ -172,26 +128,10 @@ mod tests {
 
     #[test]
     fn zero_groups() {
-        let est = AdaptiveEstimator::new(16);
+        let est = LevelMethod::Adaptive { bound: 16 };
         let mut rng = StdRng::seed_from_u64(43);
         let out = est.estimate(&CountOfCounts::new(), 0, 1.0, &mut rng);
         assert!(out.hist().is_empty());
-    }
-
-    #[test]
-    fn builder_validation() {
-        let est = AdaptiveEstimator::new(16)
-            .with_selector_fraction(0.1)
-            .with_occupancy_threshold(0.2);
-        assert_eq!(est.selector_fraction, 0.1);
-        assert_eq!(est.occupancy_threshold, 0.2);
-        assert_eq!(est.name(), "adaptive");
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction must be in")]
-    fn invalid_fraction_panics() {
-        let _ = AdaptiveEstimator::new(16).with_selector_fraction(1.5);
     }
 
     #[test]
@@ -203,20 +143,20 @@ mod tests {
         let g = h.num_groups();
         let mut rng = StdRng::seed_from_u64(44);
         let runs = 5;
-        fn avg<E: Estimator>(
-            est: &E,
-            h: &CountOfCounts,
-            g: u64,
-            runs: usize,
-            rng: &mut StdRng,
-        ) -> f64 {
+        fn avg(est: LevelMethod, h: &CountOfCounts, g: u64, runs: usize, rng: &mut StdRng) -> f64 {
             (0..runs)
                 .map(|_| emd(est.estimate(h, g, 0.2, rng).hist(), h) as f64)
                 .sum::<f64>()
                 / runs as f64
         }
-        let adaptive = avg(&AdaptiveEstimator::new(100_000), &h, g, runs, &mut rng);
-        let hg = avg(&UnattributedEstimator::new(), &h, g, runs, &mut rng);
+        let adaptive = avg(
+            LevelMethod::Adaptive { bound: 100_000 },
+            &h,
+            g,
+            runs,
+            &mut rng,
+        );
+        let hg = avg(LevelMethod::Unattributed, &h, g, runs, &mut rng);
         assert!(
             adaptive < 10.0 * (hg + 1.0),
             "adaptive {adaptive} strayed far from Hg {hg}"

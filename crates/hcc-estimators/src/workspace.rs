@@ -17,7 +17,7 @@
 //! stack clamped at zero, so its length-`G` vector is never built;
 //! `Hc`-L2 streams its cells into the same pool stack. An
 //! [`EstimatorWorkspace`] owns what remains (the heap and its tops,
-//! the pool stack, the naive method's buffers); one workspace per
+//! the pool stack, the `Hc` fit's runs, the naive method's buffers); one workspace per
 //! worker thread, reused across every node it estimates (the engine's
 //! workers keep theirs across jobs), keeps the hot loop in
 //! cache-resident storage with no steady-state allocations.
@@ -34,9 +34,8 @@ use hcc_isotonic::{PavL1Workspace, PavL2Workspace};
 use hcc_noise::GeometricMechanism;
 
 /// Scratch buffers for one estimation worker. Create once per thread
-/// and pass to
-/// [`Estimator::estimate_in`](crate::Estimator::estimate_in) for
-/// every node.
+/// and pass to [`LevelMethod::estimate_in`](crate::LevelMethod::estimate_in)
+/// for every node.
 #[derive(Default)]
 pub struct EstimatorWorkspace {
     /// The naive method's noisy integer cells.
@@ -48,6 +47,9 @@ pub struct EstimatorWorkspace {
     /// L2 isotonic solver state: the PAV pool stack of the `Hg` and
     /// `Hc`-L2 kernels.
     pub(crate) pav_l2: PavL2Workspace,
+    /// The `Hc` kernels' fitted cumulative runs `(start, value)` in
+    /// ascending order, so the estimate's run list is sized once.
+    pub(crate) fit_runs: Vec<(usize, u64)>,
     /// The last noise mechanism built, reused while `(ε, Δ)` repeats
     /// (see [`cached_mechanism`]).
     pub(crate) mech: Option<GeometricMechanism>,
@@ -79,7 +81,7 @@ pub(crate) fn cached_mechanism(
 impl EstimatorWorkspace {
     /// An empty workspace. No buffer allocates until first use, so
     /// constructing one ad hoc (as the convenience
-    /// [`Estimator::estimate`](crate::Estimator::estimate) wrapper
+    /// [`LevelMethod::estimate`](crate::LevelMethod::estimate) wrapper
     /// does) costs nothing beyond what the seed pipeline paid.
     pub fn new() -> Self {
         Self::default()

@@ -59,9 +59,6 @@ pub mod prelude {
     pub use hcc_core::{emd, CountOfCounts, Cumulative, Run, Unattributed};
     pub use hcc_data::{Dataset, DatasetDelta, DatasetKind, DeltaOp};
     pub use hcc_engine::{DatasetHandle, Engine, EngineConfig, JobStatus, ReleaseRequest};
-    pub use hcc_estimators::{
-        CumulativeEstimator, Estimator, NaiveEstimator, UnattributedEstimator,
-    };
     pub use hcc_hierarchy::{Hierarchy, HierarchyBuilder, NodeId};
     pub use hcc_noise::{GeometricMechanism, LaplaceMechanism};
 }

@@ -14,9 +14,7 @@
 
 use hcc_bench::hotpath::SeedBaseline;
 use hccount::core::CountOfCounts;
-use hccount::estimators::{
-    CumulativeEstimator, Estimator, EstimatorWorkspace, NodeEstimate, VarianceRun,
-};
+use hccount::estimators::{EstimatorWorkspace, LevelMethod, NodeEstimate, VarianceRun};
 use hccount::isotonic::{anchored_cumulative, CumulativeLoss};
 use hccount::noise::GeometricMechanism;
 use proptest::prelude::*;
@@ -89,7 +87,7 @@ fn check_node(
     );
     let g = hist.num_groups();
     let mut a = StdRng::seed_from_u64(seed);
-    let fused = CumulativeEstimator::new(bound).estimate_in(hist, g, epsilon, &mut a, ws);
+    let fused = LevelMethod::Cumulative { bound }.estimate_in(hist, g, epsilon, &mut a, ws);
     let mut b = StdRng::seed_from_u64(seed);
     let chain = staged(hist, bound, epsilon, CumulativeLoss::L1, &mut b);
     // The seed pipeline clamps through f64, exact below 2⁵³.
@@ -114,8 +112,7 @@ fn check_node(
     );
 
     let mut a = StdRng::seed_from_u64(seed);
-    let l2 = CumulativeEstimator::with_loss(bound, CumulativeLoss::L2)
-        .estimate_in(hist, g, epsilon, &mut a, ws);
+    let l2 = LevelMethod::CumulativeL2 { bound }.estimate_in(hist, g, epsilon, &mut a, ws);
     let mut b = StdRng::seed_from_u64(seed);
     let chain = staged(hist, bound, epsilon, CumulativeLoss::L2, &mut b);
     assert_same_bits(&l2, &chain, &format!("L2 vs staged, {what}"));
@@ -129,10 +126,9 @@ fn dirty_workspace() -> EstimatorWorkspace {
     let wide = CountOfCounts::from_counts(vec![40_000, 0, 30_000, 5]);
     let mut rng = StdRng::seed_from_u64(1);
     let g = wide.num_groups();
-    CumulativeEstimator::new(900).estimate_in(&wide, g, 0.5, &mut rng, &mut ws);
+    LevelMethod::Cumulative { bound: 900 }.estimate_in(&wide, g, 0.5, &mut rng, &mut ws);
     let narrow = CountOfCounts::from_group_sizes([3, 3, 9]);
-    CumulativeEstimator::with_loss(40, CumulativeLoss::L2)
-        .estimate_in(&narrow, 3, 0.5, &mut rng, &mut ws);
+    LevelMethod::CumulativeL2 { bound: 40 }.estimate_in(&narrow, 3, 0.5, &mut rng, &mut ws);
     ws
 }
 

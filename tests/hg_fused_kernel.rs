@@ -11,11 +11,8 @@
 use std::collections::BTreeMap;
 
 use hccount::core::{CountOfCounts, Run, Unattributed};
-use hccount::estimators::{
-    CumulativeEstimator, Estimator, EstimatorWorkspace, NodeEstimate, UnattributedEstimator,
-    VarianceRun,
-};
-use hccount::isotonic::{Block, CumulativeLoss, IsotonicFit};
+use hccount::estimators::{EstimatorWorkspace, LevelMethod, NodeEstimate, VarianceRun};
+use hccount::isotonic::{Block, IsotonicFit};
 use hccount::noise::GeometricMechanism;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -120,7 +117,7 @@ fn check_node(hist: &CountOfCounts, epsilon: f64, seed: u64, ws: &mut EstimatorW
     );
     let g = hist.num_groups();
     let mut a = StdRng::seed_from_u64(seed);
-    let fused = UnattributedEstimator::new().estimate_in(hist, g, epsilon, &mut a, ws);
+    let fused = LevelMethod::Unattributed.estimate_in(hist, g, epsilon, &mut a, ws);
     let mut b = StdRng::seed_from_u64(seed);
     let chain = staged(hist, epsilon, &mut b);
     assert_same_bits(&fused, &chain, &format!("fused vs staged, {what}"));
@@ -137,10 +134,9 @@ fn dirty_workspace() -> EstimatorWorkspace {
     let mut ws = EstimatorWorkspace::new();
     let mut rng = StdRng::seed_from_u64(1);
     let big = CountOfCounts::from_counts(vec![0, 3_000, 400, 0, 90, 7]);
-    UnattributedEstimator::new().estimate_in(&big, big.num_groups(), 0.5, &mut rng, &mut ws);
+    LevelMethod::Unattributed.estimate_in(&big, big.num_groups(), 0.5, &mut rng, &mut ws);
     let narrow = CountOfCounts::from_group_sizes([3, 3, 9]);
-    CumulativeEstimator::with_loss(40, CumulativeLoss::L2)
-        .estimate_in(&narrow, 3, 0.5, &mut rng, &mut ws);
+    LevelMethod::CumulativeL2 { bound: 40 }.estimate_in(&narrow, 3, 0.5, &mut rng, &mut ws);
     ws
 }
 
@@ -171,7 +167,7 @@ fn alpha_zero_releases_the_true_histogram() {
     // takes its one RNG word.
     let hist = CountOfCounts::from_group_sizes([1, 1, 4, 4, 7]);
     let mut rng = StdRng::seed_from_u64(3);
-    let est = UnattributedEstimator::new().estimate(&hist, 5, 800.0, &mut rng);
+    let est = LevelMethod::Unattributed.estimate(&hist, 5, 800.0, &mut rng);
     assert_eq!(est.hist(), &hist);
     let mut fresh = StdRng::seed_from_u64(3);
     for _ in 0..5 {

@@ -12,7 +12,7 @@
 use hcc_bench::hotpath::format1_sample;
 use hccount::core::{emd, CountOfCounts, Cumulative};
 use hccount::data::{housing, HousingConfig};
-use hccount::estimators::{CumulativeEstimator, Estimator, EstimatorWorkspace};
+use hccount::estimators::{EstimatorWorkspace, LevelMethod};
 use hccount::hierarchy::Hierarchy;
 use hccount::isotonic::{anchored_cumulative, CumulativeLoss};
 use rand::rngs::StdRng;
@@ -67,7 +67,7 @@ fn formats_1_and_2_have_the_same_per_node_emd_distribution() {
             .expect("a non-empty level")
     };
     let nodes = [Hierarchy::ROOT, busiest(1), busiest(h.num_levels() - 1)];
-    let est = CumulativeEstimator::new(BOUND);
+    let est = LevelMethod::Cumulative { bound: BOUND };
     let mut ws = EstimatorWorkspace::new();
     for node in nodes {
         let hist = ds.data.node(node);
