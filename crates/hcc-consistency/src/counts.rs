@@ -79,6 +79,10 @@ pub enum ConsistencyError {
 /// never consults it.
 pub const MAX_GROUP_SIZE: u64 = 1_000_000;
 
+// An estimate refuses sizes above `MAX_ESTIMATE_SIZE`; served data
+// stays far below it and leaves the rest of it to noise.
+const _: () = assert!(MAX_GROUP_SIZE < hcc_estimators::MAX_ESTIMATE_SIZE / 8);
+
 impl std::fmt::Display for ConsistencyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -3,6 +3,21 @@
 
 use hcc_core::{CountOfCounts, Unattributed};
 
+/// The largest group size an estimate may hold, `2^24`.
+/// [`NodeEstimate::from_variance_runs`] panics on a larger one before
+/// it allocates the dense histogram (one `u64` per size, so at most
+/// 128 MiB per node); the engine fails that job and keeps serving.
+///
+/// Served groups and bounds are at most 10^6 (`MAX_GROUP_SIZE` in
+/// `hcc-consistency` asserts it stays below an eighth of this cap), so
+/// the rest is noise headroom: an `Hg` draw of scale `1/ε` crosses it
+/// with odds about `e^(−1.5·10^7·ε)`, never at an experiment's ε. A
+/// vanishing ε does cross it: an `Hg` node at ε = 10^−9 draws sizes
+/// near 10^9 and would otherwise allocate some 8 GB. Local data is not
+/// held to `MAX_GROUP_SIZE`, so an `Hg` release of a group above the
+/// cap fails the same way.
+pub const MAX_ESTIMATE_SIZE: u64 = 1 << 24;
+
 /// A run of consecutive groups (in the sorted-by-size order of the
 /// unattributed histogram `Ĥg`) sharing one size and one variance
 /// estimate.
@@ -84,6 +99,10 @@ impl NodeEstimate {
     /// merged estimates). Runs may come in any order; runs of one size
     /// merge, their variances pooled weighted by count in input order,
     /// and empty runs are dropped.
+    ///
+    /// # Panics
+    ///
+    /// If a non-empty run's size exceeds [`MAX_ESTIMATE_SIZE`].
     pub fn from_variance_runs(mut runs: Vec<VarianceRun>) -> Self {
         runs.retain(|r| r.count > 0);
         // Stable, so the runs of one size pool in their input order.
@@ -92,6 +111,11 @@ impl NodeEstimate {
             runs.sort_by_key(|r| r.size);
         }
         let max = runs.last().map_or(0, |r| r.size);
+        assert!(
+            max <= MAX_ESTIMATE_SIZE,
+            "estimated group size {max} exceeds MAX_ESTIMATE_SIZE = {MAX_ESTIMATE_SIZE}: \
+             epsilon is too small to release"
+        );
         let mut counts = vec![0u64; usize::try_from(max).expect("size too large") + 1];
         let same_size = |a: &VarianceRun, b: &VarianceRun| a.size == b.size;
         let mut variances = Vec::with_capacity(runs.chunk_by(same_size).count());

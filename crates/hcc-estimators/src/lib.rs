@@ -35,7 +35,7 @@ pub mod k_bound;
 mod naive;
 pub mod workspace;
 
-pub use estimate::{NodeEstimate, VarianceRun};
+pub use estimate::{NodeEstimate, VarianceRun, MAX_ESTIMATE_SIZE};
 pub use k_bound::estimate_size_bound;
 pub use workspace::EstimatorWorkspace;
 

@@ -6,7 +6,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use hccount::consistency::{to_csv, top_down_release, LevelMethod, TopDownConfig};
+use hccount::consistency::{
+    to_csv, top_down_release, HierarchicalCounts, LevelMethod, TopDownConfig,
+};
+use hccount::core::CountOfCounts;
 use hccount::data::{Dataset, DatasetKind};
 use hccount::data::{DatasetDelta, DeltaOp};
 use hccount::engine::protocol::frame::{
@@ -17,6 +20,7 @@ use hccount::engine::{
     protocol::SubmitParams, serve, serve_reactor, DatasetHandle, Engine, EngineConfig, EngineError,
     Fingerprint, JobStatus, MuxClient, ReactorConfig, ReleaseRequest, Submission,
 };
+use hccount::hierarchy::{Hierarchy, HierarchyBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,6 +30,40 @@ fn dataset() -> Dataset {
 
 fn config() -> TopDownConfig {
     TopDownConfig::new(1.0).with_method(LevelMethod::Cumulative { bound: 1000 })
+}
+
+/// An `Hg` release at a vanishing ε draws noisy sizes near 10^9. The
+/// estimate refuses a size above `MAX_ESTIMATE_SIZE` before it
+/// allocates its dense histogram (some 8 GB here), so the job fails
+/// with a message naming the cap, and the lone worker serves the next
+/// request.
+#[test]
+fn tiny_epsilon_fails_the_job_not_the_process() {
+    let hierarchy = Arc::new(HierarchyBuilder::new("root").build());
+    let node = CountOfCounts::from_group_sizes([1, 2, 2, 5, 9]);
+    let data = Arc::new(
+        HierarchicalCounts::from_leaves(&hierarchy, vec![(Hierarchy::ROOT, node)]).unwrap(),
+    );
+    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let submit = |cfg: &TopDownConfig| {
+        let request =
+            ReleaseRequest::new(Arc::clone(&hierarchy), Arc::clone(&data), cfg.clone(), 7);
+        engine.wait(engine.submit(request).unwrap())
+    };
+
+    let tiny = TopDownConfig::new(1e-9).with_method(LevelMethod::Unattributed);
+    match submit(&tiny) {
+        Err(EngineError::JobFailed(msg)) => {
+            assert!(msg.contains("MAX_ESTIMATE_SIZE"), "{msg}")
+        }
+        other => panic!("a tiny-epsilon Hg release must fail its job, got {other:?}"),
+    }
+
+    let normal = TopDownConfig::new(1.0).with_method(LevelMethod::Unattributed);
+    let (result, _) = submit(&normal).unwrap();
+    let mut rng = StdRng::seed_from_u64(7);
+    let direct = top_down_release(&hierarchy, &data, &normal, &mut rng).unwrap();
+    assert_eq!(result.csv, to_csv(&hierarchy, &direct));
 }
 
 /// Acceptance criterion: the engine with ≥2 workers produces a
