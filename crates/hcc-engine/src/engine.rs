@@ -1864,4 +1864,56 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn boot_reproduces_the_pinned_dataset_handles() {
+        // Handles name store files, budget accounts and request keys,
+        // so the dataset digest must never move. Three housing datasets
+        // (the `national_hc` fixture, quarter and full scale) are filed
+        // under their pinned handles; boot re-digests every record and
+        // refuses any that does not reproduce its handle.
+        use hcc_data::{housing, Dataset, DatasetKind, HousingConfig};
+        let fixture = housing(&HousingConfig {
+            scale: 2e-5,
+            seed: 6,
+            ..Default::default()
+        });
+        let pinned = [
+            (fixture, "1dd479fadb039f9db09a456218a65d1e"),
+            (
+                Dataset::generate(DatasetKind::Housing, 0.25, 6),
+                "fa8df80d5006d1a7e471f9c6347dea9f",
+            ),
+            (
+                Dataset::generate(DatasetKind::Housing, 1.0, 6),
+                "0901aa46d7e9de1600a5cfab5e50a85c",
+            ),
+        ];
+        let handle = |hex: &str| DatasetHandle(Fingerprint(u128::from_str_radix(hex, 16).unwrap()));
+        let dir = store_dir("pinned");
+        let path = dir.join("engine.hcc");
+        {
+            let mut store = hcc_store::Store::open(&path).unwrap();
+            for (ds, hex) in &pinned {
+                assert_eq!(
+                    dataset_fingerprint(&ds.hierarchy, &ds.data).to_string(),
+                    *hex,
+                    "{}",
+                    ds.name
+                );
+                let record =
+                    crate::ledger::dataset_record(handle(hex).0 .0, &ds.hierarchy, &ds.data, 1);
+                store.put_dataset(&record).unwrap();
+            }
+        }
+        let store = hcc_store::Store::open(&path).unwrap();
+        let engine = Engine::start_with_store(EngineConfig::default().with_workers(1), store)
+            .expect("every record reproduces its pinned handle");
+        assert_eq!(engine.prepared_len(), pinned.len());
+        for (_, hex) in &pinned {
+            assert!(engine.lock_registry().get(handle(hex)).is_ok(), "{hex}");
+        }
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
