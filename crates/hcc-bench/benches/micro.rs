@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the performance-critical kernels:
 //! the isotonic solvers (both losses), Algorithm 2's run-length
 //! matching, EMD, the noise samplers, the per-node `Hc` and `Hg`
-//! kernels, and the engine's cache-hit path. End-to-end releases,
+//! kernels, the dataset digest, and the engine's cache-hit path. End-to-end releases,
 //! ε-sweeps and dataset derivation are timed by the `perfbench`
 //! package (`national_hc`, `hg_sweep`, `ledger_churn`), not here.
 
@@ -244,6 +244,25 @@ fn bench_hg_stage(c: &mut Criterion) {
     g.finish();
 }
 
+/// The dataset digest that names a prepared handle, per dense cell,
+/// on quarter-scale housing (about 327 000 cells, over 99% of them
+/// zero). Boot recovery, `PREPARE`, `DERIVE` and `APPEND` each pay it
+/// once per dataset.
+fn bench_fingerprint(c: &mut Criterion) {
+    use hcc_data::{Dataset, DatasetKind};
+    use hcc_engine::dataset_fingerprint;
+
+    let ds = Dataset::generate(DatasetKind::Housing, 0.25, 6);
+    let cells: usize = ds.data.as_slice().iter().map(CountOfCounts::len).sum();
+    let mut g = c.benchmark_group("fingerprint");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(cells as u64));
+    g.bench_function("dataset_housing", |b| {
+        b.iter(|| dataset_fingerprint(black_box(&ds.hierarchy), black_box(&ds.data)))
+    });
+    g.finish();
+}
+
 /// The engine's cache-hit fast path through the full job API. (How
 /// the engine scales across workers is checked by the tier-1
 /// `scaling_smoke` test, not timed here.)
@@ -291,6 +310,7 @@ criterion_group!(
     bench_noise_fill,
     bench_hc_stage,
     bench_hg_stage,
+    bench_fingerprint,
     bench_engine
 );
 criterion_main!(benches);

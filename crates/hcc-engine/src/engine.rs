@@ -472,14 +472,14 @@ impl Engine {
     /// returns the same handle and adds a reference; beyond the
     /// configured capacity the least-recently-used dataset is
     /// evicted. Submissions via [`Engine::submit_prepared`] skip the
-    /// expensive data walk entirely.
+    /// data digest entirely.
     pub fn prepare(
         &self,
         hierarchy: Arc<Hierarchy>,
         data: Arc<HierarchicalCounts>,
     ) -> Result<DatasetHandle, EngineError> {
-        // The content digest is the expensive part; compute it before
-        // taking the lock.
+        // The content digest scans every histogram cell; compute it
+        // before taking the lock.
         let handle = DatasetHandle(dataset_fingerprint(&hierarchy, &data));
         if self.shared.shutting_down.load(Ordering::Acquire) {
             return Err(EngineError::ShuttingDown);
@@ -547,8 +547,9 @@ impl Engine {
     /// root-to-leaf paths the delta touches are re-summed
     /// ([`hcc_data::DatasetDelta::apply_to`]), never the whole
     /// hierarchy. The remaining per-derive cost is an in-memory clone
-    /// and content re-digest of the per-node histograms — linear in
-    /// histogram cells, but with tiny constants next to what a cold
+    /// of the per-node histograms and their content re-digest — a
+    /// scan of the dense cells that multiplies only at non-zero ones
+    /// (see [`dataset_fingerprint`]) — tiny next to what a cold
     /// `PREPARE` of the post-delta tables pays: shipping and parsing
     /// one CSV row *per entity* plus a full bottom-up aggregation.
     /// `tests/engine.rs::derive_beats_cold_prepare_by_a_wide_margin`

@@ -14,8 +14,9 @@
 #
 # The cheap release_hot_path bench runs REPS times (median per label);
 # the micro suite (isotonic, matching, EMD, noise, the Hc and Hg
-# kernels `hc_stage/fused` and `hg_stage/fused`, the engine's cache
-# hit) and the wire-path curve
+# kernels `hc_stage/fused` and `hg_stage/fused`, the dataset digest
+# `fingerprint/dataset_housing`, the engine's cache hit) and the
+# wire-path curve
 # (`wire_path/sweep100/framed`, `wire_path/submit_*/c{1,64,1000}`) run
 # once. HCC_SEED pins the RNG stream the release_hot_path bench draws
 # from (default 0). How the engine scales across workers is checked by
