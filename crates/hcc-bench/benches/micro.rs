@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks for the performance-critical kernels:
 //! the isotonic solvers (both losses), Algorithm 2's run-length
 //! matching, EMD, the noise samplers, the per-node `Hc` and `Hg`
-//! kernels, the dataset digest, and the engine's cache-hit path. End-to-end releases,
-//! ε-sweeps and dataset derivation are timed by the `perfbench`
-//! package (`national_hc`, `hg_sweep`, `ledger_churn`), not here.
+//! kernels, the dataset digest, and the engine's cache-hit path.
+//! End-to-end releases, ε-sweeps and dataset derivation are timed by
+//! the `perfbench` package (`national_hc`, `hg_sweep`,
+//! `ledger_churn`), not here.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hcc_consistency::{match_groups, LevelMethod, TopDownConfig};
